@@ -17,11 +17,7 @@ from .errors import CapExceededError, CounterexampleError, FormatError, KendedEr
 from .families import make_family, parse_family_spec
 from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, VertexSet
-from .invariants import (
-    independence_number,
-    set_connectivity,
-    set_connectivity_pair,
-)
+from .invariants import independence_number, set_connectivity_pair
 from .treesearch import DEFAULT_TREE_CAP
 from .verify import (
     SHARPNESS_NOTE,
@@ -152,8 +148,9 @@ def cmd_analyze(args) -> int:
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
     witness = independence_number(graph, subset)
-    kappa, pair = set_connectivity_pair(graph, subset)
-    graph_kappa = set_connectivity(graph, VertexSet.full(graph.n))
+    pairs: dict[tuple[int, int], int] = {}
+    kappa, pair = set_connectivity_pair(graph, subset, pairs)
+    graph_kappa, _ = set_connectivity_pair(graph, VertexSet.full(graph.n), pairs)
     alpha = witness.size
     if kappa.is_infinite:
         threshold = 2

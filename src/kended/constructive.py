@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import CapExceededError, InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet, iter_bits
 from .invariants import (
+    ConnectivityValue,
     alpha_mask,
     hypothesis_holds,
     maximum_independent_masks,
@@ -58,11 +59,10 @@ class ConstructionOutcome:
 
 
 def _check_inputs(graph: Graph, subset: VertexSet, cap: int) -> int:
-    if subset.host_n != graph.n:
-        raise ValueError("subset indexes a different host graph")
+    smask = graph.subset_mask(subset)
     if graph.n > cap:
         raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
-    return subset.mask
+    return smask
 
 
 def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:
@@ -102,13 +102,15 @@ def _paths_with_length(graph: Graph, length: int):
         yield from rec((s,), 1 << s)
 
 
-def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> tuple[Path, str]:
+def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
+              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[Path, str]:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
     Exhaustive search: paths are enumerated in decreasing length and the first
     one meeting either condition is returned. One of the two always exists for
     a connected graph and nonempty S, so exhaustion without success is an
-    internal invariant failure, not an input error.
+    internal invariant failure, not an input error. `alpha_kappa` passes in
+    (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
     """
     smask = _check_inputs(graph, subset, cap)
     if smask == 0:
@@ -117,8 +119,9 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
         return Path((smask.bit_length() - 1,)), BASE_COVERS
-    alpha, _ = alpha_mask(graph, smask)
-    kappa = set_connectivity(graph, subset)
+    if alpha_kappa is None:
+        alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
+    alpha, kappa = alpha_kappa
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - 1
     residual_cache: dict[int, int] = {}
@@ -147,7 +150,7 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
     postcondition that the path meets every maximum independent subset of
     S - V(tree) is asserted; a failure is a bug detector, not an input error.
     """
-    smask = _check_subset_host(graph, subset)
+    smask = graph.subset_mask(subset)
     if tree.host_n != graph.n:
         raise ValueError("tree belongs to a different host graph")
     tmask = tree.vertex_mask
@@ -196,12 +199,6 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
     return Path(best), best[0]
 
 
-def _check_subset_host(graph: Graph, subset: VertexSet) -> int:
-    if subset.host_n != graph.n:
-        raise ValueError("subset indexes a different host graph")
-    return subset.mask
-
-
 def augment(tree: Tree, path: Path) -> Tree:
     """Attach a path that meets the tree exactly at its terminal vertex.
 
@@ -232,13 +229,16 @@ def construct_k_ended_tree(
     k: int,
     cap: int = DEFAULT_TREE_CAP,
     base: tuple[Path, str] | None = None,
+    alpha_kappa: tuple[int, ConnectivityValue] | None = None,
 ) -> ConstructionOutcome:
     """Run the full construction for a budget of k leaves.
 
     `base` optionally reuses a precomputed base_path(graph, subset) result,
-    which is independent of k. When alpha <= k + kappa - 1 the outcome is
-    always a covering (asserted); otherwise a residual-bound outcome satisfies
-    residual <= alpha - kappa - k + 1 (asserted, recomputed from scratch).
+    which is independent of k. `alpha_kappa` likewise passes in (alpha_G(S),
+    kappa_G(S)); else they are computed once here and handed on to base_path.
+    When alpha <= k + kappa - 1 the outcome is always a covering (asserted);
+    otherwise a residual-bound outcome satisfies residual <= alpha - kappa -
+    k + 1 (asserted, recomputed from scratch).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -251,12 +251,13 @@ def construct_k_ended_tree(
         v = smask.bit_length() - 1 if smask else 0
         tree = Tree.single_vertex(graph.n, v)
         return ConstructionOutcome(COVERING, tree, 0, None, ())
-    alpha, _ = alpha_mask(graph, smask)
-    kappa = set_connectivity(graph, subset)
+    if alpha_kappa is None:
+        alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
+    alpha, kappa = alpha_kappa
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
     if base is None:
-        base = base_path(graph, subset, cap=cap)
+        base = base_path(graph, subset, cap=cap, alpha_kappa=alpha_kappa)
     path0, _ = base
     state = AugmentationState(
         tree=Tree.from_path(graph.n, path0.vertices),

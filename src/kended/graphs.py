@@ -107,6 +107,12 @@ class Graph:
             comp |= frontier
         return comp
 
+    def subset_mask(self, subset: "VertexSet") -> int:
+        """The mask of a subset, after checking that it indexes this graph's vertices."""
+        if subset.host_n != self.n:
+            raise ValueError(f"subset indexes {subset.host_n} vertices but graph has {self.n}")
+        return subset.mask
+
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

@@ -1,14 +1,15 @@
 """Exact subset invariants: independence numbers and local/set connectivity.
 
-All operations are pure functions of immutable inputs. Independence numbers
-use branch-and-bound over bitmask candidate sets; connectivity uses unit-
-capacity max flow on the vertex-split digraph, so values are exact Menger
-counts.
+Every result is a function of the graph and subset alone. Independence numbers
+use branch-and-bound over bitmask candidate sets. Connectivity is unit-capacity
+max flow on the vertex-split digraph (Even & Tarjan 1975), so values are exact
+Menger counts; the residual network is one bitmask per split node, and the flow
+stops at min(deg x, deg y). set_connectivity_pair is the one pair-minimum loop;
+it can fill a caller-owned table of pair values.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -109,12 +110,6 @@ def hypothesis_holds(alpha: int, k: int, kappa: ConnectivityValue) -> bool:
     return alpha <= k + kappa.finite - 1
 
 
-def _check_subset(graph: Graph, subset: VertexSet) -> int:
-    if subset.host_n != graph.n:
-        raise ValueError(f"subset indexes {subset.host_n} vertices but graph has {graph.n}")
-    return subset.mask
-
-
 def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
     """Exact maximum independent subset of the vertices in smask: (size, witness mask).
 
@@ -156,7 +151,7 @@ def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
 
 def independence_number(graph: Graph, subset: VertexSet) -> IndependenceWitness:
     """Maximum cardinality of an independent-in-G subset of S, with a witness."""
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     size, witness = alpha_mask(graph, smask)
     return IndependenceWitness(size, VertexSet(graph.n, witness))
 
@@ -196,79 +191,92 @@ def enumerate_maximum_independent_subsets(
     graph: Graph, subset: VertexSet, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[VertexSet]:
     """The complete, deterministically ordered list of maximum independent subsets of S."""
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     return [VertexSet(graph.n, m) for m in maximum_independent_masks(graph, smask, cap)]
 
 
 def local_connectivity(graph: Graph, x: int, y: int) -> int:
     """Maximum number of internally disjoint x-y paths (exact, via unit-capacity flow).
 
-    Every vertex other than x and y is split into an in/out node joined by a
-    unit arc; each edge becomes a unit arc in both directions. A direct x-y
-    edge counts as one path.
+    Every vertex v other than x and y is split into an in-node v and an
+    out-node n + v joined by a unit arc; each edge uv becomes unit arcs
+    n + u -> v and n + v -> u. No two arcs are antiparallel, so the residual
+    network is one bitmask per node: res[a] holds the b whose arc a -> b has
+    capacity left. Flow from n + x to y first takes the shortest paths, the
+    direct edge and one through each common neighbour, then one path per
+    level-synchronous BFS over node masks. Each path has its own edge at x
+    and at y, so the search stops once the flow reaches min(deg x, deg y).
     """
     n = graph.n
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError("endpoint out of range")
     if x == y:
         raise ValueError("local connectivity needs two distinct vertices")
-
-    capacity: dict[int, dict[int, int]] = {}
-
-    def add_arc(a: int, b: int) -> None:
-        capacity.setdefault(a, {})[b] = 1
-        capacity.setdefault(b, {}).setdefault(a, 0)
-
-    for v in range(n):
-        if v != x and v != y:
-            add_arc(2 * v, 2 * v + 1)
-    for u, v in graph.edges():
-        add_arc(2 * u + 1, 2 * v)
-        add_arc(2 * v + 1, 2 * u)
-
-    source = 2 * x + 1
-    sink = 2 * y
-    flow = 0
-    while True:
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            a = queue.popleft()
-            for b, cap in capacity.get(a, {}).items():
-                if cap > 0 and b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
-            return flow
-        b = sink
-        while b != source:
-            a = parent[b]
-            capacity[a][b] -= 1
-            capacity[b][a] += 1
+    rows = graph.rows
+    res = [1 << (n + v) for v in range(n)] + list(rows)
+    out_x = n + x
+    flow = (rows[x] >> y) & 1
+    res[x] = 0
+    res[y] = flow << out_x
+    res[out_x] ^= flow << y
+    for w in iter_bits(rows[x] & rows[y]):
+        res[out_x] ^= 1 << w
+        res[w] = 1 << out_x
+        res[n + w] ^= (1 << y) | (1 << w)
+        res[y] |= 1 << (n + w)
+        flow += 1
+    limit = min(rows[x].bit_count(), rows[y].bit_count())
+    while flow < limit:
+        levels = [1 << out_x]
+        seen = frontier = levels[0]
+        while not (frontier >> y) & 1:
+            reach = 0
+            m = frontier
+            while m:
+                low = m & -m
+                reach |= res[low.bit_length() - 1]
+                m ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return flow
+            seen |= frontier
+            levels.append(frontier)
+        b = y
+        for level in reversed(levels[:-1]):
+            a = next(u for u in iter_bits(level) if (res[u] >> b) & 1)
+            res[a] ^= 1 << b
+            res[b] |= 1 << a
             b = a
         flow += 1
+    return flow
 
 
 def set_connectivity_pair(
-    graph: Graph, subset: VertexSet
+    graph: Graph, subset: VertexSet, pairs: dict[tuple[int, int], int] | None = None
 ) -> tuple[ConnectivityValue, tuple[int, int] | None]:
-    """Minimum local connectivity over distinct pairs of S, with a minimizing pair.
+    """Minimum local connectivity over distinct pairs of S, with the first
+    minimizing pair in lexicographic order.
 
     Infinite (and no pair) when |S| <= 1; zero when some pair lies in
-    different components.
+    different components. `pairs` optionally memoizes local connectivity by
+    (x, y), x < y: callers sharing one table across subsets of a graph run
+    each pair's flow once.
     """
-    smask = _check_subset(graph, subset)
-    vertices = list(iter_bits(smask))
+    vertices = list(iter_bits(graph.subset_mask(subset)))
     if len(vertices) <= 1:
         return ConnectivityValue.INFINITE, None
+    if pairs is None:
+        pairs = {}
     best: int | None = None
     best_pair: tuple[int, int] | None = None
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            k = local_connectivity(graph, vertices[i], vertices[j])
-            if best is None or k < best:
-                best = k
-                best_pair = (vertices[i], vertices[j])
+    for i, x in enumerate(vertices):
+        for y in vertices[i + 1:]:
+            value = pairs.get((x, y))
+            if value is None:
+                value = pairs[(x, y)] = local_connectivity(graph, x, y)
+            if best is None or value < best:
+                best = value
+                best_pair = (x, y)
                 if best == 0:
                     return ConnectivityValue(0), best_pair
     assert best is not None

@@ -54,12 +54,6 @@ def _check_cap(graph: Graph, cap: int) -> None:
         raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
 
 
-def _check_subset(graph: Graph, subset: VertexSet) -> int:
-    if subset.host_n != graph.n:
-        raise ValueError("subset indexes a different host graph")
-    return subset.mask
-
-
 def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
     """A path whose vertex set covers smask, or None; deterministic first hit.
 
@@ -238,7 +232,7 @@ def find_k_ended_covering_tree(
     if k < 2:
         raise ValueError("k must be at least 2")
     _check_cap(graph, cap)
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     if graph.n == 0:
         return None
     if smask == 0:
@@ -268,7 +262,7 @@ def minimum_leaf_covering_tree(
     search core. A one-vertex subset yields (0, one-vertex tree).
     """
     _check_cap(graph, cap)
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     if smask == 0:
         raise ValueError("minimum over covering trees needs a nonempty subset")
     if smask & (smask - 1) == 0:
@@ -298,7 +292,7 @@ def covering_tree_with_branch_budget(
     if budget < 0:
         raise ValueError("branch budget must be non-negative")
     _check_cap(graph, cap)
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     if graph.n == 0:
         return None
     if smask == 0:
@@ -324,7 +318,7 @@ def min_branch_covering_tree(
 ) -> tuple[int, Tree]:
     """Exact minimum of the branch-vertex count over covering trees, with a witness."""
     _check_cap(graph, cap)
-    smask = _check_subset(graph, subset)
+    smask = graph.subset_mask(subset)
     if smask == 0:
         raise ValueError("minimum over covering trees needs a nonempty subset")
     if smask & (smask - 1) == 0:

@@ -34,7 +34,7 @@ from .families import (
 )
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, Path, Tree, VertexSet, iter_bits
-from .invariants import ConnectivityValue, alpha_mask, hypothesis_holds, local_connectivity
+from .invariants import ConnectivityValue, alpha_mask, hypothesis_holds, set_connectivity_pair
 from .treesearch import (
     DEFAULT_TREE_CAP,
     covering_tree_with_branch_budget,
@@ -101,7 +101,8 @@ class GraphContext:
     """Per-graph caches shared across subsets, budgets and claims.
 
     Everything cached here is a pure function of the graph, so contexts can be
-    used by one worker without coordination.
+    used by one worker without coordination. alpha and kappa are computed once
+    per subset, and each pair's flow once per graph; construct hands them on.
     """
 
     def __init__(self, graph: Graph, cap: int = DEFAULT_TREE_CAP) -> None:
@@ -109,6 +110,7 @@ class GraphContext:
         self.cap = cap
         self.graph_id = emit_graph6(graph)
         self._alpha: dict[int, int] = {}
+        self._kappa: dict[int, ConnectivityValue] = {}
         self._pair: dict[tuple[int, int], int] = {}
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
@@ -121,22 +123,10 @@ class GraphContext:
         return self._alpha[smask]
 
     def kappa(self, smask: int) -> ConnectivityValue:
-        vertices = list(iter_bits(smask))
-        if len(vertices) <= 1:
-            return ConnectivityValue.INFINITE
-        best: int | None = None
-        for i in range(len(vertices)):
-            for j in range(i + 1, len(vertices)):
-                pair = (vertices[i], vertices[j])
-                if pair not in self._pair:
-                    self._pair[pair] = local_connectivity(self.graph, *pair)
-                value = self._pair[pair]
-                if best is None or value < best:
-                    best = value
-                    if best == 0:
-                        return ConnectivityValue(0)
-        assert best is not None
-        return ConnectivityValue(best)
+        if smask not in self._kappa:
+            subset = VertexSet(self.graph.n, smask)
+            self._kappa[smask] = set_connectivity_pair(self.graph, subset, self._pair)[0]
+        return self._kappa[smask]
 
     def cover_tree(self, smask: int, k: int) -> Tree | None:
         key = (smask, k)
@@ -166,13 +156,14 @@ class GraphContext:
         key = (smask, k)
         if key not in self._construct:
             subset = VertexSet(self.graph.n, smask)
-            base = None
+            base = alpha_kappa = None
             if smask.bit_count() >= 2:
+                alpha_kappa = self.alpha(smask), self.kappa(smask)
                 if smask not in self._base:
-                    self._base[smask] = base_path(self.graph, subset, cap=self.cap)
+                    self._base[smask] = base_path(self.graph, subset, self.cap, alpha_kappa)
                 base = self._base[smask]
             self._construct[key] = construct_k_ended_tree(
-                self.graph, subset, k, cap=self.cap, base=base
+                self.graph, subset, k, cap=self.cap, base=base, alpha_kappa=alpha_kappa
             )
         return self._construct[key]
 
@@ -263,7 +254,7 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
             )
         assert not kappa.is_infinite    # infinite kappa always yields a covering
         bound = alpha - kappa.finite - k + 1
-        residual = alpha_mask(ctx.graph, smask & ~outcome.tree.vertex_mask)[0]
+        residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
         outcome.tree.validate_in(ctx.graph)
         conclusion = residual <= bound and outcome.tree.leaf_count <= k
         witness = outcome.tree
@@ -315,19 +306,13 @@ def _require_connected(graph: Graph) -> None:
         raise ValueError("verification requires a nonempty connected graph")
 
 
-def _checked_mask(graph: Graph, subset: VertexSet) -> int:
-    if subset.host_n != graph.n:
-        raise ValueError("subset indexes a different host graph")
-    return subset.mask
-
-
 def verify_kended_cover(graph: Graph, subset: VertexSet, k: int,
                         cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
     """Check the k-ended covering claim on one instance (connected graph, k >= 2)."""
     if k < 2:
         raise ValueError("k must be at least 2")
     _require_connected(graph)
-    return _verdict_cover(GraphContext(graph, cap), _checked_mask(graph, subset), k)
+    return _verdict_cover(GraphContext(graph, cap), graph.subset_mask(subset), k)
 
 
 def verify_branch_cover(graph: Graph, subset: VertexSet, k: int,
@@ -336,7 +321,7 @@ def verify_branch_cover(graph: Graph, subset: VertexSet, k: int,
     if k < 2:
         raise ValueError("k must be at least 2")
     _require_connected(graph)
-    return _verdict_branch(GraphContext(graph, cap), _checked_mask(graph, subset), k)
+    return _verdict_branch(GraphContext(graph, cap), graph.subset_mask(subset), k)
 
 
 def verify_residual_bound(graph: Graph, subset: VertexSet, k: int,
@@ -345,7 +330,7 @@ def verify_residual_bound(graph: Graph, subset: VertexSet, k: int,
     if k < 2:
         raise ValueError("k must be at least 2")
     _require_connected(graph)
-    return _verdict_residual(GraphContext(graph, cap), _checked_mask(graph, subset), k)
+    return _verdict_residual(GraphContext(graph, cap), graph.subset_mask(subset), k)
 
 
 def verify_hamiltonian_path_condition(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:

@@ -238,6 +238,19 @@ def test_construct_trace_replays_to_tree():
     assert tree == outcome.tree
 
 
+def test_construct_with_caller_alpha_kappa_matches_computed():
+    rng = random.Random(4242)
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        graph = random_connected_graph(rng, n, 0.4)
+        subset = VertexSet(n, rng.randrange(1, 1 << n))
+        alpha_kappa = (alpha_mask(graph, subset.mask)[0], set_connectivity(graph, subset))
+        assert base_path(graph, subset, alpha_kappa=alpha_kappa) == base_path(graph, subset)
+        for k in (2, 3, 4):
+            given = construct_k_ended_tree(graph, subset, k, alpha_kappa=alpha_kappa)
+            assert given == construct_k_ended_tree(graph, subset, k)
+
+
 def test_construct_agrees_with_oracle_exhaustive_small():
     # hypothesis-true instances must come out covering, and the witness audits
     for n in range(1, 5):

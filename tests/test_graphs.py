@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given
 
+from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
 from kended.graphs import Graph, Path, Tree, VertexSet
+from kended.invariants import independence_number, set_connectivity_pair
+from kended.treesearch import find_k_ended_covering_tree
+from kended.verify import verify_kended_cover
 
 from conftest import graphs, seeded_rng
 from oracles import random_spanning_tree
@@ -108,6 +112,24 @@ def test_spider_branch_vertices():
     t = Tree(5, range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert t.branch_vertices().to_list() == [0]
     assert t.leaf_count == 4
+
+
+def test_every_entry_point_rejects_a_subset_of_another_host():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    other = VertexSet.full(4)
+    calls = [
+        lambda: graph.subset_mask(other),
+        lambda: independence_number(graph, other),
+        lambda: set_connectivity_pair(graph, other),
+        lambda: find_k_ended_covering_tree(graph, other, 2),
+        lambda: base_path(graph, other),
+        lambda: construct_k_ended_tree(graph, other, 2),
+        lambda: maximal_attachment_path(graph, Tree.single_vertex(3, 0), other),
+        lambda: verify_kended_cover(graph, other, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="subset indexes 4 vertices but graph has 3"):
+            call()
 
 
 def test_tree_validate_in_host():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,33 @@ def test_local_connectivity_k34_within_large_part():
     assert local_connectivity(graph, 3, 4) == 3
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 8])
+def test_local_connectivity_complete_graph_reaches_degree_bound(n):
+    # adjacent endpoints: the direct edge plus n - 2 common neighbours
+    kn = Graph.from_edges(n, combinations(range(n), 2))
+    assert local_connectivity(kn, 0, n - 1) == n - 1
+    assert local_connectivity(kn, n - 1, 0) == n - 1
+
+
+def test_local_connectivity_degree_bound_through_long_paths():
+    # opposite vertices of C8 share no neighbour: both paths come from the BFS rounds
+    c8 = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    assert local_connectivity(c8, 0, 4) == 2
+    assert local_connectivity(c8, 4, 0) == 2
+
+
+def test_local_connectivity_matches_oracle_every_labelled_graph_n_le_5():
+    # every labelled graph on n <= 5 vertices, connected or not, every ordered pair
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            graph = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
+            for x in range(n):
+                for y in range(n):
+                    if x != y:
+                        assert local_connectivity(graph, x, y) == max_internally_disjoint_paths(graph, x, y)
+
+
 def test_local_connectivity_errors():
     with pytest.raises(ValueError):
         local_connectivity(c5(), 2, 2)
@@ -214,8 +242,8 @@ def test_alpha_monotone_on_subset_chains(data, rnd):
     assert small <= big
 
 
-@settings(max_examples=40)
-@given(graphs(min_n=2, max_n=6))
+@settings(max_examples=40, deadline=None)
+@given(graphs(min_n=2, max_n=8))
 def test_local_connectivity_symmetric_and_exact(graph):
     rng = random.Random(graph.rows[0] * 31 + graph.n)
     pairs = [(x, y) for x in range(graph.n) for y in range(x + 1, graph.n)]

@@ -1,15 +1,19 @@
 import json
+import sys
 
 import pytest
 
-from kended.errors import CapExceededError, CounterexampleError, PlanError
+from kended import invariants
+from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, make_family
 from kended.formats import emit_graph6
 from kended.graphs import Graph, VertexSet
 from kended.report import sweep_report_to_json, verdict_to_json
+from kended.treesearch import DEFAULT_TREE_CAP
 from kended.verify import (
     SweepPlan,
     TheoremVerdict,
+    _graph_verdicts,
     default_sweep_plan,
     parse_sweep_plan,
     run_sweep,
@@ -277,6 +281,39 @@ def test_counterexample_aborts_with_reproduction_data(monkeypatch):
     assert verdict.graph_id
     assert verdict.is_counterexample
     assert "counterexample" in str(err.value)
+
+
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Patch every kended module attribute bound to `original`."""
+    owners = [(module, attr) for name, module in list(sys.modules.items())
+              if name == "kended" or name.startswith("kended.")
+              for attr, value in list(vars(module).items()) if value is original]
+    assert owners
+    for module, attr in owners:
+        monkeypatch.setattr(module, attr, replacement)
+
+
+def test_all_subsets_sweep_runs_each_pair_flow_once(monkeypatch):
+    original = invariants.local_connectivity
+    calls = []
+
+    def counted(graph, x, y):
+        calls.append((x, y))
+        return original(graph, x, y)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert len(verdicts) == 31 * 3 * 3 + 1
+    assert len(calls) <= 10
+    assert len({frozenset(pair) for pair in calls}) == len(calls)
+
+
+def test_off_by_one_local_connectivity_aborts_the_sweep(monkeypatch):
+    original = invariants.local_connectivity
+    rebind_everywhere(monkeypatch, original, lambda graph, x, y: original(graph, x, y) + 1)
+    with pytest.raises((InternalInvariantError, CounterexampleError)):
+        run_sweep(SweepPlan(mode="exhaustive", n=4))
 
 
 def test_sweep_report_json_shape():
