@@ -8,7 +8,6 @@ exhaustively on small graphs.
 """
 
 from .constructive import (
-    AugmentationState,
     ConstructionOutcome,
     augment,
     base_path,
@@ -45,13 +44,11 @@ from .invariants import (
     set_connectivity_pair,
 )
 from .treesearch import (
-    CoveringTreeQuery,
     covering_tree_with_branch_budget,
     find_k_ended_covering_tree,
     hamiltonian_path_exists,
     min_branch_covering_tree,
     minimum_leaf_covering_tree,
-    run_covering_tree_query,
 )
 from .verify import (
     SharpnessVerdict,
@@ -72,12 +69,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentationState",
     "CapExceededError",
     "ConnectivityValue",
     "ConstructionOutcome",
     "CounterexampleError",
-    "CoveringTreeQuery",
     "EdgeListError",
     "FormatError",
     "Graph",
@@ -117,7 +112,6 @@ __all__ = [
     "parse_graph6",
     "parse_sweep_plan",
     "random_gnp",
-    "run_covering_tree_query",
     "run_sweep",
     "set_connectivity",
     "set_connectivity_pair",

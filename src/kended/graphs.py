@@ -3,7 +3,8 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 All four types are immutable after construction and safe to share across
-concurrent workers.
+concurrent workers; a graph's path-endpoint table is filled lazily, but it is
+a pure function of the adjacency rows.
 """
 
 from __future__ import annotations
@@ -27,6 +28,32 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _path_endpoint_table(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Held-Karp subset DP: entry m is the mask of the vertices at which some
+    path with vertex set exactly m ends (Held & Karp 1962).
+
+    Masks are processed in ascending order, so each entry is complete before
+    it is extended; `reach[m]` is the union of the neighbourhoods of m.
+    """
+    size = 1 << len(rows)
+    table = [0] * size
+    reach = [0] * size
+    for v in range(len(rows)):
+        table[1 << v] = 1 << v
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
+        ends = table[mask]
+        if not ends:
+            continue
+        grow = reach[ends] & ~mask
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            table[mask | low] |= low
+    return tuple(table)
+
+
 class Graph:
     """Finite simple undirected graph with one adjacency bitmask per vertex.
 
@@ -34,7 +61,7 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_path_ends")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -53,6 +80,7 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric on ({v}, {u})")
         self.n = n
         self.rows = rows
+        self._path_ends: tuple[int, ...] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -106,6 +134,16 @@ class Graph:
             frontier = grow & allowed & ~comp
             comp |= frontier
         return comp
+
+    def path_endpoints(self) -> tuple[int, ...]:
+        """The Held-Karp endpoint table of this graph, built on first use.
+
+        Entry m is the mask of the vertices at which some path with vertex set
+        exactly m ends. It has 2**n entries, so callers cap n first.
+        """
+        if self._path_ends is None:
+            self._path_ends = _path_endpoint_table(self.rows)
+        return self._path_ends
 
     def subset_mask(self, subset: "VertexSet") -> int:
         """The mask of a subset, after checking that it indexes this graph's vertices."""
@@ -225,46 +263,62 @@ class Tree:
     """An acyclic connected subgraph of a host graph, with leaf and branch queries.
 
     The constructor enforces the tree axioms (edge count, connectivity, edges
-    within the vertex set); `validate_in` additionally checks that every edge
-    exists in a concrete host graph.
+    within the vertex set) and stores the tree as masks: `vertex_mask`, one
+    tree-adjacency mask per host vertex, and the leaf (degree one) and branch
+    (degree at least three) masks, so every degree query is a popcount. The
+    sorted `vertices` and `edges` tuples are kept for equality, hashing and
+    serialization. `validate_in` additionally checks that every edge exists
+    in a concrete host graph.
     """
 
-    __slots__ = ("host_n", "vertices", "edges")
+    __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "adjacency", "leaf_mask", "branch_mask")
 
     def __init__(self, host_n: int, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
         vs = tuple(sorted(set(vertices)))
-        es = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+        es = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
         if not vs:
             raise ValueError("a tree has at least one vertex")
-        if any(not 0 <= v < host_n for v in vs):
+        if vs[0] < 0 or vs[-1] >= host_n:
             raise ValueError("tree vertex out of host range")
         vmask = mask_of(vs)
         if len(set(es)) != len(es):
             raise ValueError("duplicate tree edge")
+        adj = [0] * host_n
         for u, v in es:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not ((vmask >> u) & 1 and (vmask >> v) & 1):
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         if len(es) != len(vs) - 1:
             raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(es)}")
         # Connectivity plus the edge count above implies acyclicity.
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(vs):
+        seen = frontier = vmask & -vmask
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= adj[low.bit_length() - 1]
+            frontier = grow & ~seen
+            seen |= frontier
+        if seen != vmask:
             raise ValueError("tree is not connected")
+        leaf = branch = 0
+        for v in vs:
+            d = adj[v].bit_count()
+            if d == 1:
+                leaf |= 1 << v
+            elif d >= 3:
+                branch |= 1 << v
         self.host_n = host_n
         self.vertices = vs
         self.edges = es
+        self.vertex_mask = vmask
+        self.adjacency = tuple(adj)
+        self.leaf_mask = leaf
+        self.branch_mask = branch
 
     @classmethod
     def single_vertex(cls, host_n: int, v: int) -> "Tree":
@@ -275,37 +329,24 @@ class Tree:
         vs = tuple(vertices)
         return cls(host_n, vs, [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)])
 
-    @property
-    def vertex_mask(self) -> int:
-        return mask_of(self.vertices)
-
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def _degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return self.adjacency[v].bit_count() if 0 <= v < self.host_n else 0
 
     def leaves(self) -> VertexSet:
         """Vertices of degree exactly one; a one-vertex tree has none."""
-        deg = self._degrees()
-        return VertexSet.from_vertices(self.host_n, (v for v, d in deg.items() if d == 1))
+        return VertexSet(self.host_n, self.leaf_mask)
 
     def branch_vertices(self) -> VertexSet:
         """Vertices of degree at least three."""
-        deg = self._degrees()
-        return VertexSet.from_vertices(self.host_n, (v for v, d in deg.items() if d >= 3))
+        return VertexSet(self.host_n, self.branch_mask)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves())
+        return self.leaf_mask.bit_count()
 
     @property
     def branch_count(self) -> int:
-        return len(self.branch_vertices())
+        return self.branch_mask.bit_count()
 
     def covers(self, subset: VertexSet) -> bool:
         return subset.mask & ~self.vertex_mask == 0
@@ -313,9 +354,12 @@ class Tree:
     def validate_in(self, graph: Graph) -> None:
         if graph.n != self.host_n:
             raise ValueError("tree host size does not match graph")
-        for u, v in self.edges:
-            if not graph.has_edge(u, v):
-                raise ValueError(f"tree edge ({u}, {v}) is not a graph edge")
+        rows = graph.rows
+        for v in self.vertices:
+            if self.adjacency[v] & ~rows[v]:
+                for a, b in self.edges:
+                    if not graph.has_edge(a, b):
+                        raise ValueError(f"tree edge ({a}, {b}) is not a graph edge")
 
     def __eq__(self, other: object) -> bool:
         return (

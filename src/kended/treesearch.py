@@ -9,44 +9,18 @@ state over budget is sound, and any covering tree can be pruned down to one
 whose every leaf lies in S without raising either budget, so the searches
 restrict acceptance to such trees without losing completeness.
 
-Two-leaf queries (covering paths) use a Held-Karp style DP over (vertex
-mask, endpoint) instead; hamiltonian_path_exists is an independent plain
-backtracking search so the two routes can be cross-checked.
+Two-leaf queries (covering paths) read the graph's Held-Karp endpoint table
+(`Graph.path_endpoints`), built once per graph and shared by every subset
+and budget; hamiltonian_path_exists is an independent plain backtracking
+search so the two routes can be cross-checked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet
 
 DEFAULT_TREE_CAP = 10
-
-QUERY_MODES = ("existence", "minimize-leaves", "minimize-branch-vertices")
-
-
-@dataclass(frozen=True)
-class CoveringTreeQuery:
-    """One covering-tree question: the subset, the leaf budget, and the mode."""
-
-    subset: VertexSet
-    k: int
-    mode: str    # one of QUERY_MODES
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("leaf budget k must be at least 2")
-        if self.mode not in QUERY_MODES:
-            raise ValueError(f"mode must be one of {QUERY_MODES}")
-
-
-def run_covering_tree_query(graph: Graph, query: CoveringTreeQuery, cap: int = DEFAULT_TREE_CAP):
-    if query.mode == "existence":
-        return find_k_ended_covering_tree(graph, query.subset, query.k, cap=cap)
-    if query.mode == "minimize-leaves":
-        return minimum_leaf_covering_tree(graph, query.subset, cap=cap)
-    return min_branch_covering_tree(graph, query.subset, cap=cap)
 
 
 def _check_cap(graph: Graph, cap: int) -> None:
@@ -57,45 +31,32 @@ def _check_cap(graph: Graph, cap: int) -> None:
 def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
     """A path whose vertex set covers smask, or None; deterministic first hit.
 
-    DP over (vertex mask, endpoint); masks are processed in ascending numeric
-    order, which makes the returned witness reproducible.
+    Reads the graph's endpoint table: the vertex set is the least superset of
+    smask that some path spans, the path ends at its lowest endpoint, and the
+    predecessor of v in m is the lowest endpoint of m - {v} adjacent to v,
+    which is the parent that the forward DP records first.
     """
     n = graph.n
-    rows = graph.rows
     if n == 0:
         return None
-    endpoint = [0] * (1 << n)
-    parent: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        endpoint[1 << v] = 1 << v
-    for mask in range(1, 1 << n):
-        eps = endpoint[mask]
-        if not eps:
-            continue
-        if smask & ~mask == 0:
-            v = (eps & -eps).bit_length() - 1
-            seq = [v]
-            m = mask
-            while m != 1 << seq[-1]:
-                u = parent[(m, seq[-1])]
-                m ^= 1 << seq[-1]
-                seq.append(u)
-            seq.reverse()
-            return seq
-        while eps:
-            low = eps & -eps
-            v = low.bit_length() - 1
-            eps ^= low
-            cand = rows[v] & ~mask
-            while cand:
-                lu = cand & -cand
-                u = lu.bit_length() - 1
-                cand ^= lu
-                nm = mask | lu
-                if not (endpoint[nm] >> u) & 1:
-                    endpoint[nm] |= lu
-                    parent[(nm, u)] = v
-    return None
+    table = graph.path_endpoints()
+    full = (1 << n) - 1
+    mask = smask
+    while not table[mask]:
+        if mask == full:
+            return None
+        mask = (mask + 1) | smask
+    rows = graph.rows
+    ends = table[mask]
+    v = (ends & -ends).bit_length() - 1
+    seq = [v]
+    while mask != 1 << v:
+        mask ^= 1 << v
+        prev = table[mask] & rows[v]
+        v = (prev & -prev).bit_length() - 1
+        seq.append(v)
+    seq.reverse()
+    return seq
 
 
 def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:

@@ -508,14 +508,23 @@ def _plan_instances(plan: SweepPlan) -> Iterator[tuple[Graph | None, list[int]]]
 
 def _graph_verdicts(graph: Graph, subset_masks: list[int], ks: tuple[int, ...],
                     cap: int) -> list[TheoremVerdict]:
+    """Every verdict of one graph; an internal failure is re-raised as a plain-message
+    InternalInvariantError naming the claim, graph6, S and k that reproduce it."""
     ctx = GraphContext(graph, cap)
+    checks = (("kended-cover", _verdict_cover), ("branch-cover", _verdict_branch),
+              ("residual-bound", _verdict_residual))
     verdicts = []
-    for smask in subset_masks:
-        for k in ks:
-            verdicts.append(_verdict_cover(ctx, smask, k))
-            verdicts.append(_verdict_branch(ctx, smask, k))
-            verdicts.append(_verdict_residual(ctx, smask, k))
-    verdicts.append(_verdict_hamiltonian(ctx))
+    try:
+        for smask in subset_masks:
+            for k in ks:
+                for claim, check in checks:
+                    verdicts.append(check(ctx, smask, k))
+        claim, smask, k = "hamiltonian-path", graph.full_mask, 2
+        verdicts.append(_verdict_hamiltonian(ctx))
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(
+            f"{exc} (claim {claim!r} on graph {ctx.graph_id} with S={list(iter_bits(smask))}, k={k})"
+        ) from exc
     return verdicts
 
 

@@ -161,6 +161,51 @@ def min_branch_cover_by_enumeration(graph: Graph, smask: int) -> int | None:
     return min(values) if values else None
 
 
+def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:
+    """Reference covering path: the forward Held-Karp DP with a parent dict.
+
+    DP over (vertex mask, endpoint); masks are processed in ascending numeric
+    order and the first mask covering smask is unwound through the parent of
+    each (mask, endpoint), which fixes the witness the library must return.
+    """
+    n = graph.n
+    rows = graph.rows
+    if n == 0:
+        return None
+    endpoint = [0] * (1 << n)
+    parent: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        endpoint[1 << v] = 1 << v
+    for mask in range(1, 1 << n):
+        eps = endpoint[mask]
+        if not eps:
+            continue
+        if smask & ~mask == 0:
+            v = (eps & -eps).bit_length() - 1
+            seq = [v]
+            m = mask
+            while m != 1 << seq[-1]:
+                u = parent[(m, seq[-1])]
+                m ^= 1 << seq[-1]
+                seq.append(u)
+            seq.reverse()
+            return seq
+        while eps:
+            low = eps & -eps
+            v = low.bit_length() - 1
+            eps ^= low
+            cand = rows[v] & ~mask
+            while cand:
+                lu = cand & -cand
+                u = lu.bit_length() - 1
+                cand ^= lu
+                nm = mask | lu
+                if not (endpoint[nm] >> u) & 1:
+                    endpoint[nm] |= lu
+                    parent[(nm, u)] = v
+    return None
+
+
 def hamiltonian_path_by_permutations(graph: Graph) -> bool:
     n = graph.n
     if n == 0:

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
 from kended.graphs import Graph, Path, Tree, VertexSet
@@ -148,3 +149,86 @@ def test_leaf_branch_identity_on_random_spanning_trees(graph):
     edges = random_spanning_tree(graph, rng)
     tree = Tree(graph.n, range(graph.n), edges)
     assert tree.leaf_count >= tree.branch_count + 2
+
+
+@st.composite
+def random_trees(draw):
+    """(host_n, sorted vertices, edges) of a random tree on some vertices of the host."""
+    host_n = draw(st.integers(min_value=1, max_value=10))
+    order = draw(st.permutations(range(host_n)))
+    vs = order[:draw(st.integers(min_value=1, max_value=host_n))]
+    edges = []
+    for i in range(1, len(vs)):
+        u, w = vs[i], vs[draw(st.integers(min_value=0, max_value=i - 1))]
+        edges.append((u, w) if draw(st.booleans()) else (w, u))
+    return host_n, sorted(vs), edges
+
+
+def dict_degrees(vertices, edges):
+    deg = {v: 0 for v in vertices}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+@settings(max_examples=200)
+@given(random_trees())
+def test_tree_masks_match_dict_degree_oracle(case):
+    host_n, vs, edges = case
+    tree = Tree(host_n, vs, edges)
+    deg = dict_degrees(vs, edges)
+    assert tree.leaves().to_list() == [v for v in vs if deg[v] == 1]
+    assert tree.branch_vertices().to_list() == [v for v in vs if deg[v] >= 3]
+    assert tree.leaf_count == sum(1 for d in deg.values() if d == 1)
+    assert tree.branch_count == sum(1 for d in deg.values() if d >= 3)
+    assert [tree.degree(v) for v in range(host_n)] == [deg.get(v, 0) for v in range(host_n)]
+    assert tree.vertex_mask == sum(1 << v for v in vs)
+    assert tree.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+
+
+@settings(max_examples=200)
+@given(random_trees(), st.data())
+def test_tree_rejects_broken_edge_sets(case, data):
+    host_n, vs, edges = case
+    with pytest.raises(ValueError):
+        Tree(host_n, (), [])
+    if len(edges) >= 1:
+        drop = data.draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        rest = edges[:drop] + edges[drop + 1:]
+        with pytest.raises(ValueError, match="edges"):
+            Tree(host_n, vs, rest)                               # one edge short: disconnected
+        with pytest.raises(ValueError, match="duplicate"):
+            Tree(host_n, vs, rest + [rest[0][::-1]] if rest else edges * 2)
+        outside = [v for v in range(host_n) if v not in vs]
+        if outside:
+            u = edges[drop][0]
+            with pytest.raises(ValueError, match="leaves the vertex set"):
+                Tree(host_n, vs, rest + [(u, outside[0])])
+    # a chord between two vertices of one side of a removed edge closes a cycle
+    # while the edge count stays |V| - 1
+    for drop in range(len(edges)):
+        rest = edges[:drop] + edges[drop + 1:]
+        side = Graph.from_edges(host_n, rest).component_mask(edges[drop][0])
+        present = {frozenset(e) for e in rest}
+        chords = [(a, b) for a in vs for b in vs if a < b and (side >> a) & 1 and (side >> b) & 1
+                  and frozenset((a, b)) not in present]
+        if chords:
+            with pytest.raises(ValueError, match="not connected"):
+                Tree(host_n, vs, rest + [chords[0]])
+            break
+
+
+@settings(max_examples=200)
+@given(random_trees(), st.data())
+def test_validate_in_names_the_first_missing_edge(case, data):
+    host_n, vs, edges = case
+    tree = Tree(host_n, vs, edges)
+    missing = data.draw(st.sets(st.sampled_from(tree.edges)) if tree.edges else st.just(set()))
+    host = Graph.from_edges(host_n, [e for e in tree.edges if e not in missing])
+    if not missing:
+        tree.validate_in(host)
+        return
+    u, v = min(missing)
+    with pytest.raises(ValueError, match=rf"^tree edge \({u}, {v}\) is not a graph edge$"):
+        tree.validate_in(host)

@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given, settings
 
 from kended.errors import CapExceededError
-from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
+from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
 from kended.graphs import Graph, VertexSet
 from kended.treesearch import (
-    CoveringTreeQuery,
+    _covering_path_mask,
     covering_tree_with_branch_budget,
     find_k_ended_covering_tree,
     hamiltonian_path_exists,
     min_branch_covering_tree,
     minimum_leaf_covering_tree,
-    run_covering_tree_query,
 )
 
 from conftest import graphs
 from oracles import (
+    covering_path_by_forward_dp,
     hamiltonian_path_by_permutations,
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
@@ -90,10 +90,6 @@ def test_existence_cap():
 def test_k_below_two_rejected():
     with pytest.raises(ValueError):
         find_k_ended_covering_tree(star(3), VertexSet.full(4), 1)
-    with pytest.raises(ValueError):
-        CoveringTreeQuery(VertexSet.full(4), 1, "existence")
-    with pytest.raises(ValueError):
-        CoveringTreeQuery(VertexSet.full(4), 2, "nope")
 
 
 # minimum leaves
@@ -160,15 +156,6 @@ def test_branch_budget_query():
     audit(graph, subset, tree, max_branch=1)
 
 
-def test_run_covering_tree_query_dispatch():
-    graph, subset = kmm(2, 2)
-    assert run_covering_tree_query(graph, CoveringTreeQuery(subset, 2, "existence")) is None
-    value, _ = run_covering_tree_query(graph, CoveringTreeQuery(subset, 2, "minimize-leaves"))
-    assert value == 3
-    value, _ = run_covering_tree_query(graph, CoveringTreeQuery(subset, 2, "minimize-branch-vertices"))
-    assert value == 1
-
-
 # Hamiltonian path
 
 
@@ -202,6 +189,22 @@ def test_hamiltonian_path_tiny():
 def connected_graphs_up_to(n_max):
     for n in range(1, n_max + 1):
         yield from enumerate_connected_labeled_graphs(n)
+
+
+def test_covering_path_matches_forward_dp_every_labelled_graph_n_le_5():
+    # the shared endpoint table must give the very witness the forward DP unwinds
+    for graph in connected_graphs_up_to(5):
+        for smask in range(1 << graph.n):
+            assert _covering_path_mask(graph, smask) == covering_path_by_forward_dp(graph, smask)
+
+
+def test_covering_path_matches_forward_dp_on_random_graphs():
+    rng = random.Random(404)
+    for i in range(300):
+        graph = random_gnp(6 + i % 5, 0.5, rng)
+        for _ in range(4):
+            smask = rng.randrange(1 << graph.n)
+            assert _covering_path_mask(graph, smask) == covering_path_by_forward_dp(graph, smask)
 
 
 def test_existence_consistent_with_minimum_exhaustive_small():

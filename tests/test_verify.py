@@ -1,9 +1,14 @@
 import json
+import pickle
+import signal
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
-from kended import invariants
+from kended import graphs, invariants
+from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, make_family
 from kended.formats import emit_graph6
@@ -323,6 +328,73 @@ def test_off_by_one_local_connectivity_aborts_the_sweep(monkeypatch):
     rebind_everywhere(monkeypatch, original, lambda graph, x, y: original(graph, x, y) + 1)
     with pytest.raises((InternalInvariantError, CounterexampleError)):
         run_sweep(SweepPlan(mode="exhaustive", n=4))
+
+
+def test_all_subsets_sweep_builds_the_path_table_once(monkeypatch):
+    original = graphs._path_endpoint_table
+    builds = []
+
+    def counted(rows):
+        builds.append(rows)
+        return original(rows)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert len(verdicts) == 31 * 3 * 3 + 1
+    assert builds == [graph.rows]
+
+
+def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
+    # a table that loses the Hamiltonian entry disagrees with the independent search
+    original = graphs._path_endpoint_table
+
+    def without_full_entry(rows):
+        table = list(original(rows))
+        table[-1] = 0
+        return tuple(table)
+
+    rebind_everywhere(monkeypatch, original, without_full_entry)
+    graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    with pytest.raises(InternalInvariantError, match="backtracking Hamiltonian search disagrees"):
+        _graph_verdicts(graph, [], (2,), DEFAULT_TREE_CAP)
+    with pytest.raises(InternalInvariantError):
+        _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_internal_failure_carries_reproduction_data(monkeypatch, workers):
+    # a construction that never reports a covering; pool workers inherit the
+    # patch because the pool forks after it is applied
+    import kended.verify as V
+
+    original = V.construct_k_ended_tree
+    monkeypatch.setattr(
+        V, "construct_k_ended_tree",
+        lambda *args, **kwargs: replace(original(*args, **kwargs), kind=RESIDUAL_BOUND),
+    )
+    with time_limit(60), pytest.raises(InternalInvariantError) as err:
+        list(sweep_verdicts(SweepPlan(mode="exhaustive", n=2, workers=workers)))
+    message = str(err.value)
+    assert message == (
+        "construction must cover when the hypothesis holds "
+        f"(claim 'kended-cover' on graph {emit_graph6(Graph(1, [0]))} with S=[0], k=2)"
+    )
+    assert str(pickle.loads(pickle.dumps(err.value))) == message
 
 
 def test_sweep_report_json_shape():
