@@ -12,9 +12,9 @@ residual is at most alpha - kappa - k + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CapExceededError, InternalInvariantError
+from .errors import InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet, iter_bits
 from .invariants import (
     ConnectivityValue,
@@ -23,23 +23,13 @@ from .invariants import (
     maximum_independent_masks,
     set_connectivity,
 )
-from .treesearch import DEFAULT_TREE_CAP
+from .treesearch import DEFAULT_TREE_CAP, _check_cap
 
 COVERING = "covering"
 RESIDUAL_BOUND = "residual-bound"
 
 BASE_COVERS = "covers-s"
 BASE_RESIDUAL = "residual-bound"
-
-
-@dataclass
-class AugmentationState:
-    """Mutable loop state: current tree, its leaf budget, residual alpha, trace."""
-
-    tree: Tree
-    t: int
-    residual_alpha: int
-    trace: list[Path] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -56,13 +46,6 @@ class ConstructionOutcome:
     residual_alpha: int
     bound: int | None
     trace: tuple[Path, ...]
-
-
-def _check_inputs(graph: Graph, subset: VertexSet, cap: int) -> int:
-    smask = graph.subset_mask(subset)
-    if graph.n > cap:
-        raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
-    return smask
 
 
 def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:
@@ -112,7 +95,8 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
     internal invariant failure, not an input error. `alpha_kappa` passes in
     (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
     """
-    smask = _check_inputs(graph, subset, cap)
+    smask = graph.subset_mask(subset)
+    _check_cap(graph, cap)
     if smask == 0:
         raise ValueError("base path needs a nonempty subset")
     if not graph.is_connected():
@@ -242,7 +226,8 @@ def construct_k_ended_tree(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    smask = _check_inputs(graph, subset, cap)
+    smask = graph.subset_mask(subset)
+    _check_cap(graph, cap)
     if graph.n == 0:
         raise ValueError("construction needs a nonempty graph")
     if not graph.is_connected():
@@ -259,38 +244,32 @@ def construct_k_ended_tree(
     if base is None:
         base = base_path(graph, subset, cap=cap, alpha_kappa=alpha_kappa)
     path0, _ = base
-    state = AugmentationState(
-        tree=Tree.from_path(graph.n, path0.vertices),
-        t=2,
-        residual_alpha=alpha_mask(graph, smask & ~path0.mask())[0],
-        trace=[path0],
-    )
-    if state.residual_alpha > 0 and state.residual_alpha > alpha - kappa.finite - 1:
+    tree = Tree.from_path(graph.n, path0.vertices)
+    t = 2
+    residual_alpha = alpha_mask(graph, smask & ~path0.mask())[0]
+    trace = [path0]
+    if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:
         raise InternalInvariantError("base path violates its residual guarantee")
-    while state.residual_alpha > 0 and state.t < k:
-        p0, _s0 = maximal_attachment_path(graph, state.tree, subset)
-        state.tree = augment(state.tree, p0)
-        state.trace.append(p0)
-        state.t += 1
-        new_residual = alpha_mask(graph, smask & ~state.tree.vertex_mask)[0]
-        if new_residual > state.residual_alpha - 1:
+    while residual_alpha > 0 and t < k:
+        p0, _s0 = maximal_attachment_path(graph, tree, subset)
+        tree = augment(tree, p0)
+        trace.append(p0)
+        t += 1
+        new_residual = alpha_mask(graph, smask & ~tree.vertex_mask)[0]
+        if new_residual > residual_alpha - 1:
             raise InternalInvariantError("augmentation failed to reduce the residual alpha")
-        state.residual_alpha = new_residual
-        if state.tree.leaf_count > state.t:
+        residual_alpha = new_residual
+        if tree.leaf_count > t:
             raise InternalInvariantError("tree exceeded its leaf budget")
-    state.tree.validate_in(graph)
-    if state.residual_alpha == 0:
-        if not state.tree.covers(subset):
+    tree.validate_in(graph)
+    if residual_alpha == 0:
+        if not tree.covers(subset):
             raise InternalInvariantError("zero residual but the subset is not covered")
-        if state.tree.leaf_count > k:
+        if tree.leaf_count > k:
             raise InternalInvariantError("covering tree exceeded the leaf budget")
-        return ConstructionOutcome(COVERING, state.tree, 0, bound, tuple(state.trace))
-    if state.residual_alpha > bound:
-        raise InternalInvariantError(
-            f"residual alpha {state.residual_alpha} exceeds the bound {bound}"
-        )
+        return ConstructionOutcome(COVERING, tree, 0, bound, tuple(trace))
+    if residual_alpha > bound:
+        raise InternalInvariantError(f"residual alpha {residual_alpha} exceeds the bound {bound}")
     if hypothesis_holds(alpha, k, kappa):
         raise InternalInvariantError("outcome must be covering when alpha <= k + kappa - 1")
-    return ConstructionOutcome(
-        RESIDUAL_BOUND, state.tree, state.residual_alpha, bound, tuple(state.trace)
-    )
+    return ConstructionOutcome(RESIDUAL_BOUND, tree, residual_alpha, bound, tuple(trace))

@@ -9,13 +9,17 @@ state over budget is sound, and any covering tree can be pruned down to one
 whose every leaf lies in S without raising either budget, so the searches
 restrict acceptance to such trees without losing completeness.
 
-Two-leaf queries (covering paths) read the graph's Held-Karp endpoint table
-(`Graph.path_endpoints`), built once per graph and shared by every subset
-and budget; hamiltonian_path_exists is an independent plain backtracking
-search so the two routes can be cross-checked.
+The two existence searches share one front end (trivial answers, the
+coverability check, the covering path), and the minimum searches ask them for
+increasing budgets. Two-leaf queries (covering paths) read the graph's
+Held-Karp endpoint table (`Graph.path_endpoints`), built once per graph and
+shared by every subset and budget; hamiltonian_path_exists is an independent
+plain backtracking search so the two routes can be cross-checked.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .errors import CapExceededError, InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet
@@ -170,17 +174,34 @@ def _grow_tree_branch_budget(graph: Graph, smask: int, budget: int, r0: int) -> 
     return None
 
 
-def _tree_from_growth(host_n: int, r0: int, edges: list[tuple[int, int]]) -> Tree:
-    vertices = {r0}
-    for u, v in edges:
-        vertices.add(u)
-        vertices.add(v)
-    return Tree(host_n, vertices, edges)
-
-
 def _coverable(graph: Graph, smask: int) -> bool:
     r0 = (smask & -smask).bit_length() - 1
     return graph.component_mask(r0) & smask == smask
+
+
+def _covering_tree(graph: Graph, subset: VertexSet, cap: int, grow: Callable | None,
+                   budget: int) -> Tree | None:
+    """The body of both existence searches: trivial and path answers first, then
+    grow(graph, smask, budget, r0), unless grow is None (the budget only allows
+    a path)."""
+    _check_cap(graph, cap)
+    smask = graph.subset_mask(subset)
+    if graph.n == 0:
+        return None
+    if smask & (smask - 1) == 0:
+        return Tree.single_vertex(graph.n, max(smask.bit_length() - 1, 0))
+    if not _coverable(graph, smask):
+        return None
+    seq = _covering_path_mask(graph, smask)
+    if seq is not None:
+        return Tree.from_path(graph.n, seq)
+    if grow is None:
+        return None
+    r0 = (smask & -smask).bit_length() - 1
+    edges = grow(graph, smask, budget, r0)
+    if edges is None:
+        return None
+    return Tree(graph.n, [r0] + [v for edge in edges for v in edge], edges)
 
 
 def find_k_ended_covering_tree(
@@ -192,58 +213,7 @@ def find_k_ended_covering_tree(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    _check_cap(graph, cap)
-    smask = graph.subset_mask(subset)
-    if graph.n == 0:
-        return None
-    if smask == 0:
-        return Tree.single_vertex(graph.n, 0)
-    if smask & (smask - 1) == 0:
-        return Tree.single_vertex(graph.n, smask.bit_length() - 1)
-    if not _coverable(graph, smask):
-        return None
-    seq = _covering_path_mask(graph, smask)
-    if seq is not None:
-        return Tree.from_path(graph.n, seq)
-    if k == 2:
-        return None
-    r0 = (smask & -smask).bit_length() - 1
-    edges = _grow_tree_leaf_budget(graph, smask, k, r0)
-    if edges is None:
-        return None
-    return _tree_from_growth(graph.n, r0, edges)
-
-
-def minimum_leaf_covering_tree(
-    graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP
-) -> tuple[int, Tree]:
-    """Exact minimum of the leaf count over covering trees, with a witness.
-
-    Runs existence queries for increasing budgets, reusing the one audited
-    search core. A one-vertex subset yields (0, one-vertex tree).
-    """
-    _check_cap(graph, cap)
-    smask = graph.subset_mask(subset)
-    if smask == 0:
-        raise ValueError("minimum over covering trees needs a nonempty subset")
-    if smask & (smask - 1) == 0:
-        return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
-    if not _coverable(graph, smask):
-        raise ValueError("subset spans more than one component; no covering tree exists")
-    seq = _covering_path_mask(graph, smask)
-    if seq is not None:
-        return 2, Tree.from_path(graph.n, seq)
-    r0 = (smask & -smask).bit_length() - 1
-    for k in range(3, smask.bit_count() + 1):
-        edges = _grow_tree_leaf_budget(graph, smask, k, r0)
-        if edges is not None:
-            tree = _tree_from_growth(graph.n, r0, edges)
-            if tree.leaf_count != k:
-                raise InternalInvariantError(
-                    f"budget-{k} search returned a {tree.leaf_count}-leaf tree after budget {k - 1} failed"
-                )
-            return k, tree
-    raise InternalInvariantError("no covering tree found although the subset is coverable")
+    return _covering_tree(graph, subset, cap, _grow_tree_leaf_budget if k > 2 else None, k)
 
 
 def covering_tree_with_branch_budget(
@@ -252,48 +222,54 @@ def covering_tree_with_branch_budget(
     """Some covering tree with at most `budget` branch vertices, or None."""
     if budget < 0:
         raise ValueError("branch budget must be non-negative")
+    return _covering_tree(graph, subset, cap, _grow_tree_branch_budget if budget > 0 else None, budget)
+
+
+def _coverable_subset_mask(graph: Graph, subset: VertexSet, cap: int) -> int:
     _check_cap(graph, cap)
     smask = graph.subset_mask(subset)
-    if graph.n == 0:
-        return None
     if smask == 0:
-        return Tree.single_vertex(graph.n, 0)
-    if smask & (smask - 1) == 0:
-        return Tree.single_vertex(graph.n, smask.bit_length() - 1)
+        raise ValueError("minimum over covering trees needs a nonempty subset")
     if not _coverable(graph, smask):
-        return None
-    seq = _covering_path_mask(graph, smask)
-    if seq is not None:
-        return Tree.from_path(graph.n, seq)
-    if budget == 0:
-        return None
-    r0 = (smask & -smask).bit_length() - 1
-    edges = _grow_tree_branch_budget(graph, smask, budget, r0)
-    if edges is None:
-        return None
-    return _tree_from_growth(graph.n, r0, edges)
+        raise ValueError("subset spans more than one component; no covering tree exists")
+    return smask
+
+
+def minimum_leaf_covering_tree(
+    graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP
+) -> tuple[int, Tree]:
+    """Exact minimum of the leaf count over covering trees, with a witness.
+
+    Runs existence queries for increasing leaf budgets from 2, so the witness
+    is the one find_k_ended_covering_tree returns at the minimum. A
+    one-vertex subset yields (0, one-vertex tree).
+    """
+    smask = _coverable_subset_mask(graph, subset, cap)
+    if smask & (smask - 1) == 0:
+        return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
+    for k in range(2, smask.bit_count() + 1):
+        tree = find_k_ended_covering_tree(graph, subset, k, cap=cap)
+        if tree is not None:
+            if tree.leaf_count != k:
+                raise InternalInvariantError(
+                    f"budget-{k} search returned a {tree.leaf_count}-leaf tree after budget {k - 1} failed"
+                )
+            return k, tree
+    raise InternalInvariantError("no covering tree found although the subset is coverable")
 
 
 def min_branch_covering_tree(
     graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[int, Tree]:
-    """Exact minimum of the branch-vertex count over covering trees, with a witness."""
-    _check_cap(graph, cap)
-    smask = graph.subset_mask(subset)
-    if smask == 0:
-        raise ValueError("minimum over covering trees needs a nonempty subset")
-    if smask & (smask - 1) == 0:
-        return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
-    if not _coverable(graph, smask):
-        raise ValueError("subset spans more than one component; no covering tree exists")
-    seq = _covering_path_mask(graph, smask)
-    if seq is not None:
-        return 0, Tree.from_path(graph.n, seq)
-    r0 = (smask & -smask).bit_length() - 1
-    for budget in range(1, max(1, smask.bit_count() - 1)):
-        edges = _grow_tree_branch_budget(graph, smask, budget, r0)
-        if edges is not None:
-            tree = _tree_from_growth(graph.n, r0, edges)
+    """Exact minimum of the branch-vertex count over covering trees, with a witness.
+
+    Runs existence queries for increasing branch budgets from 0; a tree whose
+    leaves all lie in S has at most |S| - 2 branch vertices.
+    """
+    smask = _coverable_subset_mask(graph, subset, cap)
+    for budget in range(max(1, smask.bit_count() - 1)):
+        tree = covering_tree_with_branch_budget(graph, subset, budget, cap=cap)
+        if tree is not None:
             if tree.branch_count != budget:
                 raise InternalInvariantError(
                     f"budget-{budget} search returned {tree.branch_count} branch vertices "

@@ -40,6 +40,8 @@ from .treesearch import (
     covering_tree_with_branch_budget,
     find_k_ended_covering_tree,
     hamiltonian_path_exists,
+    min_branch_covering_tree,
+    minimum_leaf_covering_tree,
 )
 
 CLAIMS = ("kended-cover", "branch-cover", "residual-bound", "hamiltonian-path")
@@ -352,8 +354,6 @@ def verify_sharpness(m: int, k: int, cap: int = DEFAULT_TREE_CAP) -> SharpnessVe
     alpha = ctx.alpha(subset.mask)
     kappa = ctx.kappa(subset.mask)
     assert not kappa.is_infinite
-    from .treesearch import min_branch_covering_tree, minimum_leaf_covering_tree
-
     min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset, cap=cap)
     min_branch, branch_tree = min_branch_covering_tree(graph, subset, cap=cap)
     leaf_tree.validate_in(graph)
@@ -528,8 +528,11 @@ def _graph_verdicts(graph: Graph, subset_masks: list[int], ks: tuple[int, ...],
     return verdicts
 
 
-def _graph_task(args: tuple[Graph, list[int], tuple[int, ...], int]) -> list[TheoremVerdict]:
+def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...], int]) -> list[TheoremVerdict] | None:
+    """Every verdict of one instance, or None for a skipped one; aborts on a counterexample."""
     graph, subset_masks, ks, cap = args
+    if graph is None:
+        return None
     verdicts = _graph_verdicts(graph, subset_masks, ks, cap)
     for verdict in verdicts:
         if verdict.is_counterexample:
@@ -537,45 +540,23 @@ def _graph_task(args: tuple[Graph, list[int], tuple[int, ...], int]) -> list[The
     return verdicts
 
 
-def _sweep_events(plan: SweepPlan, cap: int) -> Iterator[tuple[str, TheoremVerdict | None]]:
+def _graph_results(plan: SweepPlan, cap: int) -> Iterator[list[TheoremVerdict] | None]:
+    """_graph_task over the plan's instances in order, in this process or in a pool."""
     validate_plan(plan)
     ks = tuple(range(plan.k_min, plan.k_max + 1))
-    if plan.workers > 1:
-        live = []
-        skipped_prefix: list[int] = []
-        skips = 0
-        for graph, masks in _plan_instances(plan):
-            if graph is None:
-                skips += 1
-                continue
-            skipped_prefix.append(skips)
-            skips = 0
-            live.append((graph, masks, ks, cap))
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            for idx, verdicts in enumerate(pool.map(_graph_task, live, chunksize=4)):
-                for _ in range(skipped_prefix[idx]):
-                    yield "skipped", None
-                for verdict in verdicts:
-                    yield "verdict", verdict
-        for _ in range(skips):
-            yield "skipped", None
+    tasks = ((graph, masks, ks, cap) for graph, masks in _plan_instances(plan))
+    if plan.workers == 1:
+        yield from map(_graph_task, tasks)
         return
-    for graph, masks in _plan_instances(plan):
-        if graph is None:
-            yield "skipped", None
-            continue
-        for verdict in _graph_verdicts(graph, masks, ks, cap):
-            if verdict.is_counterexample:
-                raise CounterexampleError(verdict)
-            yield "verdict", verdict
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        yield from pool.map(_graph_task, tasks, chunksize=4)
 
 
 def sweep_verdicts(plan: SweepPlan, cap: int = DEFAULT_TREE_CAP) -> Iterator[TheoremVerdict]:
     """Deterministic stream of verdicts for a plan; aborts on any counterexample."""
-    for kind, verdict in _sweep_events(plan, cap):
-        if kind == "verdict":
-            assert verdict is not None
-            yield verdict
+    for verdicts in _graph_results(plan, cap):
+        if verdicts is not None:
+            yield from verdicts
 
 
 @dataclass
@@ -598,7 +579,6 @@ class SweepReport:
     plan: SweepPlan
     graphs_evaluated: int = 0
     skipped_disconnected: int = 0
-    counterexamples: int = 0
     claims: dict[str, ClaimTally] = field(default_factory=dict)
     worst: dict[str, WorstCase] = field(default_factory=dict)
 
@@ -612,22 +592,21 @@ def run_sweep(plan: SweepPlan, cap: int = DEFAULT_TREE_CAP) -> SweepReport:
     report = SweepReport(plan=plan)
     for claim in CLAIMS:
         report.claims[claim] = ClaimTally()
-    for kind, verdict in _sweep_events(plan, cap):
-        if kind == "skipped":
+    for verdicts in _graph_results(plan, cap):
+        if verdicts is None:
             report.skipped_disconnected += 1
             continue
-        assert verdict is not None
-        tally = report.claims[verdict.claim]
-        tally.instances += 1
-        tally.hypothesis_true += verdict.hypothesis_holds
-        tally.conclusion_true += verdict.conclusion_holds
-        if verdict.claim == "hamiltonian-path":
-            report.graphs_evaluated += 1
-        worst = report.worst.get(verdict.claim)
-        if worst is None or verdict.elapsed > worst.elapsed:
-            report.worst[verdict.claim] = WorstCase(
-                verdict.elapsed, verdict.graph_id, verdict.subset, verdict.k
-            )
+        report.graphs_evaluated += 1
+        for verdict in verdicts:
+            tally = report.claims[verdict.claim]
+            tally.instances += 1
+            tally.hypothesis_true += verdict.hypothesis_holds
+            tally.conclusion_true += verdict.conclusion_holds
+            worst = report.worst.get(verdict.claim)
+            if worst is None or verdict.elapsed > worst.elapsed:
+                report.worst[verdict.claim] = WorstCase(
+                    verdict.elapsed, verdict.graph_id, verdict.subset, verdict.k
+                )
     return report
 
 

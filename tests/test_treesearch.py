@@ -220,6 +220,14 @@ def test_existence_consistent_with_minimum_exhaustive_small():
                 assert (found is not None) == (value <= k)
                 if found is not None:
                     audit(graph, subset, found, max_leaves=k)
+            branch_value, branch_tree = min_branch_covering_tree(graph, subset)
+            audit(graph, subset, branch_tree)
+            assert branch_tree.branch_count == branch_value
+            for budget in (0, 1, 2):
+                found = covering_tree_with_branch_budget(graph, subset, budget)
+                assert (found is not None) == (branch_value <= budget)
+                if found is not None:
+                    audit(graph, subset, found, max_branch=budget)
 
 
 def test_existence_consistent_with_minimum_sampled_n6():

