@@ -210,17 +210,14 @@ def cmd_verify(args) -> int:
     try:
         sweep = run_sweep(plan, cap=args.cap)
     except CounterexampleError as exc:
-        results = {
-            "counterexample": rpt.verdict_to_json(exc.verdict),
-            "zero_counterexamples": False,
-        }
-        elapsed = None if args.no_timing else time.perf_counter() - start
-        _emit(args, rpt.make_report("verify", inputs, results, elapsed))
-        return EXIT_MISMATCH
-    results = rpt.sweep_report_to_json(sweep, include_timing=not args.no_timing)
+        results = {"counterexample": rpt.verdict_to_json(exc.verdict), "zero_counterexamples": False}
+        code = EXIT_MISMATCH
+    else:
+        results = rpt.sweep_report_to_json(sweep, include_timing=not args.no_timing)
+        code = EXIT_OK
     elapsed = None if args.no_timing else time.perf_counter() - start
     _emit(args, rpt.make_report("verify", inputs, results, elapsed))
-    return EXIT_OK
+    return code
 
 
 def _parse_range(text: str) -> tuple[int, int]:

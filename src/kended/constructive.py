@@ -12,10 +12,11 @@ residual is at most alpha - kappa - k + 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .graphs import Graph, Path, Tree, VertexSet, iter_bits
+from .graphs import Graph, Path, Tree, VertexSet, iter_bits, mask_of
 from .invariants import (
     ConnectivityValue,
     alpha_mask,
@@ -48,52 +49,28 @@ class ConstructionOutcome:
     trace: tuple[Path, ...]
 
 
-def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:
-    comp = 0
-    frontier = graph.rows[v] & ~visited
-    while frontier:
-        comp |= frontier
-        grow = 0
-        for u in iter_bits(frontier):
-            grow |= graph.rows[u]
-        frontier = grow & ~visited & ~comp
-    return comp.bit_count()
-
-
-def _paths_with_length(graph: Graph, length: int):
-    """All simple paths with exactly `length` vertices, lexicographic order.
-
-    Each path appears once, in its canonical direction (first < last vertex).
-    """
-    rows = graph.rows
-
-    def rec(prefix: tuple[int, ...], visited: int):
-        if len(prefix) == length:
-            if length == 1 or prefix[0] < prefix[-1]:
-                yield prefix
-            return
-        v = prefix[-1]
-        if len(prefix) + _reachable_free_count(graph, v, visited) < length:
-            return
-        cand = rows[v] & ~visited
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            yield from rec(prefix + (low.bit_length() - 1,), visited | low)
-
-    for s in range(graph.n):
-        yield from rec((s,), 1 << s)
+@functools.lru_cache(maxsize=None)
+def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry L lists the masks on n vertices with L bits, ascending."""
+    groups: list[list[int]] = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        groups[m.bit_count()].append(m)
+    return tuple(map(tuple, groups))
 
 
 def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
               alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[Path, str]:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
-    Exhaustive search: paths are enumerated in decreasing length and the first
-    one meeting either condition is returned. One of the two always exists for
-    a connected graph and nonempty S, so exhaustion without success is an
-    internal invariant failure, not an input error. `alpha_kappa` passes in
-    (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
+    The longest such path, first in lexicographic order among paths read with
+    first < last vertex. Qualifying depends only on the vertex set, so the
+    sets come from the graph's Held-Karp endpoint table, longest first, and
+    the path is listed only at the first length with a qualifying set: a
+    prefix with set P ending at v grows only if a qualifying m is P or has a
+    path on m - P with an end adjacent to v. One path always qualifies for a
+    connected graph and nonempty S, so exhaustion is an internal invariant
+    failure. `alpha_kappa` passes in (alpha_G(S), kappa_G(S)) when the caller
+    knows them; else they are computed.
     """
     smask = graph.subset_mask(subset)
     _check_cap(graph, cap)
@@ -108,20 +85,40 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
     alpha, kappa = alpha_kappa
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - 1
+    table = graph.path_endpoints()
+    rows = graph.rows
     residual_cache: dict[int, int] = {}
+
+    def qualifies(m: int) -> bool:
+        remainder = smask & ~m
+        if remainder == 0:
+            return True
+        if bound < 0:
+            return False
+        if remainder not in residual_cache:
+            residual_cache[remainder] = alpha_mask(graph, remainder)[0]
+        return residual_cache[remainder] <= bound
+
+    def first_path(prefix: list[int], visited: int, goals: list[int]) -> list[int] | None:
+        if visited in goals:
+            return prefix if len(prefix) == 1 or prefix[0] < prefix[-1] else None
+        cand = rows[prefix[-1]] & ~visited if prefix else graph.full_mask
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            grown = visited | low
+            if any(m & grown == grown and (m == grown or table[m ^ grown] & rows[u]) for m in goals):
+                found = first_path(prefix + [u], grown, goals)
+                if found is not None:
+                    return found
+        return None
+
     for length in range(graph.n, 0, -1):
-        for seq in _paths_with_length(graph, length):
-            pmask = 0
-            for v in seq:
-                pmask |= 1 << v
-            remainder = smask & ~pmask
-            if remainder == 0:
-                return Path(seq), BASE_COVERS
-            if bound >= 0:
-                if remainder not in residual_cache:
-                    residual_cache[remainder] = alpha_mask(graph, remainder)[0]
-                if residual_cache[remainder] <= bound:
-                    return Path(seq), BASE_RESIDUAL
+        goals = [m for m in _masks_by_size(graph.n)[length] if table[m] and qualifies(m)]
+        seq = first_path([], 0, goals)
+        if seq is not None:
+            return Path(tuple(seq)), BASE_COVERS if smask & ~mask_of(seq) == 0 else BASE_RESIDUAL
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 

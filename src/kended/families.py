@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import CapExceededError
-from .graphs import Graph, VertexSet, iter_bits
+from .graphs import Graph, VertexSet
 
 DEFAULT_ENUM_CAP = 6
 
@@ -134,7 +134,6 @@ def enumerate_connected_labeled_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> I
     if n > cap:
         raise CapExceededError(f"enumeration capped at n <= {cap}, got {n}")
     pairs = list(combinations(range(n), 2))
-    full = (1 << n) - 1
     for mask in range(1 << len(pairs)):
         rows = [0] * n
         m = mask
@@ -144,14 +143,6 @@ def enumerate_connected_labeled_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> I
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             m ^= low
-        # quick connectivity probe on the raw rows
-        comp = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= rows[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        if comp == full:
-            yield Graph(n, rows)
+        graph = Graph(n, rows)
+        if graph.is_connected():
+            yield graph

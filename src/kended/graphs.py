@@ -3,8 +3,9 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 All four types are immutable after construction and safe to share across
-concurrent workers; a graph's path-endpoint table is filled lazily, but it is
-a pure function of the adjacency rows.
+concurrent workers; a graph's connectivity flag and its path-endpoint and
+minimum-leaf tables are filled lazily, but each is a pure function of the
+adjacency rows.
 """
 
 from __future__ import annotations
@@ -54,6 +55,54 @@ def _path_endpoint_table(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _min_leaf_table(rows: tuple[int, ...], ends: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry S is the least leaf count of a tree covering S: 0 for one vertex, n + 1 for none.
+
+    exact[m], the least leaf count of a tree on exactly m, is 0 for one vertex,
+    2 for a path set, else the least exact[m ^ p] + 1 over path sets p that miss
+    the lowest vertex of m, leave two or more vertices and have an end adjacent
+    to m ^ p: a tree with 3 or more leaves has 3 disjoint pendant paths, two
+    miss that vertex, and cutting one removes exactly one leaf. Then one
+    superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007).
+    """
+    n = len(rows)
+    size = 1 << n
+    none = n + 1
+    exact = [none] * size
+    reach = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
+        if mask == low:
+            exact[mask] = 0
+            continue
+        if ends[mask]:
+            exact[mask] = 2
+            continue
+        seen = frontier = low
+        while frontier:
+            frontier = reach[frontier] & mask & ~seen
+            seen |= frontier
+        if seen != mask:    # a disconnected set spans no tree
+            continue
+        rest = mask ^ low
+        best = none
+        p = (rest - 1) & rest
+        while p:
+            if ends[p] & reach[mask ^ p] and exact[mask ^ p] < best - 1:
+                best = exact[mask ^ p] + 1
+                if best == 3:    # no tree on a set that is not a path set has fewer
+                    break
+            p = (p - 1) & rest
+        exact[mask] = best
+    for v in range(n):
+        bit = 1 << v
+        for mask in range(size):
+            if not mask & bit and exact[mask | bit] < exact[mask]:
+                exact[mask] = exact[mask | bit]
+    return tuple(exact)
+
+
 class Graph:
     """Finite simple undirected graph with one adjacency bitmask per vertex.
 
@@ -61,7 +110,7 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_path_ends")
+    __slots__ = ("n", "rows", "_connected", "_path_ends", "_min_leaves")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -80,7 +129,9 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric on ({v}, {u})")
         self.n = n
         self.rows = rows
+        self._connected: bool | None = None
         self._path_ends: tuple[int, ...] | None = None
+        self._min_leaves: tuple[int, ...] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -145,6 +196,13 @@ class Graph:
             self._path_ends = _path_endpoint_table(self.rows)
         return self._path_ends
 
+    def min_leaf_table(self) -> tuple[int, ...]:
+        """Entry S is the least leaf count of a tree covering S (n + 1 for none);
+        built on first use, with 2**n entries, so callers cap n first."""
+        if self._min_leaves is None:
+            self._min_leaves = _min_leaf_table(self.rows, self.path_endpoints())
+        return self._min_leaves
+
     def subset_mask(self, subset: "VertexSet") -> int:
         """The mask of a subset, after checking that it indexes this graph's vertices."""
         if subset.host_n != self.n:
@@ -152,9 +210,9 @@ class Graph:
         return subset.mask
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return self.component_mask(0) == self.full_mask
+        if self._connected is None:
+            self._connected = self.n <= 1 or self.component_mask(0) == self.full_mask
+        return self._connected
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

@@ -10,6 +10,7 @@ it can fill a caller-owned table of pair values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -18,11 +19,14 @@ from .graphs import Graph, VertexSet, iter_bits
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+@functools.total_ordering
 class ConnectivityValue:
     """A non-negative integer, or the distinguished infinite value used when |S| <= 1.
 
     Infinite compares greater than every integer and is never a sentinel
-    number; serialization uses the JSON string "infinity".
+    number; serialization uses the JSON string "infinity". It compares with
+    ints and with other values; `functools.total_ordering` derives <=, > and
+    >= from == and <.
     """
 
     __slots__ = ("finite",)
@@ -40,47 +44,23 @@ class ConnectivityValue:
     def is_infinite(self) -> bool:
         return self.finite is None
 
-    def _key(self) -> float:
-        return float("inf") if self.finite is None else float(self.finite)
-
     @staticmethod
-    def _other_key(other: object) -> float | None:
-        if isinstance(other, ConnectivityValue):
-            return other._key()
-        if isinstance(other, int):
-            return float(other)
-        return None
+    def _key(value: object) -> float | None:
+        """The order key of a ConnectivityValue or an int; None for any other type."""
+        if isinstance(value, ConnectivityValue):
+            return float("inf") if value.finite is None else float(value.finite)
+        return float(value) if isinstance(value, int) else None
 
     def __eq__(self, other: object) -> bool:
-        key = self._other_key(other)
-        return NotImplemented if key is None else self._key() == key
+        key = self._key(other)
+        return NotImplemented if key is None else self._key(self) == key
 
     def __lt__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() < key
-
-    def __le__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() <= key
-
-    def __gt__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() > key
-
-    def __ge__(self, other: object) -> bool:
-        key = self._other_key(other)
-        if key is None:
-            return NotImplemented
-        return self._key() >= key
+        key = self._key(other)
+        return NotImplemented if key is None else self._key(self) < key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def to_json(self) -> int | str:
         return "infinity" if self.finite is None else self.finite

@@ -8,6 +8,7 @@ sorted edge lists and re-parse into valid Tree values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -124,30 +125,11 @@ def sharpness_to_json(verdict: SharpnessVerdict) -> dict:
 
 
 def plan_to_json(plan: SweepPlan) -> dict:
-    return {
-        "mode": plan.mode,
-        "n": plan.n,
-        "p": plan.p,
-        "count": plan.count,
-        "seed": plan.seed,
-        "k_min": plan.k_min,
-        "k_max": plan.k_max,
-        "s_policy": plan.s_policy,
-        "s_count": plan.s_count,
-        "path": plan.path,
-        "workers": plan.workers,
-    }
+    return dataclasses.asdict(plan)
 
 
 def sweep_report_to_json(report: SweepReport, include_timing: bool) -> dict:
-    claims = {}
-    for claim in sorted(report.claims):
-        tally = report.claims[claim]
-        claims[claim] = {
-            "instances": tally.instances,
-            "hypothesis_true": tally.hypothesis_true,
-            "conclusion_true": tally.conclusion_true,
-        }
+    claims = {claim: dataclasses.asdict(report.claims[claim]) for claim in sorted(report.claims)}
     out = {
         "plan": plan_to_json(report.plan),
         "graphs_evaluated": report.graphs_evaluated,

@@ -10,11 +10,12 @@ whose every leaf lies in S without raising either budget, so the searches
 restrict acceptance to such trees without losing completeness.
 
 The two existence searches share one front end (trivial answers, the
-coverability check, the covering path), and the minimum searches ask them for
-increasing budgets. Two-leaf queries (covering paths) read the graph's
-Held-Karp endpoint table (`Graph.path_endpoints`), built once per graph and
-shared by every subset and budget; hamiltonian_path_exists is an independent
-plain backtracking search so the two routes can be cross-checked.
+coverability check, the covering path). Covering paths read the graph's
+Held-Karp endpoint table (`Graph.path_endpoints`); hamiltonian_path_exists is
+an independent backtracking search, so the two routes are cross-checked. Leaf
+budgets read the graph's minimum-leaf table (`Graph.min_leaf_table`), which
+answers "no" without a search and is cross-checked by each growth search.
+Both tables are built once per graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
 
 
 def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:
-    """Edges of a tree containing r0 that covers smask with at most k leaves, all in S."""
+    """Edges of a tree containing r0 that covers smask with at most k leaves, all in S,
+    or None when the minimum-leaf table exceeds k; the search must find one otherwise."""
+    minimum = graph.min_leaf_table()[smask]
+    if minimum > k:
+        return None
     n = graph.n
     rows = graph.rows
     seen: set[int] = set()
@@ -114,7 +119,9 @@ def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tu
 
     if rec(1 << r0, 0):
         return list(edges)
-    return None
+    raise InternalInvariantError(
+        f"the minimum-leaf table gives {minimum} leaves but the growth search found no tree with at most {k}"
+    )
 
 
 def _grow_tree_branch_budget(graph: Graph, smask: int, budget: int, r0: int) -> list[tuple[int, int]] | None:
@@ -240,22 +247,19 @@ def minimum_leaf_covering_tree(
 ) -> tuple[int, Tree]:
     """Exact minimum of the leaf count over covering trees, with a witness.
 
-    Runs existence queries for increasing leaf budgets from 2, so the witness
-    is the one find_k_ended_covering_tree returns at the minimum. A
-    one-vertex subset yields (0, one-vertex tree).
+    The minimum comes from the graph's minimum-leaf table, and the witness is
+    the one find_k_ended_covering_tree returns at that budget. A one-vertex
+    subset yields (0, one-vertex tree).
     """
     smask = _coverable_subset_mask(graph, subset, cap)
     if smask & (smask - 1) == 0:
         return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
-    for k in range(2, smask.bit_count() + 1):
-        tree = find_k_ended_covering_tree(graph, subset, k, cap=cap)
-        if tree is not None:
-            if tree.leaf_count != k:
-                raise InternalInvariantError(
-                    f"budget-{k} search returned a {tree.leaf_count}-leaf tree after budget {k - 1} failed"
-                )
-            return k, tree
-    raise InternalInvariantError("no covering tree found although the subset is coverable")
+    k = graph.min_leaf_table()[smask]
+    tree = find_k_ended_covering_tree(graph, subset, k, cap=cap)
+    if tree is None or tree.leaf_count != k:
+        raise InternalInvariantError(f"the minimum-leaf table gives {k} leaves but the budget-{k} search "
+                                     f"returned {tree!r}")
+    return k, tree
 
 
 def min_branch_covering_tree(

@@ -17,6 +17,7 @@ this package, not new mathematics.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -131,28 +132,18 @@ class GraphContext:
         return self._kappa[smask]
 
     def cover_tree(self, smask: int, k: int) -> Tree | None:
-        key = (smask, k)
-        if key not in self._cover:
-            prev = self._cover.get((smask, k - 1))
-            if prev is not None:
-                self._cover[key] = prev
-            else:
-                self._cover[key] = find_k_ended_covering_tree(
-                    self.graph, VertexSet(self.graph.n, smask), k, cap=self.cap
-                )
-        return self._cover[key]
+        return self._budgeted(self._cover, find_k_ended_covering_tree, smask, k)
 
     def branch_tree(self, smask: int, budget: int) -> Tree | None:
+        return self._budgeted(self._branch, covering_tree_with_branch_budget, smask, budget)
+
+    def _budgeted(self, cache: dict, search, smask: int, budget: int) -> Tree | None:
+        """search's tree at this budget; a tree found at budget - 1 stands."""
         key = (smask, budget)
-        if key not in self._branch:
-            prev = self._branch.get((smask, budget - 1))
-            if prev is not None:
-                self._branch[key] = prev
-            else:
-                self._branch[key] = covering_tree_with_branch_budget(
-                    self.graph, VertexSet(self.graph.n, smask), budget, cap=self.cap
-                )
-        return self._branch[key]
+        if key not in cache:
+            cache[key] = cache.get((smask, budget - 1)) or search(
+                self.graph, VertexSet(self.graph.n, smask), budget, cap=self.cap)
+        return cache[key]
 
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
@@ -170,6 +161,7 @@ class GraphContext:
         return self._construct[key]
 
 
+@functools.lru_cache(maxsize=None)
 def _subset_tuple(smask: int) -> tuple[int, ...]:
     return tuple(iter_bits(smask))
 
@@ -303,42 +295,35 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     )
 
 
-def _require_connected(graph: Graph) -> None:
+def _context(graph: Graph, k: int, cap: int) -> GraphContext:
+    if k < 2:
+        raise ValueError("k must be at least 2")
     if graph.n == 0 or not graph.is_connected():
         raise ValueError("verification requires a nonempty connected graph")
+    return GraphContext(graph, cap)
 
 
 def verify_kended_cover(graph: Graph, subset: VertexSet, k: int,
                         cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
     """Check the k-ended covering claim on one instance (connected graph, k >= 2)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _require_connected(graph)
-    return _verdict_cover(GraphContext(graph, cap), graph.subset_mask(subset), k)
+    return _verdict_cover(_context(graph, k, cap), graph.subset_mask(subset), k)
 
 
 def verify_branch_cover(graph: Graph, subset: VertexSet, k: int,
                         cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
     """Check the branch-vertex covering claim on one instance."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _require_connected(graph)
-    return _verdict_branch(GraphContext(graph, cap), graph.subset_mask(subset), k)
+    return _verdict_branch(_context(graph, k, cap), graph.subset_mask(subset), k)
 
 
 def verify_residual_bound(graph: Graph, subset: VertexSet, k: int,
                           cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
     """Check the unconditional cover-or-residual-bound claim on one instance."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _require_connected(graph)
-    return _verdict_residual(GraphContext(graph, cap), graph.subset_mask(subset), k)
+    return _verdict_residual(_context(graph, k, cap), graph.subset_mask(subset), k)
 
 
 def verify_hamiltonian_path_condition(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
     """Check the classical alpha <= kappa + 1 Hamiltonian path condition."""
-    _require_connected(graph)
-    return _verdict_hamiltonian(GraphContext(graph, cap))
+    return _verdict_hamiltonian(_context(graph, 2, cap))
 
 
 def verify_sharpness(m: int, k: int, cap: int = DEFAULT_TREE_CAP) -> SharpnessVerdict:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive (full enumeration over subsets,
-permutations or edge combinations) and shares no code path with the
-implementations it checks.
+permutations, edge combinations or simple paths) and shares no code path with
+the implementations it checks; the reference base path takes alpha and kappa
+from the library, since it checks only the path search.
 """
 
 from __future__ import annotations
@@ -10,7 +11,11 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from kended.graphs import Graph, iter_bits
+from kended.constructive import BASE_COVERS, BASE_RESIDUAL
+from kended.errors import InternalInvariantError
+from kended.graphs import Graph, Path, VertexSet, iter_bits
+from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
+from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
 
 def independent_sets_by_enumeration(graph: Graph, smask: int) -> tuple[int, list[int]]:
@@ -204,6 +209,85 @@ def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:
                     endpoint[nm] |= lu
                     parent[(nm, u)] = v
     return None
+
+
+def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:
+    comp = 0
+    frontier = graph.rows[v] & ~visited
+    while frontier:
+        comp |= frontier
+        grow = 0
+        for u in iter_bits(frontier):
+            grow |= graph.rows[u]
+        frontier = grow & ~visited & ~comp
+    return comp.bit_count()
+
+
+def _paths_with_length(graph: Graph, length: int):
+    """All simple paths with exactly `length` vertices, lexicographic order.
+
+    Each path appears once, in its canonical direction (first < last vertex).
+    """
+    rows = graph.rows
+
+    def rec(prefix: tuple[int, ...], visited: int):
+        if len(prefix) == length:
+            if length == 1 or prefix[0] < prefix[-1]:
+                yield prefix
+            return
+        v = prefix[-1]
+        if len(prefix) + _reachable_free_count(graph, v, visited) < length:
+            return
+        cand = rows[v] & ~visited
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            yield from rec(prefix + (low.bit_length() - 1,), visited | low)
+
+    for s in range(graph.n):
+        yield from rec((s,), 1 << s)
+
+
+def base_path_by_enumeration(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
+                              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[Path, str]:
+    """Reference base path: a path covering S, or one whose uncovered part has
+    alpha <= alpha - kappa - 1.
+
+    Exhaustive search: paths are enumerated in decreasing length and the first
+    one meeting either condition is returned. One of the two always exists for
+    a connected graph and nonempty S, so exhaustion without success is an
+    internal invariant failure, not an input error. `alpha_kappa` passes in
+    (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
+    """
+    smask = graph.subset_mask(subset)
+    _check_cap(graph, cap)
+    if smask == 0:
+        raise ValueError("base path needs a nonempty subset")
+    if not graph.is_connected():
+        raise ValueError("base path needs a connected graph")
+    if smask & (smask - 1) == 0:
+        return Path((smask.bit_length() - 1,)), BASE_COVERS
+    if alpha_kappa is None:
+        alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
+    alpha, kappa = alpha_kappa
+    assert not kappa.is_infinite
+    bound = alpha - kappa.finite - 1
+    residual_cache: dict[int, int] = {}
+    for length in range(graph.n, 0, -1):
+        for seq in _paths_with_length(graph, length):
+            pmask = 0
+            for v in seq:
+                pmask |= 1 << v
+            remainder = smask & ~pmask
+            if remainder == 0:
+                return Path(seq), BASE_COVERS
+            if bound >= 0:
+                if remainder not in residual_cache:
+                    residual_cache[remainder] = alpha_mask(graph, remainder)[0]
+                if residual_cache[remainder] <= bound:
+                    return Path(seq), BASE_RESIDUAL
+    raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
+
 
 
 def hamiltonian_path_by_permutations(graph: Graph) -> bool:

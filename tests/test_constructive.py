@@ -23,7 +23,7 @@ from kended.invariants import (
 )
 from kended.treesearch import find_k_ended_covering_tree
 
-from oracles import random_connected_graph
+from oracles import base_path_by_enumeration, random_connected_graph
 
 
 def kmm(m, k):
@@ -55,6 +55,34 @@ def test_base_path_star_leaves_residual():
     assert kind == BASE_RESIDUAL
     remainder = subset.mask & ~path.mask()
     assert alpha_mask(graph, remainder)[0] <= 4 - 1 - 1
+
+
+def test_base_path_matches_enumeration_every_labelled_graph_n_le_5():
+    for n in range(1, 6):
+        for graph in enumerate_connected_labeled_graphs(n):
+            for smask in range(1, 1 << n):
+                subset = VertexSet(n, smask)
+                assert base_path(graph, subset) == base_path_by_enumeration(graph, subset), (graph, smask)
+
+
+def random_connected_bipartite(rng, n):
+    while True:
+        small = rng.randint(2, 4)
+        graph = Graph.from_edges(n, [(a, b) for a in range(small) for b in range(small, n)
+                                     if rng.random() < 0.5])
+        if graph.is_connected():
+            return graph
+
+
+def test_base_path_matches_enumeration_on_random_graphs():
+    # bipartite hosts have no Hamiltonian path, so most answers are residual-bound paths
+    rng = random.Random(909)
+    for i in range(60):
+        n = 9 + i % 2
+        graph = random_connected_bipartite(rng, n) if i % 3 else random_connected_graph(rng, n, 0.3)
+        for smask in [graph.full_mask] + [rng.randrange(1, 1 << n) for _ in range(2)]:
+            subset = VertexSet(n, smask)
+            assert base_path(graph, subset) == base_path_by_enumeration(graph, subset), (graph, smask)
 
 
 def test_base_path_input_validation():

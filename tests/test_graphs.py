@@ -48,6 +48,21 @@ def test_graph_basic_queries():
     assert Graph(0, []).is_connected()
 
 
+def test_is_connected_is_computed_once_per_graph(monkeypatch):
+    original = Graph.component_mask
+    calls = []
+
+    def counted(self, start, within=None):
+        calls.append(start)
+        return original(self, start, within)
+
+    monkeypatch.setattr(Graph, "component_mask", counted)
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert not g.is_connected()
+    assert not g.is_connected()
+    assert calls == [0]
+
+
 def test_vertex_set_semantics():
     s = VertexSet.from_vertices(5, [0, 2, 4])
     assert len(s) == 3

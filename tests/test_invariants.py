@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import combinations
 
@@ -48,6 +49,30 @@ def test_connectivity_value_ordering():
     assert ConnectivityValue(3) < inf
     assert ConnectivityValue(0) <= 0
     assert inf != 7
+
+
+def test_connectivity_value_six_operators_match_int_order():
+    inf = ConnectivityValue.INFINITE
+    ops = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+    keys = {None: float("inf")}
+    values = [None, 0, 1, 2, 5]
+    for a in values:
+        left = ConnectivityValue(a) if a is not None else inf
+        for b in values:
+            right = ConnectivityValue(b) if b is not None else inf
+            ka, kb = keys.get(a, a), keys.get(b, b)
+            for op in ops:
+                assert op(left, right) is op(ka, kb), (op.__name__, a, b)
+                if b is not None:
+                    assert op(left, b) is op(ka, b), (op.__name__, a, b)
+                    assert op(b, left) is op(b, ka), (op.__name__, b, a)
+    for other in ("3", 3.0, None, object()):
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(ConnectivityValue(3), name)(other) is NotImplemented
+            assert getattr(inf, name)(other) is NotImplemented
+        assert ConnectivityValue(3) != other
+        with pytest.raises(TypeError):
+            ConnectivityValue(3) < other
 
 
 def test_connectivity_value_json_and_repr():

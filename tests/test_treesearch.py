@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
-from kended.graphs import Graph, VertexSet
+from kended.graphs import Graph, VertexSet, _min_leaf_table
 from kended.treesearch import (
     _covering_path_mask,
     covering_tree_with_branch_budget,
@@ -205,6 +205,28 @@ def test_covering_path_matches_forward_dp_on_random_graphs():
         for _ in range(4):
             smask = rng.randrange(1 << graph.n)
             assert _covering_path_mask(graph, smask) == covering_path_by_forward_dp(graph, smask)
+
+
+def assert_min_leaf_table_matches_enumeration(graph, smasks):
+    table = _min_leaf_table(graph.rows, graph.path_endpoints())
+    assert graph.min_leaf_table() == table
+    for smask in smasks:
+        expected = min_leaf_cover_by_enumeration(graph, smask)
+        assert table[smask] == (graph.n + 1 if expected is None else expected), (graph, smask)
+
+
+def test_min_leaf_table_matches_enumeration_every_labelled_graph_n_le_5():
+    # every subset, empty included: the table is a third route beside growth and enumeration
+    for graph in connected_graphs_up_to(5):
+        assert_min_leaf_table_matches_enumeration(graph, range(1 << graph.n))
+
+
+def test_min_leaf_table_matches_enumeration_on_random_graphs():
+    # G(n, 0.5) need not be connected: a subset across components gets the sentinel n + 1
+    rng = random.Random(606)
+    for i in range(24):
+        graph = random_gnp(6 + i % 3, 0.5, rng)
+        assert_min_leaf_table_matches_enumeration(graph, [rng.randrange(1 << graph.n) for _ in range(6)])
 
 
 def test_existence_consistent_with_minimum_exhaustive_small():

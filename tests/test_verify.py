@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import signal
 import sys
 from contextlib import contextmanager
@@ -11,10 +12,10 @@ from kended import graphs, invariants
 from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, make_family
-from kended.formats import emit_graph6
+from kended.formats import emit_graph6, parse_graph6
 from kended.graphs import Graph, VertexSet
 from kended.report import sweep_report_to_json, verdict_to_json
-from kended.treesearch import DEFAULT_TREE_CAP
+from kended.treesearch import DEFAULT_TREE_CAP, minimum_leaf_covering_tree
 from kended.verify import (
     SweepPlan,
     TheoremVerdict,
@@ -375,6 +376,54 @@ def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
         _graph_verdicts(graph, [], (2,), DEFAULT_TREE_CAP)
     with pytest.raises(InternalInvariantError):
         _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+
+
+def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatch):
+    original = graphs._min_leaf_table
+    builds = []
+
+    def counted(rows, ends):
+        builds.append(rows)
+        return original(rows, ends)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    _graph_verdicts(c5, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert builds == []    # every subset of C5 has a covering path
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    _graph_verdicts(star, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert builds == [star.rows]
+
+
+TABLE_FAULTS = {
+    "one-too-high": lambda v: v + 1,
+    "one-too-low": lambda v: max(v - 1, 2) if v >= 2 else v,    # floored at 2
+}
+
+REPRODUCTION = re.compile(r"claim '([a-z-]+)' on graph (\S+) with S=\[([0-9, ]*)\], k=(\d+)\)?$")
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_faulty_min_leaf_table_aborts_the_sweep(monkeypatch, fault):
+    original = graphs._min_leaf_table
+    shift = TABLE_FAULTS[fault]
+    rebind_everywhere(monkeypatch, original,
+                      lambda rows, ends: tuple(shift(v) for v in original(rows, ends)))
+    with pytest.raises((InternalInvariantError, CounterexampleError)) as err:
+        run_sweep(SweepPlan(mode="exhaustive", n=5))
+    match = REPRODUCTION.search(str(err.value))
+    assert match, str(err.value)
+    claim, graph6, subset, k = match.groups()
+    assert claim in ("kended-cover", "branch-cover", "residual-bound", "hamiltonian-path")
+    graph = parse_graph6(graph6)
+    smask = sum(1 << int(v) for v in subset.split(", "))
+    # the named instance reproduces the abort on its own, and the minimum search trips too
+    with pytest.raises((InternalInvariantError, CounterexampleError)):
+        for verdict in _graph_verdicts(graph, [smask], (int(k),), DEFAULT_TREE_CAP):
+            if verdict.is_counterexample:
+                raise CounterexampleError(verdict)
+    with pytest.raises(InternalInvariantError, match="minimum-leaf table"):
+        minimum_leaf_covering_tree(graph, VertexSet(graph.n, smask))
 
 
 @contextmanager
