@@ -7,7 +7,8 @@ independent subsets of the uncovered part and meets the tree only at its
 terminal vertex. Each attachment raises the leaf budget by at most one and
 lowers the residual independence number by at least one, so the loop ends
 with either a covering tree with at most k leaves or a k-ended tree whose
-residual is at most alpha - kappa - k + 1.
+residual is at most alpha - kappa - k + 1. Nothing before the loop's
+stop depends on k, so a run can resume from the outcome for a smaller k.
 """
 
 from __future__ import annotations
@@ -209,13 +210,15 @@ def construct_k_ended_tree(
     subset: VertexSet,
     k: int,
     cap: int = DEFAULT_TREE_CAP,
-    base: tuple[Path, str] | None = None,
+    start: ConstructionOutcome | None = None,
     alpha_kappa: tuple[int, ConnectivityValue] | None = None,
 ) -> ConstructionOutcome:
     """Run the full construction for a budget of k leaves.
 
-    `base` optionally reuses a precomputed base_path(graph, subset) result,
-    which is independent of k. `alpha_kappa` likewise passes in (alpha_G(S),
+    `start` resumes from an outcome this function returned for the same graph
+    and S at a smaller k: the base path and the attachments do not depend on
+    k, so its tree, residual and trace are this run's prefix and the
+    attachment loop goes on from there. `alpha_kappa` passes in (alpha_G(S),
     kappa_G(S)); else they are computed once here and handed on to base_path.
     When alpha <= k + kappa - 1 the outcome is always a covering (asserted);
     otherwise a residual-bound outcome satisfies residual <= alpha - kappa -
@@ -238,15 +241,16 @@ def construct_k_ended_tree(
     alpha, kappa = alpha_kappa
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
-    if base is None:
-        base = base_path(graph, subset, cap=cap, alpha_kappa=alpha_kappa)
-    path0, _ = base
-    tree = Tree.from_path(graph.n, path0.vertices)
-    t = 2
-    residual_alpha = alpha_mask(graph, smask & ~path0.mask())[0]
-    trace = [path0]
-    if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:
-        raise InternalInvariantError("base path violates its residual guarantee")
+    if start is None:
+        path0, _ = base_path(graph, subset, cap=cap, alpha_kappa=alpha_kappa)
+        tree = Tree.from_path(graph.n, path0.vertices)
+        residual_alpha = alpha_mask(graph, smask & ~path0.mask())[0]
+        trace = [path0]
+        if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:
+            raise InternalInvariantError("base path violates its residual guarantee")
+    else:
+        tree, residual_alpha, trace = start.tree, start.residual_alpha, list(start.trace)
+    t = len(trace) + 1
     while residual_alpha > 0 and t < k:
         p0, _s0 = maximal_attachment_path(graph, tree, subset)
         tree = augment(tree, p0)

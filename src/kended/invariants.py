@@ -5,7 +5,10 @@ use branch-and-bound over bitmask candidate sets. Connectivity is unit-capacity
 max flow on the vertex-split digraph (Even & Tarjan 1975), so values are exact
 Menger counts; the residual network is one bitmask per split node, and the flow
 stops at min(deg x, deg y). set_connectivity_pair is the one pair-minimum loop;
-it can fill a caller-owned table of pair values.
+it can fill a caller-owned table of pair values. A pair's flow is at least
+[xy is an edge] + |N(x) & N(y)|, the paths it routes first, and only a
+smaller value replaces the running minimum, so a pair whose bound reaches it
+is skipped, stores nothing, and cannot change the value or the first pair.
 """
 
 from __future__ import annotations
@@ -240,19 +243,24 @@ def set_connectivity_pair(
     Infinite (and no pair) when |S| <= 1; zero when some pair lies in
     different components. `pairs` optionally memoizes local connectivity by
     (x, y), x < y: callers sharing one table across subsets of a graph run
-    each pair's flow once.
+    each pair's flow at most once. A pair whose lower bound already reaches
+    the running minimum runs no flow and is not stored.
     """
     vertices = list(iter_bits(graph.subset_mask(subset)))
     if len(vertices) <= 1:
         return ConnectivityValue.INFINITE, None
     if pairs is None:
         pairs = {}
+    rows = graph.rows
     best: int | None = None
     best_pair: tuple[int, int] | None = None
     for i, x in enumerate(vertices):
         for y in vertices[i + 1:]:
             value = pairs.get((x, y))
             if value is None:
+                # the direct edge and the common neighbours are disjoint paths
+                if best is not None and ((rows[x] >> y) & 1) + (rows[x] & rows[y]).bit_count() >= best:
+                    continue
                 value = pairs[(x, y)] = local_connectivity(graph, x, y)
             if best is None or value < best:
                 best = value

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from .constructive import COVERING, ConstructionOutcome, base_path, construct_k_ended_tree
+from .constructive import COVERING, ConstructionOutcome, construct_k_ended_tree
 from .errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from .families import (
     DEFAULT_ENUM_CAP,
@@ -34,7 +34,7 @@ from .families import (
     random_gnp,
 )
 from .formats import emit_graph6, parse_graph6
-from .graphs import Graph, Path, Tree, VertexSet, iter_bits
+from .graphs import Graph, Tree, VertexSet, iter_bits
 from .invariants import ConnectivityValue, alpha_mask, hypothesis_holds, set_connectivity_pair
 from .treesearch import (
     DEFAULT_TREE_CAP,
@@ -105,7 +105,8 @@ class GraphContext:
 
     Everything cached here is a pure function of the graph, so contexts can be
     used by one worker without coordination. alpha and kappa are computed once
-    per subset, and each pair's flow once per graph; construct hands them on.
+    per subset, and each pair's flow at most once per graph; construct hands
+    them on and resumes from the construction for k - 1.
     """
 
     def __init__(self, graph: Graph, cap: int = DEFAULT_TREE_CAP) -> None:
@@ -117,7 +118,6 @@ class GraphContext:
         self._pair: dict[tuple[int, int], int] = {}
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
-        self._base: dict[int, tuple[Path, str]] = {}
         self._construct: dict[tuple[int, int], ConstructionOutcome] = {}
 
     def alpha(self, smask: int) -> int:
@@ -135,6 +135,9 @@ class GraphContext:
         return self._budgeted(self._cover, find_k_ended_covering_tree, smask, k)
 
     def branch_tree(self, smask: int, budget: int) -> Tree | None:
+        if budget == 0 and (smask, 0) not in self._branch:
+            # no branch vertex means a covering path, the leaf-budget-2 answer
+            self._branch[(smask, 0)] = self.cover_tree(smask, 2)
         return self._budgeted(self._branch, covering_tree_with_branch_budget, smask, budget)
 
     def _budgeted(self, cache: dict, search, smask: int, budget: int) -> Tree | None:
@@ -148,16 +151,10 @@ class GraphContext:
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
         if key not in self._construct:
-            subset = VertexSet(self.graph.n, smask)
-            base = alpha_kappa = None
-            if smask.bit_count() >= 2:
-                alpha_kappa = self.alpha(smask), self.kappa(smask)
-                if smask not in self._base:
-                    self._base[smask] = base_path(self.graph, subset, self.cap, alpha_kappa)
-                base = self._base[smask]
+            alpha_kappa = (self.alpha(smask), self.kappa(smask)) if smask.bit_count() >= 2 else None
             self._construct[key] = construct_k_ended_tree(
-                self.graph, subset, k, cap=self.cap, base=base, alpha_kappa=alpha_kappa
-            )
+                self.graph, VertexSet(self.graph.n, smask), k, cap=self.cap,
+                start=self._construct.get((smask, k - 1)), alpha_kappa=alpha_kappa)
         return self._construct[key]
 
 

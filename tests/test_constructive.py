@@ -279,6 +279,41 @@ def test_construct_with_caller_alpha_kappa_matches_computed():
             assert given == construct_k_ended_tree(graph, subset, k)
 
 
+def assert_resumes_match_fresh(graph, subset, ks):
+    """Each k resumed from the fresh k - 1 and from the fresh smallest k equals a fresh run
+    in kind, tree, residual_alpha, bound and trace (the outcome's fields); returns the
+    number of attachments made at the largest k."""
+    alpha_kappa = alpha_mask(graph, subset.mask)[0], set_connectivity(graph, subset)
+    fresh = {k: construct_k_ended_tree(graph, subset, k, alpha_kappa=alpha_kappa) for k in ks}
+    for k in ks[1:]:
+        for previous in {k - 1, ks[0]}:
+            resumed = construct_k_ended_tree(graph, subset, k, start=fresh[previous],
+                                             alpha_kappa=alpha_kappa)
+            assert resumed == fresh[k]
+    return len(fresh[ks[-1]].trace) - 1
+
+
+def test_resumed_construction_matches_fresh_every_labelled_graph_n_le_5():
+    for n in range(2, 6):
+        for graph in enumerate_connected_labeled_graphs(n):
+            for smask in range(1, 1 << n):
+                if smask.bit_count() >= 2:
+                    assert_resumes_match_fresh(graph, VertexSet(n, smask), (2, 3, 4, 5))
+
+
+def test_resumed_construction_matches_fresh_on_bipartite_n10():
+    rng = random.Random(1010)
+    attachments = 0
+    for _ in range(40):
+        label = list(range(10))
+        rng.shuffle(label)
+        edges = [(label[a], label[3 + b]) for a in range(3) for b in range(7) if rng.random() < 0.8]
+        graph = Graph.from_edges(10, edges)
+        if graph.is_connected():
+            attachments += assert_resumes_match_fresh(graph, VertexSet.full(10), (2, 3, 4, 5, 6))
+    assert attachments > 0
+
+
 def test_construct_agrees_with_oracle_exhaustive_small():
     # hypothesis-true instances must come out covering, and the witness audits
     for n in range(1, 5):

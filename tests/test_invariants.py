@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kended import invariants
 from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, make_family
 from kended.graphs import Graph, VertexSet
@@ -229,6 +230,83 @@ def test_set_connectivity_disconnected_zero():
     value, pair = set_connectivity_pair(g, VertexSet.from_vertices(4, [0, 2]))
     assert value == 0
     assert pair == (0, 2)
+
+
+def brute_force_set_connectivity(values, smask):
+    """(value, first lexicographic minimizing pair) over the pairs of smask, or None."""
+    vertices = [v for v in range(smask.bit_length()) if (smask >> v) & 1]
+    pairs = list(combinations(vertices, 2))
+    if not pairs:
+        return None
+    best = min(values[pair] for pair in pairs)
+    return best, next(pair for pair in pairs if values[pair] == best)
+
+
+def check_against_brute_force(graph, smask, values, table):
+    value, pair = set_connectivity_pair(graph, VertexSet(graph.n, smask), table)
+    expected = brute_force_set_connectivity(values, smask)
+    if expected is None:
+        assert value.is_infinite and pair is None
+    else:
+        assert (value, pair) == expected
+    assert all(values[key] == flow for key, flow in table.items())    # exact flows only
+
+
+def test_set_connectivity_pair_matches_brute_force_every_labelled_graph_n_le_5():
+    # every labelled graph on n <= 5 vertices, connected or not, every subset
+    for n in range(1, 6):
+        all_pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(all_pairs)):
+            graph = Graph.from_edges(n, [p for i, p in enumerate(all_pairs) if (bits >> i) & 1])
+            values = {(x, y): local_connectivity(graph, x, y) for x, y in all_pairs}
+            shared = {}
+            for smask in range(1 << n):
+                check_against_brute_force(graph, smask, values, {})
+                check_against_brute_force(graph, smask, values, shared)
+
+
+def counted_flows(monkeypatch):
+    """The (x, y) of every local_connectivity call set_connectivity_pair makes from now on."""
+    original = invariants.local_connectivity
+    flows = []
+
+    def counted(graph, x, y):
+        flows.append((x, y))
+        return original(graph, x, y)
+
+    monkeypatch.setattr(invariants, "local_connectivity", counted)
+    return flows
+
+
+def test_set_connectivity_pair_shares_one_table_on_random_graphs(monkeypatch):
+    flows = counted_flows(monkeypatch)
+    rng = random.Random(7707)
+    skipped = 0
+    for n in (8, 9, 10):
+        for _ in range(8):
+            graph = Graph.from_edges(n, [(x, y) for x, y in combinations(range(n), 2) if rng.random() < 0.45])
+            values = {(x, y): local_connectivity(graph, x, y) for x, y in combinations(range(n), 2)}
+            masks = list(range(1 << n))
+            rng.shuffle(masks)
+            shared = {}
+            flows.clear()
+            for smask in masks[:60] + [(1 << n) - 1]:
+                check_against_brute_force(graph, smask, values, shared)
+            assert len(flows) == len(set(flows)) == len(shared)
+            skipped += len(values) - len(shared)    # S = V reaches every pair
+    assert skipped > 0
+
+
+def test_set_connectivity_pair_skips_flows_that_cannot_lower_the_minimum(monkeypatch):
+    # P6: after kappa(0, 1) = 1 only the pairs with no edge and no common
+    # neighbour can go lower; a flow for every pair would be 15
+    flows = counted_flows(monkeypatch)
+    p6 = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
+    pairs = {}
+    value, pair = set_connectivity_pair(p6, VertexSet.full(6), pairs)
+    assert (value, pair) == (1, (0, 1))
+    assert flows == [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]
+    assert sorted(pairs) == sorted(flows)
 
 
 def test_set_connectivity_full_equals_classical():

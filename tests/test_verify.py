@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from kended import graphs, invariants
+from kended import constructive, graphs, invariants, treesearch
 from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, make_family
@@ -337,6 +337,45 @@ def test_all_subsets_sweep_runs_each_pair_flow_once(monkeypatch):
     assert len(verdicts) == 31 * 3 * 3 + 1
     assert len(calls) <= 10
     assert len({frozenset(pair) for pair in calls}) == len(calls)
+
+
+def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
+    import kended.verify as V
+
+    bases, budgets, contexts = [], [], []
+    original_base = constructive.base_path
+    original_branch = treesearch.covering_tree_with_branch_budget
+
+    def counted_base(graph, subset, *args, **kwargs):
+        bases.append(subset.mask)
+        return original_base(graph, subset, *args, **kwargs)
+
+    def counted_branch(graph, subset, budget, cap=DEFAULT_TREE_CAP):
+        budgets.append(budget)
+        return original_branch(graph, subset, budget, cap=cap)
+
+    class RecordedContext(V.GraphContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    rebind_everywhere(monkeypatch, original_base, counted_base)
+    rebind_everywhere(monkeypatch, original_branch, counted_branch)
+    monkeypatch.setattr(V, "GraphContext", RecordedContext)
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    verdicts = _graph_verdicts(star, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert len(verdicts) == 31 * 3 * 3 + 1
+    assert sorted(bases) == [m for m in range(1, 32) if m.bit_count() >= 2]
+    assert budgets and 0 not in budgets
+    (ctx,) = contexts
+    attachments = 0
+    for smask in range(1, 32):
+        assert ctx.branch_tree(smask, 0) is ctx.cover_tree(smask, 2)
+        for k in (3, 4):
+            before, after = ctx.construct(smask, k - 1).trace, ctx.construct(smask, k).trace
+            assert after[:len(before)] == before
+            attachments += len(after) - len(before)
+    assert attachments > 0
 
 
 def test_off_by_one_local_connectivity_aborts_the_sweep(monkeypatch):
