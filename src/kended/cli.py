@@ -1,8 +1,10 @@
 """Command-line front end: analyze, construct, verify, sharpness.
 
-Exit codes: 0 clean, 1 counterexample or sharpness mismatch, 2 usage or
-parse errors. Reports are JSON on stdout or a file; pass --no-timing for
-byte-stable output across runs.
+Exit codes: 0 clean, 1 counterexample, sharpness mismatch or internal
+error, 2 usage or parse errors. An internal error (a proved property failed,
+which means a bug here) is reported on stderr with the graph6, S and, for
+construct, k that reproduce it. Reports are JSON on stdout or a file; pass
+--no-timing for byte-stable output across runs.
 """
 
 from __future__ import annotations
@@ -86,14 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args) -> tuple[Graph, VertexSet | None, dict]:
-    """Read or generate the input graph; returns (graph, family subset, input echo)."""
+    """Read or generate the input graph; returns (graph, family subset, input echo).
+
+    The echo is also kept as args.echo, so an internal error can name its inputs.
+    """
     if args.family and args.graph:
         raise ValueError("--graph and --family are mutually exclusive")
     if args.family:
         spec = parse_family_spec(args.family)
         graph, family_subset = make_family(spec)
-        echo = {"family": args.family, "graph6": emit_graph6(graph), "n": graph.n}
-        return graph, family_subset, echo
+        args.echo = {"family": args.family, "graph6": emit_graph6(graph), "n": graph.n}
+        return graph, family_subset, args.echo
     if not args.graph:
         raise ValueError("one of --graph or --family is required")
     if args.graph == "-":
@@ -108,9 +113,9 @@ def _load_graph(args) -> tuple[Graph, VertexSet | None, dict]:
         graph = parse_graph6(record[0])
     else:
         graph = parse_edge_list(text)
-    echo = {"graph": args.graph, "format": args.format,
-            "graph6": emit_graph6(graph), "n": graph.n}
-    return graph, None, echo
+    args.echo = {"graph": args.graph, "format": args.format,
+                 "graph6": emit_graph6(graph), "n": graph.n}
+    return graph, None, args.echo
 
 
 def _parse_subset(spec: str, graph: Graph, family_subset: VertexSet | None) -> VertexSet:
@@ -148,9 +153,8 @@ def cmd_analyze(args) -> int:
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
     witness = independence_number(graph, subset)
-    pairs: dict[tuple[int, int], int] = {}
-    kappa, pair = set_connectivity_pair(graph, subset, pairs)
-    graph_kappa, _ = set_connectivity_pair(graph, VertexSet.full(graph.n), pairs)
+    kappa, pair = set_connectivity_pair(graph, subset)
+    graph_kappa, _ = set_connectivity_pair(graph, VertexSet.full(graph.n))
     alpha = witness.size
     if kappa.is_infinite:
         threshold = 2
@@ -269,8 +273,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kended: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except KendedError as exc:
-        print(f"kended: internal error: {exc}", file=sys.stderr)
-        raise
+        echo = getattr(args, "echo", {})
+        where = [f"{label}={echo[key]}" for key, label in (("graph6", "graph6"), ("set", "S"), ("k", "k"))
+                 if key in echo]
+        print(f"kended: internal error: {exc}" + (f" ({', '.join(where)})" if where else ""), file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

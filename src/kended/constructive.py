@@ -9,6 +9,8 @@ lowers the residual independence number by at least one, so the loop ends
 with either a covering tree with at most k leaves or a k-ended tree whose
 residual is at most alpha - kappa - k + 1. Nothing before the loop's
 stop depends on k, so a run can resume from the outcome for a smaller k.
+alpha, kappa and every residual alpha come from the graph's own memo
+(invariants.subset_alpha and subset_kappa), shared with every other caller.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet, iter_bits, mask_of
-from .invariants import (
-    ConnectivityValue,
-    alpha_mask,
-    hypothesis_holds,
-    maximum_independent_masks,
-    set_connectivity,
-)
+from .invariants import hypothesis_holds, maximum_independent_masks, subset_alpha, subset_kappa
 from .treesearch import DEFAULT_TREE_CAP, _check_cap
 
 COVERING = "covering"
@@ -59,8 +55,7 @@ def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups))
 
 
-def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
-              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[Path, str]:
+def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> tuple[Path, str]:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
     The longest such path, first in lexicographic order among paths read with
@@ -70,8 +65,7 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
     prefix with set P ending at v grows only if a qualifying m is P or has a
     path on m - P with an end adjacent to v. One path always qualifies for a
     connected graph and nonempty S, so exhaustion is an internal invariant
-    failure. `alpha_kappa` passes in (alpha_G(S), kappa_G(S)) when the caller
-    knows them; else they are computed.
+    failure.
     """
     smask = graph.subset_mask(subset)
     _check_cap(graph, cap)
@@ -81,24 +75,15 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
         return Path((smask.bit_length() - 1,)), BASE_COVERS
-    if alpha_kappa is None:
-        alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
-    alpha, kappa = alpha_kappa
+    kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
-    bound = alpha - kappa.finite - 1
+    bound = subset_alpha(graph, smask) - kappa.finite - 1
     table = graph.path_endpoints()
     rows = graph.rows
-    residual_cache: dict[int, int] = {}
 
     def qualifies(m: int) -> bool:
         remainder = smask & ~m
-        if remainder == 0:
-            return True
-        if bound < 0:
-            return False
-        if remainder not in residual_cache:
-            residual_cache[remainder] = alpha_mask(graph, remainder)[0]
-        return residual_cache[remainder] <= bound
+        return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
 
     def first_path(prefix: list[int], visited: int, goals: list[int]) -> list[int] | None:
         if visited in goals:
@@ -211,18 +196,15 @@ def construct_k_ended_tree(
     k: int,
     cap: int = DEFAULT_TREE_CAP,
     start: ConstructionOutcome | None = None,
-    alpha_kappa: tuple[int, ConnectivityValue] | None = None,
 ) -> ConstructionOutcome:
     """Run the full construction for a budget of k leaves.
 
     `start` resumes from an outcome this function returned for the same graph
     and S at a smaller k: the base path and the attachments do not depend on
     k, so its tree, residual and trace are this run's prefix and the
-    attachment loop goes on from there. `alpha_kappa` passes in (alpha_G(S),
-    kappa_G(S)); else they are computed once here and handed on to base_path.
-    When alpha <= k + kappa - 1 the outcome is always a covering (asserted);
-    otherwise a residual-bound outcome satisfies residual <= alpha - kappa -
-    k + 1 (asserted, recomputed from scratch).
+    attachment loop goes on from there. When alpha <= k + kappa - 1 the
+    outcome is always a covering (asserted); otherwise a residual-bound
+    outcome satisfies residual <= alpha - kappa - k + 1 (asserted).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -236,15 +218,14 @@ def construct_k_ended_tree(
         v = smask.bit_length() - 1 if smask else 0
         tree = Tree.single_vertex(graph.n, v)
         return ConstructionOutcome(COVERING, tree, 0, None, ())
-    if alpha_kappa is None:
-        alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
-    alpha, kappa = alpha_kappa
+    alpha = subset_alpha(graph, smask)
+    kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
     if start is None:
-        path0, _ = base_path(graph, subset, cap=cap, alpha_kappa=alpha_kappa)
+        path0, _ = base_path(graph, subset, cap=cap)
         tree = Tree.from_path(graph.n, path0.vertices)
-        residual_alpha = alpha_mask(graph, smask & ~path0.mask())[0]
+        residual_alpha = subset_alpha(graph, smask & ~path0.mask())
         trace = [path0]
         if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:
             raise InternalInvariantError("base path violates its residual guarantee")
@@ -256,7 +237,7 @@ def construct_k_ended_tree(
         tree = augment(tree, p0)
         trace.append(p0)
         t += 1
-        new_residual = alpha_mask(graph, smask & ~tree.vertex_mask)[0]
+        new_residual = subset_alpha(graph, smask & ~tree.vertex_mask)
         if new_residual > residual_alpha - 1:
             raise InternalInvariantError("augmentation failed to reduce the residual alpha")
         residual_alpha = new_residual

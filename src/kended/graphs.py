@@ -3,9 +3,10 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 All four types are immutable after construction and safe to share across
-concurrent workers; a graph's connectivity flag and its path-endpoint and
-minimum-leaf tables are filled lazily, but each is a pure function of the
-adjacency rows.
+concurrent workers; a graph's connectivity flag, its path-endpoint and
+minimum-leaf tables and its subset invariant memos (alpha by mask, pair
+flows, kappa by mask; read and written only by `invariants`) are filled
+lazily, but each is a pure function of the adjacency rows.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_connected", "_path_ends", "_min_leaves")
+    __slots__ = ("n", "rows", "_connected", "_path_ends", "_min_leaves", "_alpha", "_flows", "_kappa")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -132,6 +133,9 @@ class Graph:
         self._connected: bool | None = None
         self._path_ends: tuple[int, ...] | None = None
         self._min_leaves: tuple[int, ...] | None = None
+        self._alpha: dict[int, int] = {}
+        self._flows: dict[tuple[int, int], int] = {}
+        self._kappa: dict[int, tuple] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -4,17 +4,23 @@ Every result is a function of the graph and subset alone. Independence numbers
 use branch-and-bound over bitmask candidate sets. Connectivity is unit-capacity
 max flow on the vertex-split digraph (Even & Tarjan 1975), so values are exact
 Menger counts; the residual network is one bitmask per split node, and the flow
-stops at min(deg x, deg y). set_connectivity_pair is the one pair-minimum loop;
-it can fill a caller-owned table of pair values. A pair's flow is at least
-[xy is an edge] + |N(x) & N(y)|, the paths it routes first, and only a
-smaller value replaces the running minimum, so a pair whose bound reaches it
-is skipped, stores nothing, and cannot change the value or the first pair.
+stops at min(deg x, deg y).
+
+alpha and kappa are memoized once per graph, on the Graph itself, and only
+here: subset_alpha keeps alpha by mask, and subset_kappa, the one
+pair-minimum loop, keeps kappa and its pair by mask and each pair's flow, so
+every caller on a graph (sweep, construction, CLI) shares one store. A
+pair's flow is at least [xy is an edge] + |N(x) & N(y)|, the paths it routes
+first, and only a smaller value replaces the running minimum, so a pair
+whose bound reaches it is skipped, stores nothing, and cannot change the
+value or the first pair.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CapExceededError
 from .graphs import Graph, VertexSet, iter_bits
@@ -132,6 +138,14 @@ def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
     return best_size, best_mask
 
 
+def subset_alpha(graph: Graph, smask: int) -> int:
+    """alpha_G(S) for the S in smask, from the graph's memo; alpha_mask runs once per mask."""
+    alpha = graph._alpha.get(smask)
+    if alpha is None:
+        alpha = graph._alpha[smask] = alpha_mask(graph, smask)[0]
+    return alpha
+
+
 def independence_number(graph: Graph, subset: VertexSet) -> IndependenceWitness:
     """Maximum cardinality of an independent-in-G subset of S, with a witness."""
     smask = graph.subset_mask(subset)
@@ -145,7 +159,7 @@ def maximum_independent_masks(graph: Graph, smask: int, cap: int = DEFAULT_ENUME
     Raises CapExceededError past `cap` rather than truncating, because callers
     rely on the list being complete.
     """
-    alpha, _ = alpha_mask(graph, smask)
+    alpha = subset_alpha(graph, smask)
     if alpha == 0:
         return [0]
     rows = graph.rows
@@ -234,41 +248,41 @@ def local_connectivity(graph: Graph, x: int, y: int) -> int:
     return flow
 
 
-def set_connectivity_pair(
-    graph: Graph, subset: VertexSet, pairs: dict[tuple[int, int], int] | None = None
-) -> tuple[ConnectivityValue, tuple[int, int] | None]:
-    """Minimum local connectivity over distinct pairs of S, with the first
-    minimizing pair in lexicographic order.
+def subset_kappa(graph: Graph, smask: int) -> tuple[ConnectivityValue, tuple[int, int] | None]:
+    """Minimum local connectivity over distinct pairs of the S in smask, with the
+    first minimizing pair in lexicographic order, from the graph's memo.
 
     Infinite (and no pair) when |S| <= 1; zero when some pair lies in
-    different components. `pairs` optionally memoizes local connectivity by
-    (x, y), x < y: callers sharing one table across subsets of a graph run
-    each pair's flow at most once. A pair whose lower bound already reaches
-    the running minimum runs no flow and is not stored.
+    different components. Each pair's flow runs at most once per graph; a
+    pair whose lower bound already reaches the running minimum runs no flow
+    and is not stored.
     """
-    vertices = list(iter_bits(graph.subset_mask(subset)))
-    if len(vertices) <= 1:
-        return ConnectivityValue.INFINITE, None
-    if pairs is None:
-        pairs = {}
+    found = graph._kappa.get(smask)
+    if found is not None:
+        return found
+    flows = graph._flows
     rows = graph.rows
     best: int | None = None
     best_pair: tuple[int, int] | None = None
-    for i, x in enumerate(vertices):
-        for y in vertices[i + 1:]:
-            value = pairs.get((x, y))
-            if value is None:
-                # the direct edge and the common neighbours are disjoint paths
-                if best is not None and ((rows[x] >> y) & 1) + (rows[x] & rows[y]).bit_count() >= best:
-                    continue
-                value = pairs[(x, y)] = local_connectivity(graph, x, y)
-            if best is None or value < best:
-                best = value
-                best_pair = (x, y)
-                if best == 0:
-                    return ConnectivityValue(0), best_pair
-    assert best is not None
-    return ConnectivityValue(best), best_pair
+    for x, y in combinations(iter_bits(smask), 2):
+        value = flows.get((x, y))
+        if value is None:
+            # the direct edge and the common neighbours are disjoint paths
+            if best is not None and ((rows[x] >> y) & 1) + (rows[x] & rows[y]).bit_count() >= best:
+                continue
+            value = flows[(x, y)] = local_connectivity(graph, x, y)
+        if best is None or value < best:
+            best, best_pair = value, (x, y)
+            if best == 0:
+                break
+    kappa = ConnectivityValue.INFINITE if best is None else ConnectivityValue(best)
+    found = graph._kappa[smask] = kappa, best_pair
+    return found
+
+
+def set_connectivity_pair(graph: Graph, subset: VertexSet) -> tuple[ConnectivityValue, tuple[int, int] | None]:
+    """subset_kappa for a VertexSet, after checking that it indexes this graph's vertices."""
+    return subset_kappa(graph, graph.subset_mask(subset))
 
 
 def set_connectivity(graph: Graph, subset: VertexSet) -> ConnectivityValue:

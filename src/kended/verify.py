@@ -35,7 +35,7 @@ from .families import (
 )
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, Tree, VertexSet, iter_bits
-from .invariants import ConnectivityValue, alpha_mask, hypothesis_holds, set_connectivity_pair
+from .invariants import ConnectivityValue, hypothesis_holds, set_connectivity, subset_alpha, subset_kappa
 from .treesearch import (
     DEFAULT_TREE_CAP,
     covering_tree_with_branch_budget,
@@ -101,35 +101,28 @@ SHARPNESS_NOTE = (
 
 
 class GraphContext:
-    """Per-graph caches shared across subsets, budgets and claims.
+    """Per-graph caches of the tree searches and constructions, shared across
+    subsets, budgets and claims.
 
     Everything cached here is a pure function of the graph, so contexts can be
-    used by one worker without coordination. alpha and kappa are computed once
-    per subset, and each pair's flow at most once per graph; construct hands
-    them on and resumes from the construction for k - 1.
+    used by one worker without coordination. alpha and kappa delegate to the
+    graph's own memo (invariants.subset_alpha and subset_kappa), which the
+    construction reads too; construct resumes from the construction for k - 1.
     """
 
     def __init__(self, graph: Graph, cap: int = DEFAULT_TREE_CAP) -> None:
         self.graph = graph
         self.cap = cap
         self.graph_id = emit_graph6(graph)
-        self._alpha: dict[int, int] = {}
-        self._kappa: dict[int, ConnectivityValue] = {}
-        self._pair: dict[tuple[int, int], int] = {}
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
         self._construct: dict[tuple[int, int], ConstructionOutcome] = {}
 
     def alpha(self, smask: int) -> int:
-        if smask not in self._alpha:
-            self._alpha[smask] = alpha_mask(self.graph, smask)[0]
-        return self._alpha[smask]
+        return subset_alpha(self.graph, smask)
 
     def kappa(self, smask: int) -> ConnectivityValue:
-        if smask not in self._kappa:
-            subset = VertexSet(self.graph.n, smask)
-            self._kappa[smask] = set_connectivity_pair(self.graph, subset, self._pair)[0]
-        return self._kappa[smask]
+        return subset_kappa(self.graph, smask)[0]
 
     def cover_tree(self, smask: int, k: int) -> Tree | None:
         return self._budgeted(self._cover, find_k_ended_covering_tree, smask, k)
@@ -151,10 +144,9 @@ class GraphContext:
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
         if key not in self._construct:
-            alpha_kappa = (self.alpha(smask), self.kappa(smask)) if smask.bit_count() >= 2 else None
             self._construct[key] = construct_k_ended_tree(
                 self.graph, VertexSet(self.graph.n, smask), k, cap=self.cap,
-                start=self._construct.get((smask, k - 1)), alpha_kappa=alpha_kappa)
+                start=self._construct.get((smask, k - 1)))
         return self._construct[key]
 
 
@@ -332,9 +324,8 @@ def verify_sharpness(m: int, k: int, cap: int = DEFAULT_TREE_CAP) -> SharpnessVe
         raise CapExceededError(f"cell (m={m}, k={k}) needs n={n}, above the cap {cap}")
     graph, subset = make_family(GraphFamilySpec("complete-bipartite", (m, k)))
     assert subset is not None
-    ctx = GraphContext(graph, cap)
-    alpha = ctx.alpha(subset.mask)
-    kappa = ctx.kappa(subset.mask)
+    alpha = subset_alpha(graph, subset.mask)
+    kappa = set_connectivity(graph, subset)
     assert not kappa.is_infinite
     min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset, cap=cap)
     min_branch, branch_tree = min_branch_covering_tree(graph, subset, cap=cap)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 import kended.cli as cli
+from kended import invariants
+from kended.errors import InternalInvariantError
 from kended.families import GraphFamilySpec, make_family
 from kended.formats import emit_edge_list, emit_graph6
 from kended.report import REPORT_SCHEMA
@@ -58,6 +60,36 @@ def test_analyze_graph_file_edgelist(tmp_path, capsys):
     )
     assert code == 0
     assert report_of(out)["results"]["alpha"] == 2
+
+
+def test_analyze_runs_each_pair_flow_once_across_s_and_v(capsys, monkeypatch):
+    # C6 with S = {0, 3}: V's loop reaches (0, 3) again, below its running minimum
+    original = invariants.local_connectivity
+    flows = []
+
+    def counted(graph, x, y):
+        flows.append((x, y))
+        return original(graph, x, y)
+
+    monkeypatch.setattr(invariants, "local_connectivity", counted)
+    code, out, _ = run_cli(capsys, "analyze", "--family", "cycle 6", "--set", "0,3", "--no-timing")
+    assert code == 0
+    res = report_of(out)["results"]
+    assert res["kappa"] == res["graph_connectivity"] == 2
+    assert flows[0] == (0, 3)
+    assert len(flows) == len(set(flows))
+
+
+def test_internal_error_exits_one_with_reproduction_data(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("boom")
+
+    monkeypatch.setattr(cli, "construct_k_ended_tree", broken)
+    graph, _ = make_family(GraphFamilySpec("cycle", (5,)))
+    code, out, err = run_cli(capsys, "construct", "--family", "cycle 5", "--set", "0,2", "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert err == f"kended: internal error: boom (graph6={emit_graph6(graph)}, S=[0, 2], k=3)\n"
 
 
 def test_construct_petersen_hamiltonian_trace(capsys):

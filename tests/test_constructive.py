@@ -266,29 +266,14 @@ def test_construct_trace_replays_to_tree():
     assert tree == outcome.tree
 
 
-def test_construct_with_caller_alpha_kappa_matches_computed():
-    rng = random.Random(4242)
-    for _ in range(80):
-        n = rng.randint(2, 8)
-        graph = random_connected_graph(rng, n, 0.4)
-        subset = VertexSet(n, rng.randrange(1, 1 << n))
-        alpha_kappa = (alpha_mask(graph, subset.mask)[0], set_connectivity(graph, subset))
-        assert base_path(graph, subset, alpha_kappa=alpha_kappa) == base_path(graph, subset)
-        for k in (2, 3, 4):
-            given = construct_k_ended_tree(graph, subset, k, alpha_kappa=alpha_kappa)
-            assert given == construct_k_ended_tree(graph, subset, k)
-
-
 def assert_resumes_match_fresh(graph, subset, ks):
     """Each k resumed from the fresh k - 1 and from the fresh smallest k equals a fresh run
     in kind, tree, residual_alpha, bound and trace (the outcome's fields); returns the
     number of attachments made at the largest k."""
-    alpha_kappa = alpha_mask(graph, subset.mask)[0], set_connectivity(graph, subset)
-    fresh = {k: construct_k_ended_tree(graph, subset, k, alpha_kappa=alpha_kappa) for k in ks}
+    fresh = {k: construct_k_ended_tree(graph, subset, k) for k in ks}
     for k in ks[1:]:
         for previous in {k - 1, ks[0]}:
-            resumed = construct_k_ended_tree(graph, subset, k, start=fresh[previous],
-                                             alpha_kappa=alpha_kappa)
+            resumed = construct_k_ended_tree(graph, subset, k, start=fresh[previous])
             assert resumed == fresh[k]
     return len(fresh[ks[-1]].trace) - 1
 

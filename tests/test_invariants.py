@@ -242,14 +242,14 @@ def brute_force_set_connectivity(values, smask):
     return best, next(pair for pair in pairs if values[pair] == best)
 
 
-def check_against_brute_force(graph, smask, values, table):
-    value, pair = set_connectivity_pair(graph, VertexSet(graph.n, smask), table)
+def check_against_brute_force(graph, smask, values):
+    value, pair = set_connectivity_pair(graph, VertexSet(graph.n, smask))
     expected = brute_force_set_connectivity(values, smask)
     if expected is None:
         assert value.is_infinite and pair is None
     else:
         assert (value, pair) == expected
-    assert all(values[key] == flow for key, flow in table.items())    # exact flows only
+    assert all(values[key] == flow for key, flow in graph._flows.items())    # exact flows only
 
 
 def test_set_connectivity_pair_matches_brute_force_every_labelled_graph_n_le_5():
@@ -259,10 +259,9 @@ def test_set_connectivity_pair_matches_brute_force_every_labelled_graph_n_le_5()
         for bits in range(1 << len(all_pairs)):
             graph = Graph.from_edges(n, [p for i, p in enumerate(all_pairs) if (bits >> i) & 1])
             values = {(x, y): local_connectivity(graph, x, y) for x, y in all_pairs}
-            shared = {}
             for smask in range(1 << n):
-                check_against_brute_force(graph, smask, values, {})
-                check_against_brute_force(graph, smask, values, shared)
+                check_against_brute_force(Graph(n, graph.rows), smask, values)    # a fresh store
+                check_against_brute_force(graph, smask, values)    # one store across subsets
 
 
 def counted_flows(monkeypatch):
@@ -288,12 +287,11 @@ def test_set_connectivity_pair_shares_one_table_on_random_graphs(monkeypatch):
             values = {(x, y): local_connectivity(graph, x, y) for x, y in combinations(range(n), 2)}
             masks = list(range(1 << n))
             rng.shuffle(masks)
-            shared = {}
             flows.clear()
             for smask in masks[:60] + [(1 << n) - 1]:
-                check_against_brute_force(graph, smask, values, shared)
-            assert len(flows) == len(set(flows)) == len(shared)
-            skipped += len(values) - len(shared)    # S = V reaches every pair
+                check_against_brute_force(graph, smask, values)
+            assert len(flows) == len(set(flows)) == len(graph._flows)
+            skipped += len(values) - len(graph._flows)    # S = V reaches every pair
     assert skipped > 0
 
 
@@ -302,11 +300,10 @@ def test_set_connectivity_pair_skips_flows_that_cannot_lower_the_minimum(monkeyp
     # neighbour can go lower; a flow for every pair would be 15
     flows = counted_flows(monkeypatch)
     p6 = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
-    pairs = {}
-    value, pair = set_connectivity_pair(p6, VertexSet.full(6), pairs)
+    value, pair = set_connectivity_pair(p6, VertexSet.full(6))
     assert (value, pair) == (1, (0, 1))
     assert flows == [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]
-    assert sorted(pairs) == sorted(flows)
+    assert sorted(p6._flows) == sorted(flows)
 
 
 def test_set_connectivity_full_equals_classical():

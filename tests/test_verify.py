@@ -339,6 +339,25 @@ def test_all_subsets_sweep_runs_each_pair_flow_once(monkeypatch):
     assert len({frozenset(pair) for pair in calls}) == len(calls)
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 2), (0, 3), (0, 4)],    # the star K_{1,4}
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)],    # C5 plus chords (0, 2), (1, 3)
+])
+def test_all_subsets_sweep_runs_alpha_once_per_mask(monkeypatch, edges):
+    original = invariants.alpha_mask
+    masks = []
+
+    def counted(graph, smask):
+        masks.append(smask)
+        return original(graph, smask)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    graph = Graph.from_edges(5, edges)
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    assert len(verdicts) == 31 * 3 * 3 + 1
+    assert len(masks) == len(set(masks)) <= 32
+
+
 def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
     import kended.verify as V
 
