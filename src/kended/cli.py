@@ -5,11 +5,15 @@ error, 2 usage or parse errors. An internal error (a proved property failed,
 which means a bug here) is reported on stderr with the graph6, S and, for
 construct, k that reproduce it. Reports are JSON on stdout or a file; pass
 --no-timing for byte-stable output across runs.
+
+main(argv) is reentrant and builds its argument parser once per process; each
+call parses into a fresh namespace and looks up its cmd_* handler by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -35,6 +39,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kended",
@@ -63,26 +68,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timing", action="store_true", help="null out durations for byte-stable output")
     common.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP, help="desk-scale vertex cap for searches")
 
-    p_analyze = sub.add_parser("analyze", parents=[graph_in, common],
-                               help="alpha, kappa and the budget threshold for one instance")
-    p_analyze.set_defaults(func=cmd_analyze)
+    sub.add_parser("analyze", parents=[graph_in, common],
+                   help="alpha, kappa and the budget threshold for one instance")
 
     p_construct = sub.add_parser("construct", parents=[graph_in, common],
                                  help="run the augmentation construction for a leaf budget k")
     p_construct.add_argument("--k", type=int, required=True, help="leaf budget (>= 2)")
-    p_construct.set_defaults(func=cmd_construct)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification sweep from a plan file")
     p_verify.add_argument("--plan", metavar="FILE", help="plan file (default: exhaustive n <= 5)")
     p_verify.add_argument("--seed", type=int, default=None, help="override the plan seed")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sharp = sub.add_parser("sharpness", parents=[common],
                              help="exact invariants of the complete-bipartite grid")
     p_sharp.add_argument("--m-range", default="1..3", metavar="A..B")
     p_sharp.add_argument("--k-range", default="1..3", metavar="A..B")
-    p_sharp.set_defaults(func=cmd_sharpness)
 
     return parser
 
@@ -262,10 +263,9 @@ def cmd_sharpness(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (FormatError, PlanError, ValueError, CapExceededError, FileNotFoundError) as exc:
         print(f"kended: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

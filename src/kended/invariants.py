@@ -13,7 +13,9 @@ every caller on a graph (sweep, construction, CLI) shares one store. A
 pair's flow is at least [xy is an edge] + |N(x) & N(y)|, the paths it routes
 first, and only a smaller value replaces the running minimum, so a pair
 whose bound reaches it is skipped, stores nothing, and cannot change the
-value or the first pair.
+value or the first pair. With S = s_0 < s_1 < ..., the first minimizing pair
+starts at or before s_kappa (Even's stopping rule, 1975), so the loop ends
+once its first vertex reaches s_best for the running minimum best.
 """
 
 from __future__ import annotations
@@ -240,7 +242,12 @@ def local_connectivity(graph: Graph, x: int, y: int) -> int:
             levels.append(frontier)
         b = y
         for level in reversed(levels[:-1]):
-            a = next(u for u in iter_bits(level) if (res[u] >> b) & 1)
+            # the lowest-index node of this level with capacity left into b
+            m = level
+            a = (m & -m).bit_length() - 1
+            while not (res[a] >> b) & 1:
+                m &= m - 1
+                a = (m & -m).bit_length() - 1
             res[a] ^= 1 << b
             res[b] |= 1 << a
             b = a
@@ -256,15 +263,32 @@ def subset_kappa(graph: Graph, smask: int) -> tuple[ConnectivityValue, tuple[int
     different components. Each pair's flow runs at most once per graph; a
     pair whose lower bound already reaches the running minimum runs no flow
     and is not stored.
+
+    Even's stopping rule (SIAM J. Comput. 4, 1975): with S = s_0 < s_1 < ...
+    and running minimum best, the loop ends once x reaches s_best (at once
+    for best = 0). It is exact. Let kappa_G(S) = c, reached by the pair
+    (u, v). There is a set X of c vertices such that every vertex of S
+    outside X is in a pair of value c. If uv is no edge, X is a minimum u-v
+    separator, and a vertex z of S outside X is cut off from u or from v, so
+    one of its pairs has value at most, hence exactly, c. If uv is an edge,
+    X is a u-v separator of G - uv (size c - 1) plus v, and z other than u is
+    cut off from u by X or from v by X - v + u. Among s_0, ..., s_c one
+    vertex lies outside X, so the first minimizing pair starts at or before
+    s_c. While best > c, s_c comes before s_best, so the loop reaches that
+    pair, and from then on best = c and the pair is found.
     """
     found = graph._kappa.get(smask)
     if found is not None:
         return found
     flows = graph._flows
     rows = graph.rows
+    members = list(iter_bits(smask))
     best: int | None = None
     best_pair: tuple[int, int] | None = None
-    for x, y in combinations(iter_bits(smask), 2):
+    stop = graph.n  # no cut-off until a minimum is known
+    for x, y in combinations(members, 2):
+        if x >= stop:
+            break
         value = flows.get((x, y))
         if value is None:
             # the direct edge and the common neighbours are disjoint paths
@@ -273,8 +297,8 @@ def subset_kappa(graph: Graph, smask: int) -> tuple[ConnectivityValue, tuple[int
             value = flows[(x, y)] = local_connectivity(graph, x, y)
         if best is None or value < best:
             best, best_pair = value, (x, y)
-            if best == 0:
-                break
+            if best < len(members):
+                stop = members[best]
     kappa = ConnectivityValue.INFINITE if best is None else ConnectivityValue(best)
     found = graph._kappa[smask] = kappa, best_pair
     return found

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -8,6 +9,9 @@ from kended.errors import InternalInvariantError
 from kended.families import GraphFamilySpec, make_family
 from kended.formats import emit_edge_list, emit_graph6
 from kended.report import REPORT_SCHEMA
+
+
+PETERSEN_K2 = ("construct", "--family", "petersen", "--k", "2", "--no-timing")
 
 
 def run_cli(capsys, *argv):
@@ -200,12 +204,12 @@ def test_sharpness_skips_cells_above_cap(capsys):
 
 
 def test_byte_stable_reports_without_timing(capsys, tmp_path):
-    args = ("analyze", "--family", "kmm 2 2", "--set", "B", "--no-timing")
-    _, first, _ = run_cli(capsys, *args)
-    _, second, _ = run_cli(capsys, *args)
-    assert first == second
-    doc = json.loads(first)
-    assert doc["timing"] is None
+    # the same argv twice in one process: same exit code and bytes
+    for args in (("analyze", "--family", "kmm 2 2", "--set", "B", "--no-timing"), PETERSEN_K2):
+        first = run_cli(capsys, *args)
+        assert run_cli(capsys, *args) == first
+        assert first[0] == 0 and first[2] == ""
+        assert json.loads(first[1])["timing"] is None
 
     plan = tmp_path / "p.plan"
     plan.write_text("mode = random\nn = 5\np = 0.5\ncount = 10\nseed = 3\ns_policy = s=v\n")
@@ -221,3 +225,44 @@ def test_seed_override_changes_random_plan(tmp_path, capsys):
     _, reseeded, _ = run_cli(capsys, "verify", "--plan", str(plan), "--seed", "4", "--no-timing")
     assert json.loads(base)["inputs"]["plan"]["seed"] == 3
     assert json.loads(reseeded)["inputs"]["plan"]["seed"] == 4
+
+
+# main(argv) is reentrant: one parser per process, fresh state per request
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    # the parser is the main one, 2 parents and 4 subparsers; rebuilding it
+    # per call would make 21 for three calls
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for argv in (("analyze", "--family", "cycle 5", "--no-timing"), PETERSEN_K2,
+                 ("analyze", "--family", "kmm 2 1", "--set", "B", "--no-timing")):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert len(built) <= 7
+
+
+def test_usage_error_leaves_the_next_request_intact(capsys):
+    expected = run_cli(capsys, *PETERSEN_K2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--family", "petersen", "--no-timing"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    assert run_cli(capsys, *PETERSEN_K2) == expected
+
+
+def test_main_runs_a_handler_rebound_after_the_first_call(capsys, monkeypatch):
+    argv = ("analyze", "--family", "cycle 5", "--no-timing")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.family) or 0)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert seen == ["cycle 5"]

@@ -297,12 +297,13 @@ def test_set_connectivity_pair_shares_one_table_on_random_graphs(monkeypatch):
 
 def test_set_connectivity_pair_skips_flows_that_cannot_lower_the_minimum(monkeypatch):
     # P6: after kappa(0, 1) = 1 only the pairs with no edge and no common
-    # neighbour can go lower; a flow for every pair would be 15
+    # neighbour can go lower, and the stopping rule ends the loop at x = s_1;
+    # a flow for every pair would be 15
     flows = counted_flows(monkeypatch)
     p6 = Graph.from_edges(6, [(v, v + 1) for v in range(5)])
     value, pair = set_connectivity_pair(p6, VertexSet.full(6))
     assert (value, pair) == (1, (0, 1))
-    assert flows == [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 5)]
+    assert flows == [(0, 1), (0, 3), (0, 4), (0, 5)]
     assert sorted(p6._flows) == sorted(flows)
 
 
