@@ -7,7 +7,8 @@ construct, k that reproduce it. Reports are JSON on stdout or a file; pass
 --no-timing for byte-stable output across runs.
 
 main(argv) is reentrant and builds its argument parser once per process; each
-call parses into a fresh namespace and looks up its cmd_* handler by name.
+call parses into a fresh namespace and looks up its cmd_* handler by name. It
+returns the exit code, also for --help and for argparse's usage errors.
 """
 
 from __future__ import annotations
@@ -263,7 +264,10 @@ def cmd_sharpness(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse printed the help (0) or a usage error (2)
+        return exc.code
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (FormatError, PlanError, ValueError, CapExceededError, FileNotFoundError) as exc:

@@ -11,6 +11,8 @@ residual is at most alpha - kappa - k + 1. Nothing before the loop's
 stop depends on k, so a run can resume from the outcome for a smaller k.
 alpha, kappa and every residual alpha come from the graph's own memo
 (invariants.subset_alpha and subset_kappa), shared with every other caller.
+The base path reads its vertex sets from the graph's path planes
+(`Graph.path_planes`), in which bit m of an int stands for the mask m.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
 
     The longest such path, first in lexicographic order among paths read with
     first < last vertex. Qualifying depends only on the vertex set, so the
-    sets come from the graph's Held-Karp endpoint table, longest first, and
-    the path is listed only at the first length with a qualifying set: a
-    prefix with set P ending at v grows only if a qualifying m is P or has a
-    path on m - P with an end adjacent to v. One path always qualifies for a
-    connected graph and nonempty S, so exhaustion is an internal invariant
-    failure.
+    sets come from the spans plane of the graph's Held-Karp path planes,
+    longest first, and the path is listed only at the first length with a
+    qualifying set: a prefix with set P ending at v grows only if a
+    qualifying m is P or the beside plane of v holds m - P (some path on
+    m - P ends next to v). One path always qualifies for a connected graph
+    and nonempty S, so exhaustion is an internal invariant failure.
     """
     smask = graph.subset_mask(subset)
     _check_cap(graph, cap)
@@ -78,7 +80,7 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
-    table = graph.path_endpoints()
+    _, spans, beside = graph.path_planes()
     rows = graph.rows
 
     def qualifies(m: int) -> bool:
@@ -94,14 +96,14 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
             cand ^= low
             u = low.bit_length() - 1
             grown = visited | low
-            if any(m & grown == grown and (m == grown or table[m ^ grown] & rows[u]) for m in goals):
+            if any(m & grown == grown and (m == grown or beside[u] >> (m ^ grown) & 1) for m in goals):
                 found = first_path(prefix + [u], grown, goals)
                 if found is not None:
                     return found
         return None
 
     for length in range(graph.n, 0, -1):
-        goals = [m for m in _masks_by_size(graph.n)[length] if table[m] and qualifies(m)]
+        goals = [m for m in _masks_by_size(graph.n)[length] if spans >> m & 1 and qualifies(m)]
         seq = first_path([], 0, goals)
         if seq is not None:
             return Path(tuple(seq)), BASE_COVERS if smask & ~mask_of(seq) == 0 else BASE_RESIDUAL

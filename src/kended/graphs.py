@@ -3,14 +3,21 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 All four types are immutable after construction and safe to share across
-concurrent workers; a graph's connectivity flag, its path-endpoint and
-minimum-leaf tables and its subset invariant memos (alpha by mask, pair
-flows, kappa by mask; read and written only by `invariants`) are filled
-lazily, but each is a pure function of the adjacency rows.
+concurrent workers; a graph's connectivity flag, its path and minimum-leaf
+tables and its subset invariant memos (alpha by mask, pair flows, kappa by
+mask; read and written only by `invariants`) are filled lazily, but each is
+a pure function of the adjacency rows.
+
+Both tables are bit planes, ints in which bit m stands for the vertex mask m,
+so one int operation acts on all 2**n masks: a plane per path end, grown one
+path length per round by shifts, and a plane per leaf count, grown from the
+path sets by attaching pendant paths with the same step.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,78 +37,83 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _path_endpoint_table(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Held-Karp subset DP: entry m is the mask of the vertices at which some
-    path with vertex set exactly m ends (Held & Karp 1962).
-
-    Masks are processed in ascending order, so each entry is complete before
-    it is extended; `reach[m]` is the union of the neighbourhoods of m.
-    """
-    size = 1 << len(rows)
-    table = [0] * size
-    reach = [0] * size
-    for v in range(len(rows)):
-        table[1 << v] = 1 << v
-    for mask in range(1, size):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
-        ends = table[mask]
-        if not ends:
-            continue
-        grow = reach[ends] & ~mask
-        while grow:
-            low = grow & -grow
-            grow ^= low
-            table[mask | low] |= low
-    return tuple(table)
+@functools.lru_cache(maxsize=None)
+def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(without, within) over the 2**n masks on n vertices: bit m of without[v]
+    is set iff m lacks v, and within[v] is its complement."""
+    every = (1 << (1 << n)) - 1
+    # without[v] repeats 2**v ones then 2**v zeros; the quotient puts a one at
+    # the start of each period of 2**(v + 1) bits
+    without = tuple(((1 << (1 << v)) - 1) * (every // ((1 << (2 << v)) - 1)) for v in range(n))
+    return without, tuple(every ^ plane for plane in without)
 
 
-def _min_leaf_table(rows: tuple[int, ...], ends: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry S is the least leaf count of a tree covering S: 0 for one vertex, n + 1 for none.
+def _path_planes(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The Held-Karp endpoint table (Held & Karp 1962) as the bit planes
+    (ends, spans, beside) described at `Graph.path_planes`.
 
-    exact[m], the least leaf count of a tree on exactly m, is 0 for one vertex,
-    2 for a path set, else the least exact[m ^ p] + 1 over path sets p that miss
-    the lowest vertex of m, leave two or more vertices and have an end adjacent
-    to m ^ p: a tree with 3 or more leaves has 3 disjoint pendant paths, two
-    miss that vertex, and cutting one removes exactly one leaf. Then one
-    superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007).
+    front[v] holds the masks of the paths on r vertices that end at v. A path
+    on r + 1 vertices ending at v is one of those ending at a neighbour of v,
+    on a mask without v, plus v: a shift of the plane by 2**v.
     """
     n = len(rows)
-    size = 1 << n
-    none = n + 1
-    exact = [none] * size
-    reach = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
-        if mask == low:
-            exact[mask] = 0
-            continue
-        if ends[mask]:
-            exact[mask] = 2
-            continue
-        seen = frontier = low
-        while frontier:
-            frontier = reach[frontier] & mask & ~seen
-            seen |= frontier
-        if seen != mask:    # a disconnected set spans no tree
-            continue
-        rest = mask ^ low
-        best = none
-        p = (rest - 1) & rest
-        while p:
-            if ends[p] & reach[mask ^ p] and exact[mask ^ p] < best - 1:
-                best = exact[mask ^ p] + 1
-                if best == 3:    # no tree on a set that is not a path set has fewer
-                    break
-            p = (p - 1) & rest
-        exact[mask] = best
-    for v in range(n):
-        bit = 1 << v
-        for mask in range(size):
-            if not mask & bit and exact[mask | bit] < exact[mask]:
-                exact[mask] = exact[mask | bit]
-    return tuple(exact)
+    without = _vertex_planes(n)[0]
+    nbrs = [list(iter_bits(row)) for row in rows]
+    front = [1 << (1 << v) for v in range(n)]
+    ends = front[:]
+    beside = [0] * n
+    while any(front):
+        grown = []
+        for v in range(n):
+            near = 0
+            for u in nbrs[v]:
+                near |= front[u]
+            beside[v] |= near
+            grown.append((near & without[v]) << (1 << v))
+            ends[v] |= grown[v]
+        front = grown
+    return tuple(ends), functools.reduce(operator.or_, ends, 0), tuple(beside)
+
+
+def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
+    """Plane j holds the masks that some tree with at most j leaves covers,
+    from j = 0 up to the least j whose plane holds every mask a tree covers.
+
+    `trees` holds the vertex sets of the trees with at most j leaves, the
+    path sets for j = 2. Cutting a pendant path off a tree with 3 or more
+    leaves removes one leaf, so the sets new at level j grow a pendant path
+    from each vertex with the shift step of `_path_planes`, front[v] holding
+    the masks whose path ends at v. A mask already in `trees` leaves the
+    front: it grows from its own level. Each plane is closed under removing
+    vertices, a superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto 2007).
+    """
+    n = len(rows)
+    without, within = _vertex_planes(n)
+    nbrs = [list(iter_bits(row)) for row in rows]
+
+    def closed(plane: int) -> int:
+        for v in range(n):
+            plane |= (plane & within[v]) >> (1 << v)
+        return plane
+
+    planes = [closed(sum(1 << (1 << v) for v in range(n)))] * 2 + [closed(spans)]
+    trees = fresh = spans
+    while fresh:
+        front = [fresh & plane for plane in within]
+        fresh, unseen = 0, ~trees
+        while any(front):
+            grown = []
+            for v in range(n):
+                near = 0
+                for u in nbrs[v]:
+                    near |= front[u]
+                grown.append((near & without[v]) << (1 << v) & unseen)
+                fresh |= grown[v]
+            front = grown
+        if fresh:
+            trees |= fresh
+            planes.append(planes[-1] | closed(fresh))
+    return tuple(planes)
 
 
 class Graph:
@@ -111,7 +123,7 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_connected", "_path_ends", "_min_leaves", "_alpha", "_flows", "_kappa")
+    __slots__ = ("n", "rows", "_connected", "_paths", "_min_leaves", "_alpha", "_flows", "_kappa")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -131,7 +143,7 @@ class Graph:
         self.n = n
         self.rows = rows
         self._connected: bool | None = None
-        self._path_ends: tuple[int, ...] | None = None
+        self._paths: tuple[tuple[int, ...], int, tuple[int, ...]] | None = None
         self._min_leaves: tuple[int, ...] | None = None
         self._alpha: dict[int, int] = {}
         self._flows: dict[tuple[int, int], int] = {}
@@ -190,22 +202,34 @@ class Graph:
             comp |= frontier
         return comp
 
-    def path_endpoints(self) -> tuple[int, ...]:
-        """The Held-Karp endpoint table of this graph, built on first use.
+    def path_planes(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        """The Held-Karp path table of this graph as bit planes, built on first use.
 
-        Entry m is the mask of the vertices at which some path with vertex set
-        exactly m ends. It has 2**n entries, so callers cap n first.
+        A plane is an int in which bit m stands for the vertex mask m. Returns
+        (ends, spans, beside): bit m of ends[v] is set iff some path with
+        vertex set exactly m ends at v; spans is the union of the ends planes,
+        the vertex sets of paths; beside[v] is the union of ends[u] over the
+        neighbours u of v, the masks of paths that end next to v. Each plane
+        has 2**n bits, so callers cap n first.
         """
-        if self._path_ends is None:
-            self._path_ends = _path_endpoint_table(self.rows)
-        return self._path_ends
+        if self._paths is None:
+            self._paths = _path_planes(self.rows)
+        return self._paths
 
-    def min_leaf_table(self) -> tuple[int, ...]:
-        """Entry S is the least leaf count of a tree covering S (n + 1 for none);
-        built on first use, with 2**n entries, so callers cap n first."""
+    def min_leaves(self, smask: int) -> int:
+        """The least leaf count of a tree covering smask (0 for one vertex),
+        or n + 1 where no tree covers it.
+
+        Reads the minimum-leaf planes, built on first use: plane j holds the
+        masks that some tree with at most j leaves covers, 2**n bits each, so
+        callers cap n first.
+        """
         if self._min_leaves is None:
-            self._min_leaves = _min_leaf_table(self.rows, self.path_endpoints())
-        return self._min_leaves
+            self._min_leaves = _min_leaf_planes(self.rows, self.path_planes()[1])
+        for j, plane in enumerate(self._min_leaves):
+            if plane >> smask & 1:
+                return j
+        return self.n + 1
 
     def subset_mask(self, subset: "VertexSet") -> int:
         """The mask of a subset, after checking that it indexes this graph's vertices."""

@@ -11,11 +11,12 @@ restrict acceptance to such trees without losing completeness.
 
 The two existence searches share one front end (trivial answers, the
 coverability check, the covering path). Covering paths read the graph's
-Held-Karp endpoint table (`Graph.path_endpoints`); hamiltonian_path_exists is
-an independent backtracking search, so the two routes are cross-checked. Leaf
-budgets read the graph's minimum-leaf table (`Graph.min_leaf_table`), which
-answers "no" without a search and is cross-checked by each growth search.
-Both tables are built once per graph and shared by every subset and budget.
+Held-Karp path planes (`Graph.path_planes`), testing bit m of a plane for the
+vertex mask m; hamiltonian_path_exists is an independent backtracking search,
+so the two routes are cross-checked. Leaf budgets read the graph's
+minimum-leaf planes (`Graph.min_leaves`), which answer "no" without a search
+and are cross-checked by each growth search. Both tables are built once per
+graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _check_cap(graph: Graph, cap: int) -> None:
 def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
     """A path whose vertex set covers smask, or None; deterministic first hit.
 
-    Reads the graph's endpoint table: the vertex set is the least superset of
+    Reads the graph's path planes: the vertex set is the least superset of
     smask that some path spans, the path ends at its lowest endpoint, and the
     predecessor of v in m is the lowest endpoint of m - {v} adjacent to v,
     which is the parent that the forward DP records first.
@@ -44,21 +45,25 @@ def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
     n = graph.n
     if n == 0:
         return None
-    table = graph.path_endpoints()
+    ends, spans, _ = graph.path_planes()
     full = (1 << n) - 1
     mask = smask
-    while not table[mask]:
+    while not spans >> mask & 1:
         if mask == full:
             return None
         mask = (mask + 1) | smask
     rows = graph.rows
-    ends = table[mask]
-    v = (ends & -ends).bit_length() - 1
+    v = 0
+    while not ends[v] >> mask & 1:
+        v += 1
     seq = [v]
     while mask != 1 << v:
         mask ^= 1 << v
-        prev = table[mask] & rows[v]
+        prev = rows[v]
         v = (prev & -prev).bit_length() - 1
+        while prev and not ends[v] >> mask & 1:
+            prev &= prev - 1
+            v = (prev & -prev).bit_length() - 1
         seq.append(v)
     seq.reverse()
     return seq
@@ -66,8 +71,8 @@ def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
 
 def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:
     """Edges of a tree containing r0 that covers smask with at most k leaves, all in S,
-    or None when the minimum-leaf table exceeds k; the search must find one otherwise."""
-    minimum = graph.min_leaf_table()[smask]
+    or None when the minimum-leaf planes give more than k; the search must find one otherwise."""
+    minimum = graph.min_leaves(smask)
     if minimum > k:
         return None
     n = graph.n
@@ -254,7 +259,7 @@ def minimum_leaf_covering_tree(
     smask = _coverable_subset_mask(graph, subset, cap)
     if smask & (smask - 1) == 0:
         return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
-    k = graph.min_leaf_table()[smask]
+    k = graph.min_leaves(smask)
     tree = find_k_ended_covering_tree(graph, subset, k, cap=cap)
     if tree is None or tree.leaf_count != k:
         raise InternalInvariantError(f"the minimum-leaf table gives {k} leaves but the budget-{k} search "

@@ -3,7 +3,9 @@
 Everything here is deliberately naive (full enumeration over subsets,
 permutations, edge combinations or simple paths) and shares no code path with
 the implementations it checks; the reference base path takes alpha and kappa
-from the library, since it checks only the path search.
+from the library, since it checks only the path search. The two per-mask
+tuple DPs, `_path_endpoint_table` and `_min_leaf_table`, are the library's
+former subset tables, kept verbatim as the reference for its bit planes.
 """
 
 from __future__ import annotations
@@ -164,6 +166,80 @@ def min_leaf_cover_by_enumeration(graph: Graph, smask: int) -> int | None:
 def min_branch_cover_by_enumeration(graph: Graph, smask: int) -> int | None:
     values = [branch for _, branch in covering_tree_stats(graph, smask)]
     return min(values) if values else None
+
+
+def _path_endpoint_table(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Held-Karp subset DP: entry m is the mask of the vertices at which some
+    path with vertex set exactly m ends (Held & Karp 1962).
+
+    Masks are processed in ascending order, so each entry is complete before
+    it is extended; `reach[m]` is the union of the neighbourhoods of m.
+    """
+    size = 1 << len(rows)
+    table = [0] * size
+    reach = [0] * size
+    for v in range(len(rows)):
+        table[1 << v] = 1 << v
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
+        ends = table[mask]
+        if not ends:
+            continue
+        grow = reach[ends] & ~mask
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            table[mask | low] |= low
+    return tuple(table)
+
+
+def _min_leaf_table(rows: tuple[int, ...], ends: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry S is the least leaf count of a tree covering S: 0 for one vertex, n + 1 for none.
+
+    exact[m], the least leaf count of a tree on exactly m, is 0 for one vertex,
+    2 for a path set, else the least exact[m ^ p] + 1 over path sets p that miss
+    the lowest vertex of m, leave two or more vertices and have an end adjacent
+    to m ^ p: a tree with 3 or more leaves has 3 disjoint pendant paths, two
+    miss that vertex, and cutting one removes exactly one leaf. Then one
+    superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007).
+    """
+    n = len(rows)
+    size = 1 << n
+    none = n + 1
+    exact = [none] * size
+    reach = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
+        if mask == low:
+            exact[mask] = 0
+            continue
+        if ends[mask]:
+            exact[mask] = 2
+            continue
+        seen = frontier = low
+        while frontier:
+            frontier = reach[frontier] & mask & ~seen
+            seen |= frontier
+        if seen != mask:    # a disconnected set spans no tree
+            continue
+        rest = mask ^ low
+        best = none
+        p = (rest - 1) & rest
+        while p:
+            if ends[p] & reach[mask ^ p] and exact[mask ^ p] < best - 1:
+                best = exact[mask ^ p] + 1
+                if best == 3:    # no tree on a set that is not a path set has fewer
+                    break
+            p = (p - 1) & rest
+        exact[mask] = best
+    for v in range(n):
+        bit = 1 << v
+        for mask in range(size):
+            if not mask & bit and exact[mask | bit] < exact[mask]:
+                exact[mask] = exact[mask | bit]
+    return tuple(exact)
 
 
 def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:

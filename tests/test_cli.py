@@ -251,10 +251,11 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
 
 def test_usage_error_leaves_the_next_request_intact(capsys):
     expected = run_cli(capsys, *PETERSEN_K2)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["construct", "--family", "petersen", "--no-timing"])
-    assert exc.value.code == 2
+    assert cli.main(["construct", "--family", "petersen", "--no-timing"]) == 2
     assert "--k" in capsys.readouterr().err
+    assert run_cli(capsys, *PETERSEN_K2) == expected
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: kended")
     assert run_cli(capsys, *PETERSEN_K2) == expected
 
 

@@ -1,15 +1,19 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
+from kended.families import random_gnp
 from kended.graphs import Graph, Path, Tree, VertexSet
 from kended.invariants import independence_number, set_connectivity_pair
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_kended_cover
 
 from conftest import graphs, seeded_rng
-from oracles import random_spanning_tree
+from oracles import _min_leaf_table, _path_endpoint_table, random_spanning_tree
 
 
 def test_graph_construction_validates_symmetry():
@@ -61,6 +65,45 @@ def test_is_connected_is_computed_once_per_graph(monkeypatch):
     assert not g.is_connected()
     assert not g.is_connected()
     assert calls == [0]
+
+
+def assert_planes_match_tuple_tables(graph):
+    # every mask, the empty one included, against the per-mask Held-Karp and minimum-leaf DPs
+    n, rows = graph.n, graph.rows
+    table = _path_endpoint_table(rows)
+    leaves = _min_leaf_table(rows, table)
+    ends, spans, beside = graph.path_planes()
+    for m in range(1 << n):
+        assert sum(1 << v for v in range(n) if ends[v] >> m & 1) == table[m], (graph, m)
+        assert spans >> m & 1 == (table[m] != 0), (graph, m)
+        assert [beside[v] >> m & 1 for v in range(n)] == [table[m] & rows[v] != 0 for v in range(n)], (graph, m)
+        assert graph.min_leaves(m) == leaves[m], (graph, m)
+    assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends + beside)
+
+
+def test_planes_match_tuple_tables_on_every_labelled_graph_n_le_5():
+    count = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            assert_planes_match_tuple_tables(
+                Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1]))
+            count += 1
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_planes_match_tuple_tables_on_random_graphs():
+    rng = random.Random(1010)
+    drawn = [random_gnp(n, p, rng) for n in range(6, 11) for p in (0.3, 0.5, 0.8) for _ in range(3)]
+    for _ in range(6):
+        order = list(range(10))
+        rng.shuffle(order)    # parts 3 and 7 under shuffled labels
+        drawn.append(Graph.from_edges(10, [(order[a], order[b]) for a in range(3) for b in range(3, 10)
+                                           if rng.random() < 0.6]))
+    assert any(not graph.is_connected() for graph in drawn)
+    assert any(graph.is_connected() for graph in drawn[-6:])
+    for graph in drawn:
+        assert_planes_match_tuple_tables(graph)
 
 
 def test_vertex_set_semantics():

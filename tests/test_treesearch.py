@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
-from kended.graphs import Graph, VertexSet, _min_leaf_table
+from kended.graphs import Graph, VertexSet
 from kended.treesearch import (
     _covering_path_mask,
     covering_tree_with_branch_budget,
@@ -17,6 +17,8 @@ from kended.treesearch import (
 
 from conftest import graphs
 from oracles import (
+    _min_leaf_table,
+    _path_endpoint_table,
     covering_path_by_forward_dp,
     hamiltonian_path_by_permutations,
     min_branch_cover_by_enumeration,
@@ -208,8 +210,8 @@ def test_covering_path_matches_forward_dp_on_random_graphs():
 
 
 def assert_min_leaf_table_matches_enumeration(graph, smasks):
-    table = _min_leaf_table(graph.rows, graph.path_endpoints())
-    assert graph.min_leaf_table() == table
+    table = _min_leaf_table(graph.rows, _path_endpoint_table(graph.rows))
+    assert [graph.min_leaves(smask) for smask in range(1 << graph.n)] == list(table)
     for smask in smasks:
         expected = min_leaf_cover_by_enumeration(graph, smask)
         assert table[smask] == (graph.n + 1 if expected is None else expected), (graph, smask)

@@ -405,7 +405,7 @@ def test_off_by_one_local_connectivity_aborts_the_sweep(monkeypatch):
 
 
 def test_all_subsets_sweep_builds_the_path_table_once(monkeypatch):
-    original = graphs._path_endpoint_table
+    original = graphs._path_planes
     builds = []
 
     def counted(rows):
@@ -421,12 +421,12 @@ def test_all_subsets_sweep_builds_the_path_table_once(monkeypatch):
 
 def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
     # a table that loses the Hamiltonian entry disagrees with the independent search
-    original = graphs._path_endpoint_table
+    original = graphs._path_planes
 
     def without_full_entry(rows):
-        table = list(original(rows))
-        table[-1] = 0
-        return tuple(table)
+        ends, spans, beside = original(rows)
+        keep = ~(1 << (1 << len(rows)) - 1)    # every bit but that of the full mask
+        return tuple(p & keep for p in ends), spans & keep, tuple(p & keep for p in beside)
 
     rebind_everywhere(monkeypatch, original, without_full_entry)
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
@@ -437,12 +437,12 @@ def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
 
 
 def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatch):
-    original = graphs._min_leaf_table
+    original = graphs._min_leaf_planes
     builds = []
 
-    def counted(rows, ends):
+    def counted(rows, spans):
         builds.append(rows)
-        return original(rows, ends)
+        return original(rows, spans)
 
     rebind_everywhere(monkeypatch, original, counted)
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -453,9 +453,10 @@ def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatc
     assert builds == [star.rows]
 
 
+# each fault moves every minimum by one leaf count, by shifting the planes
 TABLE_FAULTS = {
-    "one-too-high": lambda v: v + 1,
-    "one-too-low": lambda v: max(v - 1, 2) if v >= 2 else v,    # floored at 2
+    "one-too-high": lambda planes: (0,) + planes,
+    "one-too-low": lambda planes: planes[:2] + planes[3:] + planes[-1:],    # floored at 2
 }
 
 REPRODUCTION = re.compile(r"claim '([a-z-]+)' on graph (\S+) with S=\[([0-9, ]*)\], k=(\d+)\)?$")
@@ -463,10 +464,9 @@ REPRODUCTION = re.compile(r"claim '([a-z-]+)' on graph (\S+) with S=\[([0-9, ]*)
 
 @pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
 def test_faulty_min_leaf_table_aborts_the_sweep(monkeypatch, fault):
-    original = graphs._min_leaf_table
+    original = graphs._min_leaf_planes
     shift = TABLE_FAULTS[fault]
-    rebind_everywhere(monkeypatch, original,
-                      lambda rows, ends: tuple(shift(v) for v in original(rows, ends)))
+    rebind_everywhere(monkeypatch, original, lambda rows, spans: shift(original(rows, spans)))
     with pytest.raises((InternalInvariantError, CounterexampleError)) as err:
         run_sweep(SweepPlan(mode="exhaustive", n=5))
     match = REPRODUCTION.search(str(err.value))
