@@ -12,7 +12,8 @@ stop depends on k, so a run can resume from the outcome for a smaller k.
 alpha, kappa and every residual alpha come from the graph's own memo
 (invariants.subset_alpha and subset_kappa), shared with every other caller.
 The base path reads its vertex sets from the graph's path planes
-(`Graph.path_planes`), in which bit m of an int stands for the mask m.
+(`Graph.path_planes`), in which bit m of an int stands for the mask m, and
+the path itself from their greedy walk, `Graph.first_path`.
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
 def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> tuple[Path, str]:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
-    The longest such path, first in lexicographic order among paths read with
-    first < last vertex. Qualifying depends only on the vertex set, so the
-    sets come from the spans plane of the graph's Held-Karp path planes,
-    longest first, and the path is listed only at the first length with a
-    qualifying set: a prefix with set P ending at v grows only if a
-    qualifying m is P or the beside plane of v holds m - P (some path on
-    m - P ends next to v). One path always qualifies for a connected graph
-    and nonempty S, so exhaustion is an internal invariant failure.
+    The longest such path, first in lexicographic order. Qualifying depends
+    only on the vertex set, so the sets come from the spans plane of the
+    graph's Held-Karp path planes, longest first, and the qualifying sets of
+    the first length that has one form the goal plane of `Graph.first_path`.
+    The reverse of a path is a path on the same set, so the first path reads
+    with first < last vertex. One path always qualifies for a connected
+    graph and nonempty S, so exhaustion is an internal invariant failure.
     """
     smask = graph.subset_mask(subset)
     _check_cap(graph, cap)
@@ -80,32 +80,16 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
-    _, spans, beside = graph.path_planes()
-    rows = graph.rows
+    spans = graph.path_planes()[1]
 
     def qualifies(m: int) -> bool:
         remainder = smask & ~m
         return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
 
-    def first_path(prefix: list[int], visited: int, goals: list[int]) -> list[int] | None:
-        if visited in goals:
-            return prefix if len(prefix) == 1 or prefix[0] < prefix[-1] else None
-        cand = rows[prefix[-1]] & ~visited if prefix else graph.full_mask
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            u = low.bit_length() - 1
-            grown = visited | low
-            if any(m & grown == grown and (m == grown or beside[u] >> (m ^ grown) & 1) for m in goals):
-                found = first_path(prefix + [u], grown, goals)
-                if found is not None:
-                    return found
-        return None
-
     for length in range(graph.n, 0, -1):
-        goals = [m for m in _masks_by_size(graph.n)[length] if spans >> m & 1 and qualifies(m)]
-        seq = first_path([], 0, goals)
-        if seq is not None:
+        goals = sum(1 << m for m in _masks_by_size(graph.n)[length] if spans >> m & 1 and qualifies(m))
+        if goals:
+            seq = graph.first_path(goals)
             return Path(tuple(seq)), BASE_COVERS if smask & ~mask_of(seq) == 0 else BASE_RESIDUAL
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 

@@ -10,8 +10,9 @@ a pure function of the adjacency rows.
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end, grown one
-path length per round by shifts, and a plane per leaf count, grown from the
-path sets by attaching pendant paths with the same step.
+path length per round by a shift step, and a plane per leaf count, grown from
+the path sets by attaching pendant paths with the same step. `first_path`
+reads a path back from the end planes in one greedy walk.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .errors import InternalInvariantError
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -48,31 +51,33 @@ def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return without, tuple(every ^ plane for plane in without)
 
 
-def _path_planes(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The Held-Karp endpoint table (Held & Karp 1962) as the bit planes
-    (ends, spans, beside) described at `Graph.path_planes`.
+def _grow(front: list[int], nbrs: list[list[int]], without: tuple[int, ...]) -> list[int]:
+    """One shift step: front[v] holds the masks of paths that end at v, and
+    entry v of the result those one vertex longer. A path ending at v is one
+    ending at a neighbour of v, on a mask without v, plus v: a shift of the
+    plane by 2**v."""
+    grown = []
+    for v, near_v in enumerate(nbrs):
+        near = 0
+        for u in near_v:
+            near |= front[u]
+        grown.append((near & without[v]) << (1 << v))
+    return grown
 
-    front[v] holds the masks of the paths on r vertices that end at v. A path
-    on r + 1 vertices ending at v is one of those ending at a neighbour of v,
-    on a mask without v, plus v: a shift of the plane by 2**v.
-    """
+
+def _path_planes(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The Held-Karp endpoint table (Held & Karp 1962) as the bit planes
+    (ends, spans) described at `Graph.path_planes`, one `_grow` step per
+    path length."""
     n = len(rows)
     without = _vertex_planes(n)[0]
     nbrs = [list(iter_bits(row)) for row in rows]
     front = [1 << (1 << v) for v in range(n)]
-    ends = front[:]
-    beside = [0] * n
+    ends = front
     while any(front):
-        grown = []
-        for v in range(n):
-            near = 0
-            for u in nbrs[v]:
-                near |= front[u]
-            beside[v] |= near
-            grown.append((near & without[v]) << (1 << v))
-            ends[v] |= grown[v]
-        front = grown
-    return tuple(ends), functools.reduce(operator.or_, ends, 0), tuple(beside)
+        front = _grow(front, nbrs, without)
+        ends = [plane | new for plane, new in zip(ends, front)]
+    return tuple(ends), functools.reduce(operator.or_, ends, 0)
 
 
 def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
@@ -82,7 +87,7 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
     `trees` holds the vertex sets of the trees with at most j leaves, the
     path sets for j = 2. Cutting a pendant path off a tree with 3 or more
     leaves removes one leaf, so the sets new at level j grow a pendant path
-    from each vertex with the shift step of `_path_planes`, front[v] holding
+    from each vertex with the `_grow` step of `_path_planes`, front[v] holding
     the masks whose path ends at v. A mask already in `trees` leaves the
     front: it grows from its own level. Each plane is closed under removing
     vertices, a superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto 2007).
@@ -102,14 +107,9 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
         front = [fresh & plane for plane in within]
         fresh, unseen = 0, ~trees
         while any(front):
-            grown = []
-            for v in range(n):
-                near = 0
-                for u in nbrs[v]:
-                    near |= front[u]
-                grown.append((near & without[v]) << (1 << v) & unseen)
-                fresh |= grown[v]
-            front = grown
+            front = [plane & unseen for plane in _grow(front, nbrs, without)]
+            for plane in front:
+                fresh |= plane
         if fresh:
             trees |= fresh
             planes.append(planes[-1] | closed(fresh))
@@ -143,7 +143,7 @@ class Graph:
         self.n = n
         self.rows = rows
         self._connected: bool | None = None
-        self._paths: tuple[tuple[int, ...], int, tuple[int, ...]] | None = None
+        self._paths: tuple[tuple[int, ...], int] | None = None
         self._min_leaves: tuple[int, ...] | None = None
         self._alpha: dict[int, int] = {}
         self._flows: dict[tuple[int, int], int] = {}
@@ -202,19 +202,49 @@ class Graph:
             comp |= frontier
         return comp
 
-    def path_planes(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    def path_planes(self) -> tuple[tuple[int, ...], int]:
         """The Held-Karp path table of this graph as bit planes, built on first use.
 
         A plane is an int in which bit m stands for the vertex mask m. Returns
-        (ends, spans, beside): bit m of ends[v] is set iff some path with
-        vertex set exactly m ends at v; spans is the union of the ends planes,
-        the vertex sets of paths; beside[v] is the union of ends[u] over the
-        neighbours u of v, the masks of paths that end next to v. Each plane
-        has 2**n bits, so callers cap n first.
+        (ends, spans): bit m of ends[v] is set iff some path with vertex set
+        exactly m ends at v, and spans is the union of the ends planes, the
+        vertex sets of paths. Each plane has 2**n bits, so callers cap n first.
         """
         if self._paths is None:
             self._paths = _path_planes(self.rows)
         return self._paths
+
+    def first_path(self, goals: int) -> list[int]:
+        """The lexicographically first path whose vertex set is a mask in the
+        plane `goals`, every goal mask having the same size.
+
+        The walk never backtracks. With P the set visited so far, `rest` is
+        the plane of the remainders g - P of the goals g that P can still
+        reach. The walk takes the lowest candidate u (any vertex first, then
+        a neighbour of the last vertex) for which some remainder is the set
+        of a path that ends at u, `rest & ends[u]`, and keeps those
+        remainders, minus u: a shift by 2**u. A remainder never holds a
+        visited vertex, so visited neighbours fail the test by themselves.
+        Raises ValueError when no goal is a path set.
+        """
+        ends, spans = self.path_planes()
+        rest = goals & spans
+        if not rest:
+            raise ValueError("no goal mask is the vertex set of a path")
+        seq: list[int] = []
+        cand = self.full_mask
+        while not rest & 1:
+            kept = 0
+            while cand and not kept:
+                u = (cand & -cand).bit_length() - 1
+                kept = rest & ends[u]
+                cand &= cand - 1
+            if not kept:
+                raise InternalInvariantError("the path planes lost the path to a goal")
+            rest = kept >> (1 << u)
+            seq.append(u)
+            cand = self.rows[u]
+        return seq
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),

@@ -114,12 +114,7 @@ def sharpness_to_json(verdict: SharpnessVerdict) -> dict:
         "kappa": verdict.kappa,
         "min_leaves": verdict.min_leaves,
         "min_branch": verdict.min_branch,
-        "expected": {
-            "alpha": verdict.m + verdict.k,
-            "kappa": verdict.m,
-            "min_leaves": verdict.k + 1,
-            "min_branch": verdict.k - 1,
-        },
+        "expected": verdict.expected,
         "matches_expected": verdict.matches_expected,
     }
 

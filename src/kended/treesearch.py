@@ -12,11 +12,12 @@ restrict acceptance to such trees without losing completeness.
 The two existence searches share one front end (trivial answers, the
 coverability check, the covering path). Covering paths read the graph's
 Held-Karp path planes (`Graph.path_planes`), testing bit m of a plane for the
-vertex mask m; hamiltonian_path_exists is an independent backtracking search,
-so the two routes are cross-checked. Leaf budgets read the graph's
-minimum-leaf planes (`Graph.min_leaves`), which answer "no" without a search
-and are cross-checked by each growth search. Both tables are built once per
-graph and shared by every subset and budget.
+vertex mask m, and walk back the path with `Graph.first_path`;
+hamiltonian_path_exists is an independent backtracking search, so the two
+routes are cross-checked. Leaf budgets read the graph's minimum-leaf planes
+(`Graph.min_leaves`), which answer "no" without a search and are
+cross-checked by each growth search. Both tables are built once per graph and
+shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import CapExceededError, InternalInvariantError
-from .graphs import Graph, Path, Tree, VertexSet
+from .graphs import Graph, Path, Tree, VertexSet, _vertex_planes, iter_bits
 
 DEFAULT_TREE_CAP = 10
 
@@ -37,36 +38,18 @@ def _check_cap(graph: Graph, cap: int) -> None:
 def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
     """A path whose vertex set covers smask, or None; deterministic first hit.
 
-    Reads the graph's path planes: the vertex set is the least superset of
-    smask that some path spans, the path ends at its lowest endpoint, and the
-    predecessor of v in m is the lowest endpoint of m - {v} adjacent to v,
-    which is the parent that the forward DP records first.
+    The vertex set is the least superset of smask that some path spans: the
+    lowest bit of the spans plane ANDed with the within planes of smask. The
+    path is the reverse of the lexicographically first path on that set,
+    `Graph.first_path`, which is the path the forward DP records first.
     """
-    n = graph.n
-    if n == 0:
+    supersets = graph.path_planes()[1]
+    within = _vertex_planes(graph.n)[1]
+    for v in iter_bits(smask):
+        supersets &= within[v]
+    if not supersets:
         return None
-    ends, spans, _ = graph.path_planes()
-    full = (1 << n) - 1
-    mask = smask
-    while not spans >> mask & 1:
-        if mask == full:
-            return None
-        mask = (mask + 1) | smask
-    rows = graph.rows
-    v = 0
-    while not ends[v] >> mask & 1:
-        v += 1
-    seq = [v]
-    while mask != 1 << v:
-        mask ^= 1 << v
-        prev = rows[v]
-        v = (prev & -prev).bit_length() - 1
-        while prev and not ends[v] >> mask & 1:
-            prev &= prev - 1
-            v = (prev & -prev).bit_length() - 1
-        seq.append(v)
-    seq.reverse()
-    return seq
+    return graph.first_path(supersets & -supersets)[::-1]
 
 
 def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:

@@ -90,7 +90,15 @@ class SharpnessVerdict:
     kappa: int
     min_leaves: int
     min_branch: int
-    matches_expected: bool
+
+    @property
+    def expected(self) -> dict[str, int]:
+        """The values SHARPNESS_NOTE states for this cell, keyed by field name."""
+        return {"alpha": self.m + self.k, "kappa": self.m, "min_leaves": self.k + 1, "min_branch": self.k - 1}
+
+    @property
+    def matches_expected(self) -> bool:
+        return all(getattr(self, name) == value for name, value in self.expected.items())
 
 
 SHARPNESS_NOTE = (
@@ -331,13 +339,7 @@ def verify_sharpness(m: int, k: int, cap: int = DEFAULT_TREE_CAP) -> SharpnessVe
     min_branch, branch_tree = min_branch_covering_tree(graph, subset, cap=cap)
     leaf_tree.validate_in(graph)
     branch_tree.validate_in(graph)
-    matches = (
-        alpha == m + k
-        and kappa.finite == m
-        and min_leaves == k + 1
-        and min_branch == k - 1
-    )
-    return SharpnessVerdict(m, k, alpha, kappa.finite, min_leaves, min_branch, matches)
+    return SharpnessVerdict(m, k, alpha, kappa.finite, min_leaves, min_branch)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
+from kended.errors import InternalInvariantError
 from kended.families import random_gnp
-from kended.graphs import Graph, Path, Tree, VertexSet
+from kended.graphs import Graph, Path, Tree, VertexSet, mask_of
 from kended.invariants import independence_number, set_connectivity_pair
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_kended_cover
 
 from conftest import graphs, seeded_rng
-from oracles import _min_leaf_table, _path_endpoint_table, random_spanning_tree
+from oracles import (_min_leaf_table, _path_endpoint_table, _paths_with_length, random_connected_graph,
+                     random_spanning_tree)
 
 
 def test_graph_construction_validates_symmetry():
@@ -72,13 +74,12 @@ def assert_planes_match_tuple_tables(graph):
     n, rows = graph.n, graph.rows
     table = _path_endpoint_table(rows)
     leaves = _min_leaf_table(rows, table)
-    ends, spans, beside = graph.path_planes()
+    ends, spans = graph.path_planes()
     for m in range(1 << n):
         assert sum(1 << v for v in range(n) if ends[v] >> m & 1) == table[m], (graph, m)
         assert spans >> m & 1 == (table[m] != 0), (graph, m)
-        assert [beside[v] >> m & 1 for v in range(n)] == [table[m] & rows[v] != 0 for v in range(n)], (graph, m)
         assert graph.min_leaves(m) == leaves[m], (graph, m)
-    assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends + beside)
+    assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends)
 
 
 def test_planes_match_tuple_tables_on_every_labelled_graph_n_le_5():
@@ -104,6 +105,52 @@ def test_planes_match_tuple_tables_on_random_graphs():
     assert any(graph.is_connected() for graph in drawn[-6:])
     for graph in drawn:
         assert_planes_match_tuple_tables(graph)
+
+
+def assert_first_path_is_least_goal_path(graph, rng, draws):
+    # a random nonempty goal plane per draw from the span masks of each size, against enumeration
+    spans = graph.path_planes()[1]
+    for length in range(1, graph.n + 1):
+        sized = [m for m in range(1 << graph.n) if m.bit_count() == length and spans >> m & 1]
+        if not sized:
+            continue
+        paths = list(_paths_with_length(graph, length))
+        for _ in range(draws):
+            goals = sum(1 << m for m in rng.sample(sized, rng.randint(1, len(sized))))
+            expected = min(seq for seq in paths if goals >> mask_of(seq) & 1)
+            assert tuple(graph.first_path(goals)) == expected, (graph, length, goals)
+
+
+def test_first_path_matches_enumeration_on_every_labelled_graph_n_le_5():
+    rng = random.Random(1111)
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            graph = Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+            assert_first_path_is_least_goal_path(graph, rng, 2)
+
+
+def test_first_path_matches_enumeration_on_random_connected_graphs():
+    rng = random.Random(1112)
+    for n in range(6, 11):
+        for p in (0.3, 0.5):
+            assert_first_path_is_least_goal_path(random_connected_graph(rng, n, p), rng, 3)
+
+
+def test_first_path_rejects_a_plane_without_a_path_set():
+    graph = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        graph.first_path(0)
+    with pytest.raises(ValueError):
+        graph.first_path(1 << 0b101)    # {0, 2} spans no path
+
+
+def test_first_path_aborts_on_a_table_that_loses_a_path():
+    graph = Graph.from_edges(2, [(0, 1)])
+    ends, spans = graph.path_planes()
+    graph._paths = (ends[0], ends[1] & ~(1 << 0b10)), spans    # the path on {1} no longer ends at 1
+    with pytest.raises(InternalInvariantError):
+        graph.first_path(1 << 0b11)
 
 
 def test_vertex_set_semantics():
