@@ -11,14 +11,13 @@ residual is at most alpha - kappa - k + 1. Nothing before the loop's
 stop depends on k, so a run can resume from the outcome for a smaller k.
 alpha, kappa and every residual alpha come from the graph's own memo
 (invariants.subset_alpha and subset_kappa), shared with every other caller.
-The base path reads its vertex sets from the graph's path planes
-(`Graph.path_planes`), in which bit m of an int stands for the mask m, and
-the path itself from their greedy walk, `Graph.first_path`.
+The base path asks the graph for its path sets by size (`Graph.path_sets`)
+and walks the first path on the qualifying ones (`Graph.first_path`); only
+`graphs` reads the path planes behind them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
@@ -49,25 +48,16 @@ class ConstructionOutcome:
     trace: tuple[Path, ...]
 
 
-@functools.lru_cache(maxsize=None)
-def _masks_by_size(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry L lists the masks on n vertices with L bits, ascending."""
-    groups: list[list[int]] = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        groups[m.bit_count()].append(m)
-    return tuple(map(tuple, groups))
-
-
 def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> tuple[Path, str]:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
     The longest such path, first in lexicographic order. Qualifying depends
-    only on the vertex set, so the sets come from the spans plane of the
-    graph's Held-Karp path planes, longest first, and the qualifying sets of
-    the first length that has one form the goal plane of `Graph.first_path`.
-    The reverse of a path is a path on the same set, so the first path reads
-    with first < last vertex. One path always qualifies for a connected
-    graph and nonempty S, so exhaustion is an internal invariant failure.
+    only on the vertex set, so the path sets come from `Graph.path_sets`,
+    longest first, and `Graph.first_path` walks the qualifying sets of the
+    first length that has one. The reverse of a path is a path on the same
+    set, so the first path reads with first < last vertex. One path always
+    qualifies for a connected graph and nonempty S, so exhaustion is an
+    internal invariant failure.
     """
     smask = graph.subset_mask(subset)
     _check_cap(graph, cap)
@@ -80,14 +70,13 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
-    spans = graph.path_planes()[1]
 
     def qualifies(m: int) -> bool:
         remainder = smask & ~m
         return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
 
     for length in range(graph.n, 0, -1):
-        goals = sum(1 << m for m in _masks_by_size(graph.n)[length] if spans >> m & 1 and qualifies(m))
+        goals = [m for m in graph.path_sets(length) if qualifies(m)]
         if goals:
             seq = graph.first_path(goals)
             return Path(tuple(seq)), BASE_COVERS if smask & ~mask_of(seq) == 0 else BASE_RESIDUAL

@@ -9,10 +9,11 @@ mask; read and written only by `invariants`) are filled lazily, but each is
 a pure function of the adjacency rows.
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
-so one int operation acts on all 2**n masks: a plane per path end, grown one
-path length per round by a shift step, and a plane per leaf count, grown from
-the path sets by attaching pendant paths with the same step. `first_path`
-reads a path back from the end planes in one greedy walk.
+so one int operation acts on all 2**n masks: a plane per path end and one per
+leaf count, built with one shift step (`_grow`), the vertex and size planes
+(`_vertex_planes`) and the down-closure (`_down_closure`). Only this module
+reads a plane; callers ask by vertex mask: `path_sets`, `first_path`,
+`covering_path` and `min_leaves`.
 """
 
 from __future__ import annotations
@@ -41,14 +42,26 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(without, within) over the 2**n masks on n vertices: bit m of without[v]
-    is set iff m lacks v, and within[v] is its complement."""
+def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(without, within, sizes) over the 2**n masks on n vertices: bit m of
+    without[v] is set iff m lacks v, within[v] is its complement, and bit m of
+    sizes[j] is set iff m has j bits."""
     every = (1 << (1 << n)) - 1
     # without[v] repeats 2**v ones then 2**v zeros; the quotient puts a one at
     # the start of each period of 2**(v + 1) bits
     without = tuple(((1 << (1 << v)) - 1) * (every // ((1 << (2 << v)) - 1)) for v in range(n))
-    return without, tuple(every ^ plane for plane in without)
+    # the j-bit masks on v + 1 vertices: those on v, and the (j - 1)-bit ones plus v
+    sizes = [1]
+    for v in range(n):
+        sizes = [low | high << (1 << v) for low, high in zip(sizes + [0], [0] + sizes)]
+    return without, tuple(every ^ plane for plane in without), tuple(sizes)
+
+
+def _down_closure(plane: int, within: tuple[int, ...]) -> int:
+    """The plane closed under removing vertices: every submask of its masks."""
+    for v, inside in enumerate(within):
+        plane |= (plane & inside) >> (1 << v)
+    return plane
 
 
 def _grow(front: list[int], nbrs: list[list[int]], without: tuple[int, ...]) -> list[int]:
@@ -93,15 +106,9 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
     vertices, a superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto 2007).
     """
     n = len(rows)
-    without, within = _vertex_planes(n)
+    without, within = _vertex_planes(n)[:2]
     nbrs = [list(iter_bits(row)) for row in rows]
-
-    def closed(plane: int) -> int:
-        for v in range(n):
-            plane |= (plane & within[v]) >> (1 << v)
-        return plane
-
-    planes = [closed(sum(1 << (1 << v) for v in range(n)))] * 2 + [closed(spans)]
+    planes = [_down_closure(sum(1 << (1 << v) for v in range(n)), within)] * 2 + [_down_closure(spans, within)]
     trees = fresh = spans
     while fresh:
         front = [fresh & plane for plane in within]
@@ -112,7 +119,7 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
                 fresh |= plane
         if fresh:
             trees |= fresh
-            planes.append(planes[-1] | closed(fresh))
+            planes.append(planes[-1] | _down_closure(fresh, within))
     return tuple(planes)
 
 
@@ -214,9 +221,13 @@ class Graph:
             self._paths = _path_planes(self.rows)
         return self._paths
 
-    def first_path(self, goals: int) -> list[int]:
-        """The lexicographically first path whose vertex set is a mask in the
-        plane `goals`, every goal mask having the same size.
+    def path_sets(self, size: int) -> list[int]:
+        """The vertex sets of the paths on `size` vertices, ascending."""
+        return list(iter_bits(self.path_planes()[1] & _vertex_planes(self.n)[2][size]))
+
+    def first_path(self, goals: Iterable[int]) -> list[int]:
+        """The lexicographically first path whose vertex set is one of the
+        masks `goals`, all of the same size.
 
         The walk never backtracks. With P the set visited so far, `rest` is
         the plane of the remainders g - P of the goals g that P can still
@@ -228,9 +239,13 @@ class Graph:
         Raises ValueError when no goal is a path set.
         """
         ends, spans = self.path_planes()
-        rest = goals & spans
+        rest = mask_of(goals) & spans    # the goal plane: bit m for each goal mask m
         if not rest:
             raise ValueError("no goal mask is the vertex set of a path")
+        return self._walk(ends, rest)
+
+    def _walk(self, ends: tuple[int, ...], rest: int) -> list[int]:
+        """The `first_path` walk from a nonzero goal plane `rest`."""
         seq: list[int] = []
         cand = self.full_mask
         while not rest & 1:
@@ -245,6 +260,18 @@ class Graph:
             seq.append(u)
             cand = self.rows[u]
         return seq
+
+    def covering_path(self, smask: int) -> list[int] | None:
+        """The reversed `first_path` walk on the least path set containing
+        smask, the lowest bit of the spans plane ANDed with the within planes
+        of smask, or None if none does: the path the forward DP records first."""
+        ends, spans = self.path_planes()
+        within = _vertex_planes(self.n)[1]
+        for v in iter_bits(smask):
+            spans &= within[v]
+        if not spans:
+            return None
+        return self._walk(ends, spans & -spans)[::-1]
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),

@@ -10,14 +10,13 @@ whose every leaf lies in S without raising either budget, so the searches
 restrict acceptance to such trees without losing completeness.
 
 The two existence searches share one front end (trivial answers, the
-coverability check, the covering path). Covering paths read the graph's
-Held-Karp path planes (`Graph.path_planes`), testing bit m of a plane for the
-vertex mask m, and walk back the path with `Graph.first_path`;
-hamiltonian_path_exists is an independent backtracking search, so the two
-routes are cross-checked. Leaf budgets read the graph's minimum-leaf planes
-(`Graph.min_leaves`), which answer "no" without a search and are
-cross-checked by each growth search. Both tables are built once per graph and
-shared by every subset and budget.
+coverability check, the covering path). The covering path comes from the
+graph's Held-Karp path planes by vertex mask (`Graph.covering_path`; only
+`graphs` reads a plane); hamiltonian_path_exists is an independent
+backtracking search, so the two routes are cross-checked. Leaf budgets read
+the graph's minimum-leaf planes (`Graph.min_leaves`), which answer "no"
+without a search and are cross-checked by each growth search. Both tables are
+built once per graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import CapExceededError, InternalInvariantError
-from .graphs import Graph, Path, Tree, VertexSet, _vertex_planes, iter_bits
+from .graphs import Graph, Path, Tree, VertexSet
 
 DEFAULT_TREE_CAP = 10
 
@@ -33,23 +32,6 @@ DEFAULT_TREE_CAP = 10
 def _check_cap(graph: Graph, cap: int) -> None:
     if graph.n > cap:
         raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
-
-
-def _covering_path_mask(graph: Graph, smask: int) -> list[int] | None:
-    """A path whose vertex set covers smask, or None; deterministic first hit.
-
-    The vertex set is the least superset of smask that some path spans: the
-    lowest bit of the spans plane ANDed with the within planes of smask. The
-    path is the reverse of the lexicographically first path on that set,
-    `Graph.first_path`, which is the path the forward DP records first.
-    """
-    supersets = graph.path_planes()[1]
-    within = _vertex_planes(graph.n)[1]
-    for v in iter_bits(smask):
-        supersets &= within[v]
-    if not supersets:
-        return None
-    return graph.first_path(supersets & -supersets)[::-1]
 
 
 def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:
@@ -187,7 +169,7 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, grow: Callable | N
         return Tree.single_vertex(graph.n, max(smask.bit_length() - 1, 0))
     if not _coverable(graph, smask):
         return None
-    seq = _covering_path_mask(graph, smask)
+    seq = graph.covering_path(smask)
     if seq is not None:
         return Tree.from_path(graph.n, seq)
     if grow is None:

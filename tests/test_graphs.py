@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
 from kended.errors import InternalInvariantError
 from kended.families import random_gnp
-from kended.graphs import Graph, Path, Tree, VertexSet, mask_of
+from kended.graphs import Graph, Path, Tree, VertexSet, _vertex_planes, mask_of
 from kended.invariants import independence_number, set_connectivity_pair
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_kended_cover
@@ -70,16 +70,20 @@ def test_is_connected_is_computed_once_per_graph(monkeypatch):
 
 
 def assert_planes_match_tuple_tables(graph):
-    # every mask, the empty one included, against the per-mask Held-Karp and minimum-leaf DPs
+    # every mask, the empty one included, against the per-mask Held-Karp and minimum-leaf DPs and popcount
     n, rows = graph.n, graph.rows
     table = _path_endpoint_table(rows)
     leaves = _min_leaf_table(rows, table)
     ends, spans = graph.path_planes()
+    sizes = _vertex_planes(n)[2]
     for m in range(1 << n):
         assert sum(1 << v for v in range(n) if ends[v] >> m & 1) == table[m], (graph, m)
         assert spans >> m & 1 == (table[m] != 0), (graph, m)
         assert graph.min_leaves(m) == leaves[m], (graph, m)
-    assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends)
+        assert [j for j, plane in enumerate(sizes) if plane >> m & 1] == [m.bit_count()], (n, m)
+    assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends + sizes)
+    assert [graph.path_sets(j) for j in range(n + 1)] == [
+        [m for m in range(1 << n) if table[m] and m.bit_count() == j] for j in range(n + 1)], graph
 
 
 def test_planes_match_tuple_tables_on_every_labelled_graph_n_le_5():
@@ -108,16 +112,14 @@ def test_planes_match_tuple_tables_on_random_graphs():
 
 
 def assert_first_path_is_least_goal_path(graph, rng, draws):
-    # a random nonempty goal plane per draw from the span masks of each size, against enumeration
-    spans = graph.path_planes()[1]
+    # the path sets of each size, and a random nonempty goal list per draw from them, against enumeration
     for length in range(1, graph.n + 1):
-        sized = [m for m in range(1 << graph.n) if m.bit_count() == length and spans >> m & 1]
-        if not sized:
-            continue
         paths = list(_paths_with_length(graph, length))
-        for _ in range(draws):
-            goals = sum(1 << m for m in rng.sample(sized, rng.randint(1, len(sized))))
-            expected = min(seq for seq in paths if goals >> mask_of(seq) & 1)
+        sized = sorted({mask_of(seq) for seq in paths})
+        assert graph.path_sets(length) == sized, (graph, length)
+        for _ in range(draws if sized else 0):
+            goals = rng.sample(sized, rng.randint(1, len(sized)))
+            expected = min(seq for seq in paths if mask_of(seq) in goals)
             assert tuple(graph.first_path(goals)) == expected, (graph, length, goals)
 
 
@@ -140,9 +142,9 @@ def test_first_path_matches_enumeration_on_random_connected_graphs():
 def test_first_path_rejects_a_plane_without_a_path_set():
     graph = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
-        graph.first_path(0)
+        graph.first_path([])
     with pytest.raises(ValueError):
-        graph.first_path(1 << 0b101)    # {0, 2} spans no path
+        graph.first_path([0b101])    # {0, 2} spans no path
 
 
 def test_first_path_aborts_on_a_table_that_loses_a_path():
@@ -150,7 +152,7 @@ def test_first_path_aborts_on_a_table_that_loses_a_path():
     ends, spans = graph.path_planes()
     graph._paths = (ends[0], ends[1] & ~(1 << 0b10)), spans    # the path on {1} no longer ends at 1
     with pytest.raises(InternalInvariantError):
-        graph.first_path(1 << 0b11)
+        graph.first_path([0b11])
 
 
 def test_vertex_set_semantics():

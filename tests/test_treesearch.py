@@ -7,7 +7,6 @@ from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
 from kended.graphs import Graph, VertexSet
 from kended.treesearch import (
-    _covering_path_mask,
     covering_tree_with_branch_budget,
     find_k_ended_covering_tree,
     hamiltonian_path_exists,
@@ -197,7 +196,7 @@ def test_covering_path_matches_forward_dp_every_labelled_graph_n_le_5():
     # the shared endpoint table must give the very witness the forward DP unwinds
     for graph in connected_graphs_up_to(5):
         for smask in range(1 << graph.n):
-            assert _covering_path_mask(graph, smask) == covering_path_by_forward_dp(graph, smask)
+            assert graph.covering_path(smask) == covering_path_by_forward_dp(graph, smask)
 
 
 def test_covering_path_matches_forward_dp_on_random_graphs():
@@ -206,7 +205,7 @@ def test_covering_path_matches_forward_dp_on_random_graphs():
         graph = random_gnp(6 + i % 5, 0.5, rng)
         for _ in range(4):
             smask = rng.randrange(1 << graph.n)
-            assert _covering_path_mask(graph, smask) == covering_path_by_forward_dp(graph, smask)
+            assert graph.covering_path(smask) == covering_path_by_forward_dp(graph, smask)
 
 
 def assert_min_leaf_table_matches_enumeration(graph, smasks):
