@@ -55,7 +55,6 @@ from .verify import (
     SweepPlan,
     SweepReport,
     TheoremVerdict,
-    default_sweep_plan,
     parse_sweep_plan,
     run_sweep,
     sweep_verdicts,
@@ -93,7 +92,6 @@ __all__ = [
     "base_path",
     "construct_k_ended_tree",
     "covering_tree_with_branch_budget",
-    "default_sweep_plan",
     "emit_edge_list",
     "emit_graph6",
     "enumerate_connected_labeled_graphs",

@@ -4,7 +4,8 @@ Exit codes: 0 clean, 1 counterexample, sharpness mismatch or internal
 error, 2 usage or parse errors. An internal error (a proved property failed,
 which means a bug here) is reported on stderr with the graph6, S and, for
 construct, k that reproduce it. Reports are JSON on stdout or a file; pass
---no-timing for byte-stable output across runs.
+--no-timing for byte-stable output across runs. Every command runs at the
+fixed vertex cap treesearch.DEFAULT_TREE_CAP (10); no option changes it.
 
 main(argv) is reentrant and builds its argument parser once per process; each
 call parses into a fresh namespace and looks up its cmd_* handler by name. It
@@ -14,6 +15,7 @@ returns the exit code, also for --help and for argparse's usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -26,14 +28,7 @@ from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, VertexSet
 from .invariants import independence_number, set_connectivity_pair
 from .treesearch import DEFAULT_TREE_CAP
-from .verify import (
-    SHARPNESS_NOTE,
-    default_sweep_plan,
-    parse_sweep_plan,
-    plan_with_seed,
-    run_sweep,
-    verify_sharpness,
-)
+from .verify import SHARPNESS_NOTE, SweepPlan, parse_sweep_plan, run_sweep, verify_sharpness
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", metavar="FILE", help="report destination (default stdout)")
     common.add_argument("--no-timing", action="store_true", help="null out durations for byte-stable output")
-    common.add_argument("--cap", type=int, default=DEFAULT_TREE_CAP, help="desk-scale vertex cap for searches")
 
     sub.add_parser("analyze", parents=[graph_in, common],
                    help="alpha, kappa and the budget threshold for one instance")
@@ -167,10 +161,10 @@ def cmd_analyze(args) -> int:
     results = {
         "alpha": alpha,
         "alpha_witness": witness.witness.to_list(),
-        "kappa": rpt.kappa_to_json(kappa),
+        "kappa": kappa.to_json(),
         "kappa_pair": list(pair) if pair else None,
         "graph_connected": graph.is_connected(),
-        "graph_connectivity": rpt.kappa_to_json(graph_kappa),
+        "graph_connectivity": graph_kappa.to_json(),
         "threshold_k": threshold,
         "largest_failing_k": largest_failing,
     }
@@ -185,7 +179,7 @@ def cmd_construct(args) -> int:
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
     echo["k"] = args.k
-    outcome = construct_k_ended_tree(graph, subset, args.k, cap=args.cap)
+    outcome = construct_k_ended_tree(graph, subset, args.k)
     results = {
         "outcome": outcome.kind,
         "tree": rpt.tree_to_json(outcome.tree),
@@ -210,11 +204,12 @@ def cmd_verify(args) -> int:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = parse_sweep_plan(handle.read())
     else:
-        plan = default_sweep_plan()
-    plan = plan_with_seed(plan, args.seed)
+        plan = SweepPlan()
+    if args.seed is not None:
+        plan = dataclasses.replace(plan, seed=args.seed)
     inputs = {"plan_file": args.plan, "plan": rpt.plan_to_json(plan)}
     try:
-        sweep = run_sweep(plan, cap=args.cap)
+        sweep = run_sweep(plan)
     except CounterexampleError as exc:
         results = {"counterexample": rpt.verdict_to_json(exc.verdict), "zero_counterexamples": False}
         code = EXIT_MISMATCH
@@ -240,16 +235,16 @@ def cmd_sharpness(args) -> int:
     k_lo, k_hi = _parse_range(args.k_range)
     if m_lo < 1 or k_lo < 1 or m_hi < m_lo or k_hi < k_lo:
         raise ValueError("ranges must be A..B with 1 <= A <= B")
-    inputs = {"m_range": [m_lo, m_hi], "k_range": [k_lo, k_hi], "cap": args.cap}
+    inputs = {"m_range": [m_lo, m_hi], "k_range": [k_lo, k_hi], "cap": DEFAULT_TREE_CAP}
     cells = []
     skipped = []
     all_match = True
     for m in range(m_lo, m_hi + 1):
         for k in range(k_lo, k_hi + 1):
-            if 2 * m + k > args.cap:
+            if 2 * m + k > DEFAULT_TREE_CAP:
                 skipped.append([m, k])
                 continue
-            verdict = verify_sharpness(m, k, cap=args.cap)
+            verdict = verify_sharpness(m, k)
             cells.append(rpt.sharpness_to_json(verdict))
             all_match = all_match and verdict.matches_expected
     results = {
@@ -270,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (FormatError, PlanError, ValueError, CapExceededError, FileNotFoundError) as exc:
+    except (FormatError, PlanError, ValueError, CapExceededError, OSError) as exc:
         print(f"kended: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CounterexampleError as exc:

@@ -28,9 +28,6 @@ from .treesearch import DEFAULT_TREE_CAP, _check_cap
 COVERING = "covering"
 RESIDUAL_BOUND = "residual-bound"
 
-BASE_COVERS = "covers-s"
-BASE_RESIDUAL = "residual-bound"
-
 
 @dataclass(frozen=True)
 class ConstructionOutcome:
@@ -48,25 +45,26 @@ class ConstructionOutcome:
     trace: tuple[Path, ...]
 
 
-def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> tuple[Path, str]:
+def base_path(graph: Graph, subset: VertexSet) -> Path:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
     The longest such path, first in lexicographic order. Qualifying depends
     only on the vertex set, so the path sets come from `Graph.path_sets`,
     longest first, and `Graph.first_path` walks the qualifying sets of the
     first length that has one. The reverse of a path is a path on the same
-    set, so the first path reads with first < last vertex. One path always
-    qualifies for a connected graph and nonempty S, so exhaustion is an
-    internal invariant failure.
+    set, so the first path reads with first < last vertex. It covers S iff
+    `smask & ~path.mask() == 0`. One path always qualifies for a connected
+    graph and nonempty S, so exhaustion is an internal invariant failure.
+    Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
     """
     smask = graph.subset_mask(subset)
-    _check_cap(graph, cap)
+    _check_cap(graph, DEFAULT_TREE_CAP)
     if smask == 0:
         raise ValueError("base path needs a nonempty subset")
     if not graph.is_connected():
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
-        return Path((smask.bit_length() - 1,)), BASE_COVERS
+        return Path((smask.bit_length() - 1,))
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
@@ -78,19 +76,19 @@ def base_path(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP) -> t
     for length in range(graph.n, 0, -1):
         goals = [m for m in graph.path_sets(length) if qualifies(m)]
         if goals:
-            seq = graph.first_path(goals)
-            return Path(tuple(seq)), BASE_COVERS if smask & ~mask_of(seq) == 0 else BASE_RESIDUAL
+            return Path(tuple(graph.first_path(goals)))
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
-def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tuple[Path, int]:
+def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> Path:
     """The maximum-length path from the union of maximum independent subsets of
     the uncovered part to the tree, internally disjoint from the tree.
 
     Ties are broken lexicographically on vertex sequences. The returned path
-    is oriented from its start s0 (in the union) to its tree endpoint. The
-    postcondition that the path meets every maximum independent subset of
-    S - V(tree) is asserted; a failure is a bug detector, not an input error.
+    is oriented from its start s0 = path.vertices[0] (in the union) to its
+    tree endpoint. The postcondition that the path meets every maximum
+    independent subset of S - V(tree) is asserted; a failure is a bug
+    detector, not an input error.
     """
     smask = graph.subset_mask(subset)
     if tree.host_n != graph.n:
@@ -130,15 +128,13 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
         rec((s,), 1 << s)
     if best is None:
         raise InternalInvariantError("no attachment path found in a connected graph")
-    pmask = 0
-    for v in best:
-        pmask |= 1 << v
+    pmask = mask_of(best)
     for m in subsets:
         if pmask & m == 0:
             raise InternalInvariantError(
                 "maximal attachment path misses a maximum independent subset of the remainder"
             )
-    return Path(best), best[0]
+    return Path(best)
 
 
 def augment(tree: Tree, path: Path) -> Tree:
@@ -169,7 +165,6 @@ def construct_k_ended_tree(
     graph: Graph,
     subset: VertexSet,
     k: int,
-    cap: int = DEFAULT_TREE_CAP,
     start: ConstructionOutcome | None = None,
 ) -> ConstructionOutcome:
     """Run the full construction for a budget of k leaves.
@@ -184,7 +179,7 @@ def construct_k_ended_tree(
     if k < 2:
         raise ValueError("k must be at least 2")
     smask = graph.subset_mask(subset)
-    _check_cap(graph, cap)
+    _check_cap(graph, DEFAULT_TREE_CAP)
     if graph.n == 0:
         raise ValueError("construction needs a nonempty graph")
     if not graph.is_connected():
@@ -198,7 +193,7 @@ def construct_k_ended_tree(
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
     if start is None:
-        path0, _ = base_path(graph, subset, cap=cap)
+        path0 = base_path(graph, subset)
         tree = Tree.from_path(graph.n, path0.vertices)
         residual_alpha = subset_alpha(graph, smask & ~path0.mask())
         trace = [path0]
@@ -208,7 +203,7 @@ def construct_k_ended_tree(
         tree, residual_alpha, trace = start.tree, start.residual_alpha, list(start.trace)
     t = len(trace) + 1
     while residual_alpha > 0 and t < k:
-        p0, _s0 = maximal_attachment_path(graph, tree, subset)
+        p0 = maximal_attachment_path(graph, tree, subset)
         tree = augment(tree, p0)
         trace.append(p0)
         t += 1

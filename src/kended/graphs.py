@@ -196,16 +196,15 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def component_mask(self, start: int, within: int | None = None) -> int:
-        """Bitmask of vertices reachable from start, restricted to `within` if given."""
-        allowed = self.full_mask if within is None else within
-        comp = (1 << start) & allowed
+    def component_mask(self, start: int) -> int:
+        """Bitmask of the vertices reachable from start."""
+        comp = 1 << start
         frontier = comp
         while frontier:
             grow = 0
             for v in iter_bits(frontier):
                 grow |= self.rows[v]
-            frontier = grow & allowed & ~comp
+            frontier = grow & ~comp
             comp |= frontier
         return comp
 
@@ -345,22 +344,6 @@ class VertexSet:
 
     def to_list(self) -> list[int]:
         return list(iter_bits(self.mask))
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.host_n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.host_n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_host(other)
-        return VertexSet(self.host_n, self.mask & ~other.mask)
-
-    def _check_host(self, other: "VertexSet") -> None:
-        if self.host_n != other.host_n:
-            raise ValueError("vertex sets index different hosts")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 from typing import Any
 
 from .graphs import Path, Tree
-from .invariants import ConnectivityValue
 from .verify import SharpnessVerdict, SweepPlan, SweepReport, TheoremVerdict
 
 SCHEMA_VERSION = "1"
@@ -67,10 +66,6 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-def kappa_to_json(value: ConnectivityValue) -> int | str:
-    return value.to_json()
-
-
 def tree_to_json(tree: Tree) -> dict:
     return {
         "host_n": tree.host_n,
@@ -98,7 +93,7 @@ def verdict_to_json(verdict: TheoremVerdict) -> dict:
         "S": list(verdict.subset),
         "k": verdict.k,
         "alpha": verdict.alpha,
-        "kappa": kappa_to_json(verdict.kappa),
+        "kappa": verdict.kappa.to_json(),
         "hypothesis_holds": verdict.hypothesis_holds,
         "conclusion_holds": verdict.conclusion_holds,
         "witness": None if verdict.witness is None else tree_to_json(verdict.witness),

@@ -153,7 +153,7 @@ def _grow_tree_branch_budget(graph: Graph, smask: int, budget: int, r0: int) -> 
 
 def _coverable(graph: Graph, smask: int) -> bool:
     r0 = (smask & -smask).bit_length() - 1
-    return graph.component_mask(r0) & smask == smask
+    return graph.is_connected() or graph.component_mask(r0) & smask == smask
 
 
 def _covering_tree(graph: Graph, subset: VertexSet, cap: int, grow: Callable | None,

@@ -21,7 +21,7 @@ import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .constructive import COVERING, ConstructionOutcome, construct_k_ended_tree
@@ -118,9 +118,8 @@ class GraphContext:
     construction reads too; construct resumes from the construction for k - 1.
     """
 
-    def __init__(self, graph: Graph, cap: int = DEFAULT_TREE_CAP) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.cap = cap
         self.graph_id = emit_graph6(graph)
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
@@ -146,14 +145,14 @@ class GraphContext:
         key = (smask, budget)
         if key not in cache:
             cache[key] = cache.get((smask, budget - 1)) or search(
-                self.graph, VertexSet(self.graph.n, smask), budget, cap=self.cap)
+                self.graph, VertexSet(self.graph.n, smask), budget)
         return cache[key]
 
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
         if key not in self._construct:
             self._construct[key] = construct_k_ended_tree(
-                self.graph, VertexSet(self.graph.n, smask), k, cap=self.cap,
+                self.graph, VertexSet(self.graph.n, smask), k,
                 start=self._construct.get((smask, k - 1)))
         return self._construct[key]
 
@@ -271,7 +270,7 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     alpha = ctx.alpha(full)
     kappa = ctx.kappa(full)
     hyp = hypothesis_holds(alpha, 2, kappa)    # alpha <= kappa + 1
-    ham = hamiltonian_path_exists(ctx.graph, cap=ctx.cap)
+    ham = hamiltonian_path_exists(ctx.graph)
     oracle = ctx.cover_tree(full, 2)
     if (ham is None) != (oracle is None):
         raise InternalInvariantError(
@@ -292,51 +291,48 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     )
 
 
-def _context(graph: Graph, k: int, cap: int) -> GraphContext:
+def _context(graph: Graph, k: int) -> GraphContext:
     if k < 2:
         raise ValueError("k must be at least 2")
     if graph.n == 0 or not graph.is_connected():
         raise ValueError("verification requires a nonempty connected graph")
-    return GraphContext(graph, cap)
+    return GraphContext(graph)
 
 
-def verify_kended_cover(graph: Graph, subset: VertexSet, k: int,
-                        cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
+def verify_kended_cover(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
     """Check the k-ended covering claim on one instance (connected graph, k >= 2)."""
-    return _verdict_cover(_context(graph, k, cap), graph.subset_mask(subset), k)
+    return _verdict_cover(_context(graph, k), graph.subset_mask(subset), k)
 
 
-def verify_branch_cover(graph: Graph, subset: VertexSet, k: int,
-                        cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
+def verify_branch_cover(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
     """Check the branch-vertex covering claim on one instance."""
-    return _verdict_branch(_context(graph, k, cap), graph.subset_mask(subset), k)
+    return _verdict_branch(_context(graph, k), graph.subset_mask(subset), k)
 
 
-def verify_residual_bound(graph: Graph, subset: VertexSet, k: int,
-                          cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
+def verify_residual_bound(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
     """Check the unconditional cover-or-residual-bound claim on one instance."""
-    return _verdict_residual(_context(graph, k, cap), graph.subset_mask(subset), k)
+    return _verdict_residual(_context(graph, k), graph.subset_mask(subset), k)
 
 
-def verify_hamiltonian_path_condition(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> TheoremVerdict:
+def verify_hamiltonian_path_condition(graph: Graph) -> TheoremVerdict:
     """Check the classical alpha <= kappa + 1 Hamiltonian path condition."""
-    return _verdict_hamiltonian(_context(graph, 2, cap))
+    return _verdict_hamiltonian(_context(graph, 2))
 
 
-def verify_sharpness(m: int, k: int, cap: int = DEFAULT_TREE_CAP) -> SharpnessVerdict:
+def verify_sharpness(m: int, k: int) -> SharpnessVerdict:
     """Exact invariants of the complete-bipartite cell with parts m and m+k, S = larger part."""
     if m < 1 or k < 1:
         raise ValueError("sharpness cells need m >= 1 and k >= 1")
     n = 2 * m + k
-    if n > cap:
-        raise CapExceededError(f"cell (m={m}, k={k}) needs n={n}, above the cap {cap}")
+    if n > DEFAULT_TREE_CAP:
+        raise CapExceededError(f"cell (m={m}, k={k}) needs n={n}, above the cap {DEFAULT_TREE_CAP}")
     graph, subset = make_family(GraphFamilySpec("complete-bipartite", (m, k)))
     assert subset is not None
     alpha = subset_alpha(graph, subset.mask)
     kappa = set_connectivity(graph, subset)
     assert not kappa.is_infinite
-    min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset, cap=cap)
-    min_branch, branch_tree = min_branch_covering_tree(graph, subset, cap=cap)
+    min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset)
+    min_branch, branch_tree = min_branch_covering_tree(graph, subset)
     leaf_tree.validate_in(graph)
     branch_tree.validate_in(graph)
     return SharpnessVerdict(m, k, alpha, kappa.finite, min_leaves, min_branch)
@@ -433,11 +429,6 @@ def parse_sweep_plan(text: str) -> SweepPlan:
     return plan
 
 
-def default_sweep_plan() -> SweepPlan:
-    """Exhaustive n <= 5, all nonempty subsets, k in 2..4."""
-    return SweepPlan()
-
-
 def _subset_masks(plan: SweepPlan, n: int, rng: random.Random) -> list[int]:
     full = (1 << n) - 1
     if full == 0:
@@ -460,7 +451,7 @@ def _plan_instances(plan: SweepPlan) -> Iterator[tuple[Graph | None, list[int]]]
     rng = random.Random(plan.seed)
     if plan.mode == "exhaustive":
         for n in range(1, plan.n + 1):
-            for graph in enumerate_connected_labeled_graphs(n, cap=DEFAULT_ENUM_CAP):
+            for graph in enumerate_connected_labeled_graphs(n):
                 yield graph, _subset_masks(plan, n, rng)
     elif plan.mode == "random":
         for _ in range(plan.count):
@@ -481,11 +472,11 @@ def _plan_instances(plan: SweepPlan) -> Iterator[tuple[Graph | None, list[int]]]
             yield graph, _subset_masks(plan, graph.n, rng)
 
 
-def _graph_verdicts(graph: Graph, subset_masks: list[int], ks: tuple[int, ...],
-                    cap: int) -> list[TheoremVerdict]:
+def _graph_verdicts(graph: Graph, subset_masks: list[int],
+                    ks: tuple[int, ...]) -> list[TheoremVerdict]:
     """Every verdict of one graph; an internal failure is re-raised as a plain-message
     InternalInvariantError naming the claim, graph6, S and k that reproduce it."""
-    ctx = GraphContext(graph, cap)
+    ctx = GraphContext(graph)
     checks = (("kended-cover", _verdict_cover), ("branch-cover", _verdict_branch),
               ("residual-bound", _verdict_residual))
     verdicts = []
@@ -503,23 +494,23 @@ def _graph_verdicts(graph: Graph, subset_masks: list[int], ks: tuple[int, ...],
     return verdicts
 
 
-def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...], int]) -> list[TheoremVerdict] | None:
+def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...]]) -> list[TheoremVerdict] | None:
     """Every verdict of one instance, or None for a skipped one; aborts on a counterexample."""
-    graph, subset_masks, ks, cap = args
+    graph, subset_masks, ks = args
     if graph is None:
         return None
-    verdicts = _graph_verdicts(graph, subset_masks, ks, cap)
+    verdicts = _graph_verdicts(graph, subset_masks, ks)
     for verdict in verdicts:
         if verdict.is_counterexample:
             raise CounterexampleError(verdict)
     return verdicts
 
 
-def _graph_results(plan: SweepPlan, cap: int) -> Iterator[list[TheoremVerdict] | None]:
+def _graph_results(plan: SweepPlan) -> Iterator[list[TheoremVerdict] | None]:
     """_graph_task over the plan's instances in order, in this process or in a pool."""
     validate_plan(plan)
     ks = tuple(range(plan.k_min, plan.k_max + 1))
-    tasks = ((graph, masks, ks, cap) for graph, masks in _plan_instances(plan))
+    tasks = ((graph, masks, ks) for graph, masks in _plan_instances(plan))
     if plan.workers == 1:
         yield from map(_graph_task, tasks)
         return
@@ -527,9 +518,9 @@ def _graph_results(plan: SweepPlan, cap: int) -> Iterator[list[TheoremVerdict] |
         yield from pool.map(_graph_task, tasks, chunksize=4)
 
 
-def sweep_verdicts(plan: SweepPlan, cap: int = DEFAULT_TREE_CAP) -> Iterator[TheoremVerdict]:
+def sweep_verdicts(plan: SweepPlan) -> Iterator[TheoremVerdict]:
     """Deterministic stream of verdicts for a plan; aborts on any counterexample."""
-    for verdicts in _graph_results(plan, cap):
+    for verdicts in _graph_results(plan):
         if verdicts is not None:
             yield from verdicts
 
@@ -562,12 +553,12 @@ class SweepReport:
         return sum(t.instances for t in self.claims.values())
 
 
-def run_sweep(plan: SweepPlan, cap: int = DEFAULT_TREE_CAP) -> SweepReport:
+def run_sweep(plan: SweepPlan) -> SweepReport:
     """Run a plan to completion and aggregate; raises CounterexampleError on failure."""
     report = SweepReport(plan=plan)
     for claim in CLAIMS:
         report.claims[claim] = ClaimTally()
-    for verdicts in _graph_results(plan, cap):
+    for verdicts in _graph_results(plan):
         if verdicts is None:
             report.skipped_disconnected += 1
             continue
@@ -583,7 +574,3 @@ def run_sweep(plan: SweepPlan, cap: int = DEFAULT_TREE_CAP) -> SweepReport:
                     verdict.elapsed, verdict.graph_id, verdict.subset, verdict.k
                 )
     return report
-
-
-def plan_with_seed(plan: SweepPlan, seed: int | None) -> SweepPlan:
-    return plan if seed is None else replace(plan, seed=seed)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from kended.constructive import BASE_COVERS, BASE_RESIDUAL
 from kended.errors import InternalInvariantError
 from kended.graphs import Graph, Path, VertexSet, iter_bits
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
@@ -324,8 +323,8 @@ def _paths_with_length(graph: Graph, length: int):
         yield from rec((s,), 1 << s)
 
 
-def base_path_by_enumeration(graph: Graph, subset: VertexSet, cap: int = DEFAULT_TREE_CAP,
-                              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[Path, str]:
+def base_path_by_enumeration(graph: Graph, subset: VertexSet,
+                              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> Path:
     """Reference base path: a path covering S, or one whose uncovered part has
     alpha <= alpha - kappa - 1.
 
@@ -336,13 +335,13 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet, cap: int = DEFAULT
     (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
     """
     smask = graph.subset_mask(subset)
-    _check_cap(graph, cap)
+    _check_cap(graph, DEFAULT_TREE_CAP)
     if smask == 0:
         raise ValueError("base path needs a nonempty subset")
     if not graph.is_connected():
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
-        return Path((smask.bit_length() - 1,)), BASE_COVERS
+        return Path((smask.bit_length() - 1,))
     if alpha_kappa is None:
         alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
     alpha, kappa = alpha_kappa
@@ -356,12 +355,12 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet, cap: int = DEFAULT
                 pmask |= 1 << v
             remainder = smask & ~pmask
             if remainder == 0:
-                return Path(seq), BASE_COVERS
+                return Path(seq)
             if bound >= 0:
                 if remainder not in residual_cache:
                     residual_cache[remainder] = alpha_mask(graph, remainder)[0]
                 if residual_cache[remainder] <= bound:
-                    return Path(seq), BASE_RESIDUAL
+                    return Path(seq)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 

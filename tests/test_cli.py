@@ -12,6 +12,7 @@ from kended.report import REPORT_SCHEMA
 
 
 PETERSEN_K2 = ("construct", "--family", "petersen", "--k", "2", "--no-timing")
+PATH11_GRAPH6 = "JhCGGC@?G?_"    # the path on 11 vertices, one above the cap
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     plan.write_text("mode = nosuch\n")
     code, _, err = run_cli(capsys, "verify", "--plan", str(plan))
     assert code == 2
+    # the vertex cap is fixed at 10: no --cap option, and larger inputs are refused
+    code, _, err = run_cli(capsys, "construct", "--family", "petersen", "--k", "2", "--cap", "11")
+    assert code == 2 and "unrecognized arguments: --cap 11" in err
+    big = tmp_path / "path11.g6"
+    big.write_text(PATH11_GRAPH6 + "\n")
+    code, _, err = run_cli(capsys, "construct", "--graph", str(big), "--k", "2")
+    assert code == 2 and "above the cap 10" in err
+    plan.write_text(f"mode = graph6\npath = {big}\ns_policy = s=v\n")
+    code, _, err = run_cli(capsys, "verify", "--plan", str(plan))
+    assert code == 2 and "above the cap 10" in err
+
+
+def test_unreadable_paths_exit_2(capsys, tmp_path):
+    for argv in (("analyze", "--graph", str(tmp_path)),
+                 ("verify", "--plan", str(tmp_path)),
+                 ("analyze", "--family", "petersen", "--out", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("kended: error:"), argv
 
 
 def test_set_b_requires_family(capsys):

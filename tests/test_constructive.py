@@ -3,8 +3,6 @@ import random
 import pytest
 
 from kended.constructive import (
-    BASE_COVERS,
-    BASE_RESIDUAL,
     COVERING,
     RESIDUAL_BOUND,
     augment,
@@ -12,6 +10,7 @@ from kended.constructive import (
     construct_k_ended_tree,
     maximal_attachment_path,
 )
+from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
 from kended.graphs import Graph, Path, Tree, VertexSet
 from kended.invariants import (
@@ -30,13 +29,15 @@ def kmm(m, k):
     return make_family(GraphFamilySpec("complete-bipartite", (m, k)))
 
 
+PATH11 = Graph.from_edges(11, [(i, i + 1) for i in range(10)])    # one vertex above the cap
+
+
 # base paths
 
 
 def test_base_path_on_path_graph_covers():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    path, kind = base_path(g, VertexSet.full(4))
-    assert kind == BASE_COVERS
+    path = base_path(g, VertexSet.full(4))
     assert path.vertices == (0, 1, 2, 3)
 
 
@@ -44,16 +45,15 @@ def test_base_path_k23_must_cover():
     # alpha=3, kappa=2: the residual bound is 0, impossible for a nonempty
     # remainder, so only a covering path can be returned
     graph, subset = kmm(2, 1)
-    path, kind = base_path(graph, subset)
-    assert kind == BASE_COVERS
+    path = base_path(graph, subset)
     assert subset.mask & ~path.mask() == 0
 
 
 def test_base_path_star_leaves_residual():
     graph, subset = kmm(1, 3)    # hub 0, leaves 1..4
-    path, kind = base_path(graph, subset)
-    assert kind == BASE_RESIDUAL
+    path = base_path(graph, subset)
     remainder = subset.mask & ~path.mask()
+    assert remainder != 0
     assert alpha_mask(graph, remainder)[0] <= 4 - 1 - 1
 
 
@@ -92,6 +92,8 @@ def test_base_path_input_validation():
     g2 = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         base_path(g2, VertexSet.empty(2))
+    with pytest.raises(CapExceededError):
+        base_path(PATH11, VertexSet.full(11))
 
 
 # maximal attachment paths
@@ -100,26 +102,25 @@ def test_base_path_input_validation():
 def test_attachment_star_center():
     graph, subset = kmm(1, 3)
     tree = Tree.single_vertex(5, 0)
-    path, s0 = maximal_attachment_path(graph, tree, subset)
+    path = maximal_attachment_path(graph, tree, subset)
     assert len(path) == 2 and path.end == 0
-    assert s0 == path.start and s0 in subset
+    assert path.start in subset
 
 
 def test_attachment_unique_maximal_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     tree = Tree(5, (0, 1), [(0, 1)])
-    path, s0 = maximal_attachment_path(g, tree, VertexSet.from_vertices(5, [4]))
+    path = maximal_attachment_path(g, tree, VertexSet.from_vertices(5, [4]))
     assert path.vertices == (4, 3, 2, 1)
-    assert s0 == 4
 
 
 def test_attachment_prefers_longer_arc():
     # arcs from the target to the tree edge: lengths 4 and 3; the longer wins
     g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     tree = Tree(6, (0, 1), [(0, 1)])
-    path, _ = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [3]))
+    path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [3]))
     assert path.vertices == (3, 4, 5, 0)
-    path, _ = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
+    path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
     assert path.vertices == (4, 3, 2, 1)
 
 
@@ -148,13 +149,13 @@ def test_attachment_hits_every_maximum_independent_subset():
             with pytest.raises(ValueError):
                 maximal_attachment_path(graph, tree, subset)
             continue
-        path, s0 = maximal_attachment_path(graph, tree, subset)
+        path = maximal_attachment_path(graph, tree, subset)
         remainder = VertexSet(n, smask & ~tree.vertex_mask)
         union = 0
         for si in enumerate_maximum_independent_subsets(graph, remainder):
             assert path.mask() & si.mask, "attachment path must meet every maximum subset"
             union |= si.mask
-        assert (union >> s0) & 1
+        assert (union >> path.vertices[0]) & 1
         assert path.mask() & tree.vertex_mask == 1 << path.end
 
 
@@ -255,6 +256,8 @@ def test_construct_input_validation():
     bad = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         construct_k_ended_tree(bad, VertexSet.full(4), 2)
+    with pytest.raises(CapExceededError):
+        construct_k_ended_tree(PATH11, VertexSet.full(11), 2)
 
 
 def test_construct_trace_replays_to_tree():

@@ -7,7 +7,6 @@ from kended.graphs import Tree
 from kended.invariants import ConnectivityValue
 from kended.report import (
     REPORT_SCHEMA,
-    kappa_to_json,
     make_report,
     path_from_json,
     path_to_json,
@@ -24,8 +23,8 @@ jsonschema = pytest.importorskip("jsonschema")
 
 
 def test_kappa_encoding():
-    assert kappa_to_json(ConnectivityValue.INFINITE) == "infinity"
-    assert kappa_to_json(ConnectivityValue(4)) == 4
+    assert ConnectivityValue.INFINITE.to_json() == "infinity"
+    assert ConnectivityValue(4).to_json() == 4
 
 
 def test_tree_round_trip():

@@ -20,7 +20,6 @@ from kended.verify import (
     SweepPlan,
     TheoremVerdict,
     _graph_verdicts,
-    default_sweep_plan,
     parse_sweep_plan,
     run_sweep,
     sweep_verdicts,
@@ -202,7 +201,7 @@ def test_parse_plan_rejects(text):
 
 
 def test_default_plan_is_exhaustive_small():
-    plan = default_sweep_plan()
+    plan = SweepPlan()
     assert plan.mode == "exhaustive" and plan.n == 5
     assert (plan.k_min, plan.k_max) == (2, 4)
     assert plan.s_policy == "all-subsets"
@@ -333,7 +332,7 @@ def test_all_subsets_sweep_runs_each_pair_flow_once(monkeypatch):
 
     rebind_everywhere(monkeypatch, original, counted)
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
-    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
     assert len(verdicts) == 31 * 3 * 3 + 1
     assert len(calls) <= 10
     assert len({frozenset(pair) for pair in calls}) == len(calls)
@@ -353,7 +352,7 @@ def test_all_subsets_sweep_runs_alpha_once_per_mask(monkeypatch, edges):
 
     rebind_everywhere(monkeypatch, original, counted)
     graph = Graph.from_edges(5, edges)
-    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
     assert len(verdicts) == 31 * 3 * 3 + 1
     assert len(masks) == len(set(masks)) <= 32
 
@@ -382,7 +381,7 @@ def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(mo
     rebind_everywhere(monkeypatch, original_branch, counted_branch)
     monkeypatch.setattr(V, "GraphContext", RecordedContext)
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    verdicts = _graph_verdicts(star, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    verdicts = _graph_verdicts(star, list(range(1, 32)), (2, 3, 4))
     assert len(verdicts) == 31 * 3 * 3 + 1
     assert sorted(bases) == [m for m in range(1, 32) if m.bit_count() >= 2]
     assert budgets and 0 not in budgets
@@ -414,7 +413,7 @@ def test_all_subsets_sweep_builds_the_path_table_once(monkeypatch):
 
     rebind_everywhere(monkeypatch, original, counted)
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
-    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
     assert len(verdicts) == 31 * 3 * 3 + 1
     assert builds == [graph.rows]
 
@@ -431,9 +430,9 @@ def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
     rebind_everywhere(monkeypatch, original, without_full_entry)
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
     with pytest.raises(InternalInvariantError, match="backtracking Hamiltonian search disagrees"):
-        _graph_verdicts(graph, [], (2,), DEFAULT_TREE_CAP)
+        _graph_verdicts(graph, [], (2,))
     with pytest.raises(InternalInvariantError):
-        _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+        _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
 
 
 def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatch):
@@ -446,10 +445,10 @@ def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatc
 
     rebind_everywhere(monkeypatch, original, counted)
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    _graph_verdicts(c5, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    _graph_verdicts(c5, list(range(1, 32)), (2, 3, 4))
     assert builds == []    # every subset of C5 has a covering path
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    _graph_verdicts(star, list(range(1, 32)), (2, 3, 4), DEFAULT_TREE_CAP)
+    _graph_verdicts(star, list(range(1, 32)), (2, 3, 4))
     assert builds == [star.rows]
 
 
@@ -477,7 +476,7 @@ def test_faulty_min_leaf_table_aborts_the_sweep(monkeypatch, fault):
     smask = sum(1 << int(v) for v in subset.split(", "))
     # the named instance reproduces the abort on its own, and the minimum search trips too
     with pytest.raises((InternalInvariantError, CounterexampleError)):
-        for verdict in _graph_verdicts(graph, [smask], (int(k),), DEFAULT_TREE_CAP):
+        for verdict in _graph_verdicts(graph, [smask], (int(k),)):
             if verdict.is_counterexample:
                 raise CounterexampleError(verdict)
     with pytest.raises(InternalInvariantError, match="minimum-leaf table"):
