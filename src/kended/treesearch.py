@@ -12,11 +12,12 @@ restrict acceptance to such trees without losing completeness.
 The two existence searches share one front end (trivial answers, the
 coverability check, the covering path). The covering path comes from the
 graph's Held-Karp path planes by vertex mask (`Graph.covering_path`; only
-`graphs` reads a plane); hamiltonian_path_exists is an independent
-backtracking search, so the two routes are cross-checked. Leaf budgets read
-the graph's minimum-leaf planes (`Graph.min_leaves`), which answer "no"
-without a search and are cross-checked by each growth search. Both tables are
-built once per graph and shared by every subset and budget.
+`graphs` reads a plane). hamiltonian_path_exists reads no plane, so the two
+routes are cross-checked: it backtracks unless alpha(V), from the alpha memo,
+exceeds ceil(n/2), which rules out a Hamiltonian path (Jung 1978). Leaf
+budgets read the graph's minimum-leaf planes (`Graph.min_leaves`), which
+answer "no" without a search and are cross-checked by each growth search.
+Both tables are built once per graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable
 
 from .errors import CapExceededError, InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet
+from .invariants import subset_alpha
 
 DEFAULT_TREE_CAP = 10
 
@@ -256,8 +258,10 @@ def min_branch_covering_tree(
 def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> Path | None:
     """A Hamiltonian path found by plain backtracking, or None.
 
-    Kept independent of the covering-path DP so the two can be checked
-    against each other.
+    Kept independent of the path planes so the two can be checked against
+    each other; it reads only alpha(V), from the alpha memo. A path on n
+    vertices has alpha = ceil(n/2), so alpha(V) > ceil(n/2) answers None
+    without backtracking (the scattering bound, Jung 1978).
     """
     _check_cap(graph, cap)
     n = graph.n
@@ -265,7 +269,7 @@ def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> Path |
         return None
     if n == 1:
         return Path((0,))
-    if not graph.is_connected():
+    if not graph.is_connected() or subset_alpha(graph, graph.full_mask) > (n + 1) // 2:
         return None
     rows = graph.rows
     full = (1 << n) - 1

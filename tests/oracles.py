@@ -5,7 +5,10 @@ permutations, edge combinations or simple paths) and shares no code path with
 the implementations it checks; the reference base path takes alpha and kappa
 from the library, since it checks only the path search. The two per-mask
 tuple DPs, `_path_endpoint_table` and `_min_leaf_table`, are the library's
-former subset tables, kept verbatim as the reference for its bit planes.
+former subset tables, kept verbatim as the reference for its bit planes;
+`hamiltonian_path_by_backtracking` is the library's Hamiltonian search as it
+was before the independence-number bound, kept as the reference for its
+witness.
 """
 
 from __future__ import annotations
@@ -363,6 +366,38 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet,
                     return Path(seq)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
+
+
+def hamiltonian_path_by_backtracking(graph: Graph) -> Path | None:
+    """The first Hamiltonian path of plain backtracking from each start in turn, or None."""
+    n = graph.n
+    if n == 0:
+        return None
+    if n == 1:
+        return Path((0,))
+    if not graph.is_connected():
+        return None
+    rows = graph.rows
+    full = (1 << n) - 1
+    seq: list[int] = []
+
+    def extend(v: int, visited: int) -> bool:
+        seq.append(v)
+        if visited == full:
+            return True
+        cand = rows[v] & ~visited
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if extend(low.bit_length() - 1, visited | low):
+                return True
+        seq.pop()
+        return False
+
+    for start in range(n):
+        if extend(start, 1 << start):
+            return Path(tuple(seq))
+    return None
 
 
 def hamiltonian_path_by_permutations(graph: Graph) -> bool:

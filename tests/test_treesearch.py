@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from kended import treesearch
 from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
 from kended.graphs import Graph, VertexSet
+from kended.invariants import subset_alpha
 from kended.treesearch import (
     covering_tree_with_branch_budget,
     find_k_ended_covering_tree,
@@ -19,6 +21,7 @@ from oracles import (
     _min_leaf_table,
     _path_endpoint_table,
     covering_path_by_forward_dp,
+    hamiltonian_path_by_backtracking,
     hamiltonian_path_by_permutations,
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
@@ -182,6 +185,84 @@ def test_hamiltonian_path_tiny():
     assert hamiltonian_path_exists(Graph(1, [0])).vertices == (0,)
     with pytest.raises(CapExceededError):
         hamiltonian_path_exists(Graph(12, [0] * 12))
+
+
+def bipartite_3_7(rng):
+    """A connected bipartite graph with parts 3 and 7, labels shuffled."""
+    while True:
+        label = list(range(10))
+        rng.shuffle(label)
+        graph = Graph.from_edges(10, [(label[a], label[3 + b]) for a in range(3) for b in range(7)
+                                      if rng.random() < 0.8])
+        if graph.is_connected():
+            return graph
+
+
+def test_hamiltonian_witness_matches_backtracking_every_labelled_graph_n_le_5():
+    for graph in connected_graphs_up_to(5):
+        assert hamiltonian_path_exists(graph) == hamiltonian_path_by_backtracking(graph)
+
+
+def test_hamiltonian_bound_on_complete_bipartite():
+    # alpha(K_{a,b}) = max(a, b) exceeds ceil((a + b) / 2) iff |a - b| >= 2
+    for a in range(1, 10):
+        for b in range(1, 11 - a):
+            graph = Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+            fires = subset_alpha(graph, graph.full_mask) > (graph.n + 1) // 2
+            assert fires == (abs(a - b) >= 2)
+            path = hamiltonian_path_exists(graph)
+            assert path == hamiltonian_path_by_backtracking(graph)
+            assert (path is None) == fires
+
+
+def test_hamiltonian_witness_matches_backtracking_on_3_7_bipartite():
+    rng = random.Random(37)
+    for _ in range(30):
+        graph = bipartite_3_7(rng)
+        assert subset_alpha(graph, graph.full_mask) >= 7
+        assert hamiltonian_path_exists(graph) is None
+        assert hamiltonian_path_by_backtracking(graph) is None
+
+
+def test_hamiltonian_witness_matches_backtracking_on_random_gnp():
+    rng = random.Random(610)
+    for n in range(6, 11):
+        for _ in range(25):
+            graph = random_connected_graph(rng, n, 0.5)
+            assert hamiltonian_path_exists(graph) == hamiltonian_path_by_backtracking(graph)
+
+
+def test_hamiltonian_bound_reads_alpha_of_v_through_the_memo(monkeypatch):
+    seen = []
+
+    def recording(graph, smask):
+        seen.append(smask)
+        return subset_alpha(graph, smask)
+
+    monkeypatch.setattr(treesearch, "subset_alpha", recording)
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for _ in range(5):
+            seen.clear()
+            graph = random_connected_graph(rng, n, 0.5)
+            hamiltonian_path_exists(graph)
+            assert seen == [graph.full_mask]
+
+
+def test_hamiltonian_search_reads_no_path_or_leaf_plane(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hamiltonian_path_exists read a path or minimum-leaf plane")
+
+    for name in ("covering_path", "first_path", "path_sets", "min_leaves"):
+        monkeypatch.setattr(Graph, name, forbidden)
+    pairs = [[(u, v) for u in range(n) for v in range(u + 1, n)] for n in range(6)]
+    for n in range(6):
+        for bits in range(1 << len(pairs[n])):
+            graph = Graph.from_edges(n, [e for i, e in enumerate(pairs[n]) if bits >> i & 1])
+            assert hamiltonian_path_exists(graph) == hamiltonian_path_by_backtracking(graph)
+    petersen, _ = make_family(GraphFamilySpec("petersen", ()))
+    path = hamiltonian_path_exists(petersen)
+    assert path is not None and path == hamiltonian_path_by_backtracking(petersen)
 
 
 # cross-route consistency
