@@ -13,6 +13,11 @@ Checked claims (ids used in verdicts and reports):
 All four are proved statements, so any counterexample verdict is promoted to
 a hard CounterexampleError carrying full reproduction data: it means a bug in
 this package, not new mathematics.
+
+One builder, `_verdict`, makes every TheoremVerdict. It reads alpha, kappa and
+the hypothesis from the graph's memo; each claim function brings only its own
+witness, audit, conclusion and detail, taken from the GraphContext caches of
+the tree searches and constructions.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from .constructive import COVERING, ConstructionOutcome, construct_k_ended_tree
@@ -175,120 +180,72 @@ def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget:
         raise InternalInvariantError("witness tree violates leaves >= branch vertices + 2")
 
 
-def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    start = time.perf_counter()
+def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, start: float, witness: Tree | None,
+             conclusion: bool, detail: dict | None = None) -> TheoremVerdict:
+    """The verdict of one claim on (graph, S, k): alpha, kappa and the hypothesis
+    are read here, from the graph's memo, and elapsed runs from `start`."""
     alpha = ctx.alpha(smask)
     kappa = ctx.kappa(smask)
-    hyp = hypothesis_holds(alpha, k, kappa)
+    return TheoremVerdict(
+        claim=claim, graph_id=ctx.graph_id, subset=_subset_tuple(smask), k=k, alpha=alpha,
+        kappa=kappa, hypothesis_holds=hypothesis_holds(alpha, k, kappa), conclusion_holds=conclusion,
+        witness=witness, elapsed=time.perf_counter() - start, detail=detail)
+
+
+def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
+    start = time.perf_counter()
     witness = ctx.cover_tree(smask, k)
     if witness is not None:
         _audit_cover_witness(ctx, witness, smask, k, None)
-    outcome = ctx.construct(smask, k)
-    constructive_covering = outcome.kind == COVERING
-    if hyp and not constructive_covering:
+    constructive_covering = ctx.construct(smask, k).kind == COVERING
+    verdict = _verdict(ctx, "kended-cover", smask, k, start, witness, witness is not None,
+                       {"constructive_covering": constructive_covering})
+    if verdict.hypothesis_holds and not constructive_covering:
         raise InternalInvariantError("construction must cover when the hypothesis holds")
     if constructive_covering and witness is None:
         raise InternalInvariantError("construction covered but the exhaustive oracle found nothing")
-    return TheoremVerdict(
-        claim="kended-cover",
-        graph_id=ctx.graph_id,
-        subset=_subset_tuple(smask),
-        k=k,
-        alpha=alpha,
-        kappa=kappa,
-        hypothesis_holds=hyp,
-        conclusion_holds=witness is not None,
-        witness=witness,
-        elapsed=time.perf_counter() - start,
-        detail={"constructive_covering": constructive_covering},
-    )
+    return verdict
 
 
 def _verdict_branch(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     start = time.perf_counter()
-    alpha = ctx.alpha(smask)
-    kappa = ctx.kappa(smask)
-    hyp = hypothesis_holds(alpha, k, kappa)
     witness = ctx.branch_tree(smask, k - 2)
     if witness is not None:
         _audit_cover_witness(ctx, witness, smask, None, k - 2)
-    return TheoremVerdict(
-        claim="branch-cover",
-        graph_id=ctx.graph_id,
-        subset=_subset_tuple(smask),
-        k=k,
-        alpha=alpha,
-        kappa=kappa,
-        hypothesis_holds=hyp,
-        conclusion_holds=witness is not None,
-        witness=witness,
-        elapsed=time.perf_counter() - start,
-    )
+    return _verdict(ctx, "branch-cover", smask, k, start, witness, witness is not None)
 
 
 def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     start = time.perf_counter()
-    alpha = ctx.alpha(smask)
-    kappa = ctx.kappa(smask)
-    hyp = hypothesis_holds(alpha, k, kappa)
     cover = ctx.cover_tree(smask, k)
     if cover is not None:
-        detail: dict = {"covering": True}
-        witness: Tree | None = cover
-        conclusion = True
-    else:
-        outcome = ctx.construct(smask, k)
-        if outcome.kind == COVERING:
-            raise InternalInvariantError(
-                "construction covered but the exhaustive oracle says no k-ended covering tree exists"
-            )
-        assert not kappa.is_infinite    # infinite kappa always yields a covering
-        bound = alpha - kappa.finite - k + 1
-        residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
-        outcome.tree.validate_in(ctx.graph)
-        conclusion = residual <= bound and outcome.tree.leaf_count <= k
-        witness = outcome.tree
-        detail = {"covering": False, "residual_alpha": residual, "bound": bound}
-    return TheoremVerdict(
-        claim="residual-bound",
-        graph_id=ctx.graph_id,
-        subset=_subset_tuple(smask),
-        k=k,
-        alpha=alpha,
-        kappa=kappa,
-        hypothesis_holds=hyp,
-        conclusion_holds=conclusion,
-        witness=witness,
-        elapsed=time.perf_counter() - start,
-        detail=detail,
-    )
+        return _verdict(ctx, "residual-bound", smask, k, start, cover, True, {"covering": True})
+    outcome = ctx.construct(smask, k)
+    if outcome.kind == COVERING:
+        raise InternalInvariantError(
+            "construction covered but the exhaustive oracle says no k-ended covering tree exists"
+        )
+    kappa = ctx.kappa(smask)
+    assert not kappa.is_infinite    # infinite kappa always yields a covering
+    bound = ctx.alpha(smask) - kappa.finite - k + 1
+    residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
+    outcome.tree.validate_in(ctx.graph)
+    conclusion = residual <= bound and outcome.tree.leaf_count <= k
+    return _verdict(ctx, "residual-bound", smask, k, start, outcome.tree, conclusion,
+                    {"covering": False, "residual_alpha": residual, "bound": bound})
 
 
 def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
+    """S = V and k = 2, so the hypothesis reads alpha <= kappa + 1."""
     start = time.perf_counter()
     full = ctx.graph.full_mask
-    alpha = ctx.alpha(full)
-    kappa = ctx.kappa(full)
-    hyp = hypothesis_holds(alpha, 2, kappa)    # alpha <= kappa + 1
     ham = hamiltonian_path_exists(ctx.graph)
-    oracle = ctx.cover_tree(full, 2)
-    if (ham is None) != (oracle is None):
+    if (ham is None) != (ctx.cover_tree(full, 2) is None):
         raise InternalInvariantError(
             "backtracking Hamiltonian search disagrees with the covering-path oracle"
         )
     witness = Tree.from_path(ctx.graph.n, ham.vertices) if ham is not None else None
-    return TheoremVerdict(
-        claim="hamiltonian-path",
-        graph_id=ctx.graph_id,
-        subset=_subset_tuple(full),
-        k=2,
-        alpha=alpha,
-        kappa=kappa,
-        hypothesis_holds=hyp,
-        conclusion_holds=ham is not None,
-        witness=witness,
-        elapsed=time.perf_counter() - start,
-    )
+    return _verdict(ctx, "hamiltonian-path", full, 2, start, witness, ham is not None)
 
 
 def _context(graph: Graph, k: int) -> GraphContext:
@@ -389,19 +346,7 @@ def validate_plan(plan: SweepPlan) -> None:
         raise PlanError("workers must be at least 1")
 
 
-_PLAN_KEYS = {
-    "mode": str,
-    "n": int,
-    "p": float,
-    "count": int,
-    "seed": int,
-    "k_min": int,
-    "k_max": int,
-    "s_policy": str,
-    "s_count": int,
-    "path": str,
-    "workers": int,
-}
+_PLAN_KEYS = {f.name: str if f.default is None else type(f.default) for f in fields(SweepPlan)}
 
 
 def parse_sweep_plan(text: str) -> SweepPlan:

@@ -3,16 +3,34 @@
 A harness that cannot fail proves nothing, so every fault here is patched into
 one library function and the test requires a named abort, never a quiet
 verdict. A fault that no check catches gets a new check; it is not dropped.
+
+Two faults run quiet through the harness's own checks on exhaustive n <= 4:
+kappa - 1 on every pair flow, and the hypothesis read at k - 1 in the verdict
+layer. A smaller kappa only shrinks the hypothesis and loosens the bounds the
+construction must meet, and a wrong hypothesis flag is checked by nothing the
+searches compute. Both are caught here by the verdict-vs-oracle test, which
+recomputes alpha, kappa, the hypothesis and the cover conclusions of every
+verdict by brute force in `tests/oracles.py`.
 """
 
+import functools
 import re
+from itertools import combinations
 
 import pytest
 
-from kended import invariants
+from kended import invariants, verify
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph
+from kended.formats import parse_graph6
+from kended.graphs import Graph, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
+
+from oracles import (
+    independent_sets_by_enumeration,
+    max_internally_disjoint_paths,
+    min_branch_cover_by_enumeration,
+    min_leaf_cover_by_enumeration,
+)
 
 REPRODUCTION = re.compile(r"claim '[a-z-]+' on graph \S+ with S=\[[0-9, ]*\], k=\d+")
 
@@ -42,3 +60,70 @@ def test_alpha_one_too_high_aborts_a_sweep_with_reproduction_data(alpha_one_too_
         for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
             pass
     assert REPRODUCTION.search(str(info.value))
+
+
+def test_alpha_one_too_low_aborts_a_sweep_with_reproduction_data(monkeypatch):
+    exact = invariants.alpha_mask
+
+    def faulty(graph, smask):
+        size, witness = exact(graph, smask)
+        return (size - 1 if size >= 2 else size), witness
+
+    monkeypatch.setattr(invariants, "alpha_mask", faulty)
+    with pytest.raises(InternalInvariantError, match="path search exhausted") as info:
+        for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
+            pass
+    assert str(info.value).endswith("(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=2)")
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_facts(graph6: str, smask: int) -> tuple[int, int | None, int, int]:
+    """alpha(S), kappa(S) (None when |S| <= 1), and the least leaf and branch
+    vertex counts of a tree covering S, all by enumeration."""
+    graph = parse_graph6(graph6)
+    pairs = combinations(iter_bits(smask), 2)
+    kappa = min((max_internally_disjoint_paths(graph, x, y) for x, y in pairs), default=None)
+    return (independent_sets_by_enumeration(graph, smask)[0], kappa,
+            min_leaf_cover_by_enumeration(graph, smask), min_branch_cover_by_enumeration(graph, smask))
+
+
+def oracle_mismatches(plan: SweepPlan) -> list:
+    """Every verdict of the plan whose alpha, kappa, hypothesis or cover
+    conclusion disagrees with the oracles."""
+    mismatches = []
+    for verdict in sweep_verdicts(plan):
+        smask = sum(1 << v for v in verdict.subset)
+        alpha, kappa, min_leaves, min_branch = oracle_facts(verdict.graph_id, smask)
+        expected = {
+            "alpha": alpha,
+            "kappa": kappa,
+            "hypothesis_holds": kappa is None or alpha <= verdict.k + kappa - 1,
+        }
+        if verdict.claim in ("kended-cover", "hamiltonian-path"):
+            expected["conclusion_holds"] = min_leaves <= verdict.k
+        elif verdict.claim == "branch-cover":
+            expected["conclusion_holds"] = min_branch <= verdict.k - 2
+        actual = dict(vars(verdict), kappa=verdict.kappa.finite)
+        if any(actual[name] != value for name, value in expected.items()):
+            mismatches.append(verdict)
+    return mismatches
+
+
+N4 = SweepPlan(mode="exhaustive", n=4)    # 44 graphs, 5,462 verdicts
+
+
+def test_every_exhaustive_n4_verdict_matches_the_oracles():
+    assert oracle_mismatches(N4) == []
+
+
+def test_kappa_one_too_low_is_caught_by_the_oracles(monkeypatch):
+    exact = invariants.local_connectivity
+    monkeypatch.setattr(invariants, "local_connectivity",
+                        lambda graph, x, y: max(exact(graph, x, y) - 1, 0))
+    assert len(oracle_mismatches(N4)) == 3958    # the sweep itself runs clean
+
+
+def test_hypothesis_at_k_minus_one_is_caught_by_the_oracles(monkeypatch):
+    exact = verify.hypothesis_holds
+    monkeypatch.setattr(verify, "hypothesis_holds", lambda alpha, k, kappa: exact(alpha, k - 1, kappa))
+    assert len(oracle_mismatches(N4)) == 645    # the sweep itself runs clean

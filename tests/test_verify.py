@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import re
@@ -8,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from kended import constructive, graphs, invariants, treesearch
+from kended import cli, constructive, graphs, invariants, treesearch
 from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, make_family
@@ -230,6 +231,23 @@ def test_sweep_stream_is_deterministic():
     third = [verdict_to_json(v) for v in sweep_verdicts(SweepPlan(
         mode="random", n=6, p=0.5, count=30, seed=4, s_policy="random-subsets", s_count=2))]
     assert first != third
+
+
+# Recorded on CPython 3.10, 3.11 and 3.12; a refactor of the verdict layer
+# must leave both byte for byte as they are.
+N4_STREAM_SHA256 = "c2828d708b0ffc9ecd563e5a26ca61df1cf08003ce0607cf69536b9b06bf1216"
+N4_REPORT_SHA256 = "5398b6bc5af3cf514dcecbfea4649a44ba45950009aed6ba5daaaaf070976cff"
+
+
+def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
+    stream = hashlib.sha256()
+    for verdict in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
+        stream.update((json.dumps(verdict_to_json(verdict), sort_keys=True) + "\n").encode())
+    assert stream.hexdigest() == N4_STREAM_SHA256
+    monkeypatch.chdir(tmp_path)    # the report echoes the plan path
+    (tmp_path / "p4.plan").write_text("mode = exhaustive\nn = 4\n")
+    assert cli.main(["verify", "--plan", "p4.plan", "--no-timing", "--out", "r.json"]) == 0
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == N4_REPORT_SHA256
 
 
 def test_sweep_random_n9_clean_and_reproducible():
