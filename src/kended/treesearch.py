@@ -1,16 +1,20 @@
 """Exact covering-tree oracles: k-ended existence, minimum leaves, minimum
 branch vertices, and Hamiltonian path search.
 
-The existence searches grow trees one frontier edge at a time and memoize on
-a state that fully determines future options: (vertex mask, leaf mask) for
-the leaf-budget search, (vertex mask, degree-1 mask, degree-2 mask) for the
-branch-budget search. Both budgets are monotone along growth, so pruning a
+Both existence searches run one growth search. It grows a tree one frontier
+edge at a time and memoizes on a state that fully determines future options:
+(vertex mask, degree-1 mask, degree-2 mask). A branch budget needs the
+degree-2 mask, since a branch vertex is one in neither mask. A leaf budget
+needs only the degree-1 (leaf) mask, so it keeps the degree-2 mask at 0: its
+memo keys are then exactly its (vertex mask, leaf mask) states, where
+tracking degree 2 would split each state by its degree-2 vertices and search
+the same trees again. Both budgets are monotone along growth, so pruning a
 state over budget is sound, and any covering tree can be pruned down to one
-whose every leaf lies in S without raising either budget, so the searches
-restrict acceptance to such trees without losing completeness.
+whose every leaf lies in S without raising either budget, so the search
+restricts acceptance to such trees without losing completeness.
 
-The two existence searches share one front end (trivial answers, the
-coverability check, the covering path). The covering path comes from the
+Before it, the existence searches share trivial answers, the coverability
+check and the covering path. The covering path comes from the
 graph's Held-Karp path planes by vertex mask (`Graph.covering_path`; only
 `graphs` reads a plane). hamiltonian_path_exists reads no plane, so the two
 routes are cross-checked: it backtracks unless alpha(V), from the alpha memo,
@@ -21,8 +25,6 @@ Both tables are built once per graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .errors import CapExceededError, InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet
@@ -36,24 +38,18 @@ def _check_cap(graph: Graph, cap: int) -> None:
         raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
 
 
-def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tuple[int, int]] | None:
-    """Edges of a tree containing r0 that covers smask with at most k leaves, all in S,
-    or None when the minimum-leaf planes give more than k; the search must find one otherwise."""
-    minimum = graph.min_leaves(smask)
-    if minimum > k:
-        return None
+def _grow_tree(graph: Graph, smask: int, budget: int, r0: int, branches: bool) -> list[tuple[int, int]] | None:
+    """Edges of a tree containing r0 that covers smask with all leaves in S and at
+    most `budget` branch vertices (branches) or leaves (not branches), or None.
+    S has at least two vertices, so the one-vertex start is never accepted."""
     n = graph.n
     rows = graph.rows
     seen: set[int] = set()
     edges: list[tuple[int, int]] = []
 
-    def rec(mask: int, leaf: int) -> bool:
-        if smask & ~mask == 0 and leaf & ~smask == 0:
+    def rec(mask: int, deg1: int, deg2: int) -> bool:
+        if smask & ~mask == 0 and deg1 & ~smask == 0:
             return True
-        key = (mask << n) | leaf
-        if key in seen:
-            return False
-        seen.add(key)
         single = mask & (mask - 1) == 0
         m = mask
         while m:
@@ -66,72 +62,27 @@ def _grow_tree_leaf_budget(graph: Graph, smask: int, k: int, r0: int) -> list[tu
                 u = lu.bit_length() - 1
                 cand ^= lu
                 if single:
-                    new_leaf = mask | lu
-                else:
-                    new_leaf = (leaf & ~lw) | lu
-                if new_leaf.bit_count() > k:
-                    continue
-                new_mask = mask | lu
-                # a non-S leaf with no free neighbor can never stop being a leaf
-                dead = False
-                t = new_leaf & ~smask
-                while t:
-                    lv = t & -t
-                    if rows[lv.bit_length() - 1] & ~new_mask == 0:
-                        dead = True
-                        break
-                    t ^= lv
-                if dead:
-                    continue
-                edges.append((w, u))
-                if rec(new_mask, new_leaf):
-                    return True
-                edges.pop()
-        return False
-
-    if rec(1 << r0, 0):
-        return list(edges)
-    raise InternalInvariantError(
-        f"the minimum-leaf table gives {minimum} leaves but the growth search found no tree with at most {k}"
-    )
-
-
-def _grow_tree_branch_budget(graph: Graph, smask: int, budget: int, r0: int) -> list[tuple[int, int]] | None:
-    """Edges of a tree containing r0 covering smask with at most `budget` branch vertices."""
-    n = graph.n
-    rows = graph.rows
-    seen: set[int] = set()
-    edges: list[tuple[int, int]] = []
-
-    def rec(mask: int, deg1: int, deg2: int, branch_count: int) -> bool:
-        if smask & ~mask == 0 and deg1 & ~smask == 0 and mask & (mask - 1):
-            return True
-        key = ((mask << n) | deg1) << n | deg2
-        if key in seen:
-            return False
-        seen.add(key)
-        single = mask & (mask - 1) == 0
-        m = mask
-        while m:
-            lw = m & -m
-            w = lw.bit_length() - 1
-            m ^= lw
-            cand = rows[w] & ~mask
-            while cand:
-                lu = cand & -cand
-                u = lu.bit_length() - 1
-                cand ^= lu
-                if single:
-                    new_d1, new_d2, new_bc = mask | lu, 0, 0
-                elif deg1 & lw:
-                    new_d1, new_d2, new_bc = (deg1 & ~lw) | lu, deg2 | lw, branch_count
-                elif deg2 & lw:
-                    if branch_count + 1 > budget:
+                    new_d1, new_d2 = mask | lu, 0
+                elif not branches:
+                    new_d1, new_d2 = (deg1 & ~lw) | lu, 0
+                    if new_d1.bit_count() > budget:
                         continue
-                    new_d1, new_d2, new_bc = deg1 | lu, deg2 & ~lw, branch_count + 1
+                elif deg1 & lw:
+                    new_d1, new_d2 = (deg1 & ~lw) | lu, deg2 | lw
+                elif deg2 & lw:
+                    # w becomes a branch vertex; the ones so far lie in neither degree mask
+                    if (mask & ~deg1 & ~deg2).bit_count() >= budget:
+                        continue
+                    new_d1, new_d2 = deg1 | lu, deg2 & ~lw
                 else:
-                    new_d1, new_d2, new_bc = deg1 | lu, deg2, branch_count
+                    new_d1, new_d2 = deg1 | lu, deg2
                 new_mask = mask | lu
+                # the memo is read before the call: most children were seen already
+                key = ((new_mask << n) | new_d1) << n | new_d2
+                if key in seen:
+                    continue
+                seen.add(key)
+                # a non-S leaf with no free neighbor can never stop being a leaf
                 dead = False
                 t = new_d1 & ~smask
                 while t:
@@ -143,14 +94,12 @@ def _grow_tree_branch_budget(graph: Graph, smask: int, budget: int, r0: int) -> 
                 if dead:
                     continue
                 edges.append((w, u))
-                if rec(new_mask, new_d1, new_d2, new_bc):
+                if rec(new_mask, new_d1, new_d2):
                     return True
                 edges.pop()
         return False
 
-    if rec(1 << r0, 1 << r0, 0, 0):
-        return list(edges)
-    return None
+    return list(edges) if rec(1 << r0, 0, 0) else None
 
 
 def _coverable(graph: Graph, smask: int) -> bool:
@@ -158,11 +107,10 @@ def _coverable(graph: Graph, smask: int) -> bool:
     return graph.is_connected() or graph.component_mask(r0) & smask == smask
 
 
-def _covering_tree(graph: Graph, subset: VertexSet, cap: int, grow: Callable | None,
-                   budget: int) -> Tree | None:
+def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branches: bool) -> Tree | None:
     """The body of both existence searches: trivial and path answers first, then
-    grow(graph, smask, budget, r0), unless grow is None (the budget only allows
-    a path)."""
+    the growth search, unless the budget allows only a path (2 leaves or no
+    branch vertex) or the minimum-leaf planes exceed a leaf budget."""
     _check_cap(graph, cap)
     smask = graph.subset_mask(subset)
     if graph.n == 0:
@@ -174,13 +122,20 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, grow: Callable | N
     seq = graph.covering_path(smask)
     if seq is not None:
         return Tree.from_path(graph.n, seq)
-    if grow is None:
+    if budget == (0 if branches else 2):
+        return None
+    minimum = 0 if branches else graph.min_leaves(smask)
+    if minimum > budget:
         return None
     r0 = (smask & -smask).bit_length() - 1
-    edges = grow(graph, smask, budget, r0)
-    if edges is None:
+    edges = _grow_tree(graph, smask, budget, r0, branches)
+    if edges is not None:
+        return Tree(graph.n, [r0] + [v for edge in edges for v in edge], edges)
+    if branches:
         return None
-    return Tree(graph.n, [r0] + [v for edge in edges for v in edge], edges)
+    raise InternalInvariantError(
+        f"the minimum-leaf table gives {minimum} leaves but the growth search found no tree with at most {budget}"
+    )
 
 
 def find_k_ended_covering_tree(
@@ -192,7 +147,7 @@ def find_k_ended_covering_tree(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    return _covering_tree(graph, subset, cap, _grow_tree_leaf_budget if k > 2 else None, k)
+    return _covering_tree(graph, subset, cap, k, False)
 
 
 def covering_tree_with_branch_budget(
@@ -201,7 +156,7 @@ def covering_tree_with_branch_budget(
     """Some covering tree with at most `budget` branch vertices, or None."""
     if budget < 0:
         raise ValueError("branch budget must be non-negative")
-    return _covering_tree(graph, subset, cap, _grow_tree_branch_budget if budget > 0 else None, budget)
+    return _covering_tree(graph, subset, cap, budget, True)
 
 
 def _coverable_subset_mask(graph: Graph, subset: VertexSet, cap: int) -> int:

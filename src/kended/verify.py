@@ -335,10 +335,10 @@ def validate_plan(plan: SweepPlan) -> None:
             raise PlanError("edge probability must lie in [0, 1]")
         if plan.count < 0:
             raise PlanError("count must be non-negative")
-        if plan.s_policy == "random-subsets" and plan.s_count < 1:
-            raise PlanError("s_count must be at least 1")
     if plan.mode == "graph6" and not plan.path:
         raise PlanError("graph6 mode needs path = <file>")
+    if plan.s_policy == "random-subsets" and plan.s_count < 1:
+        raise PlanError("s_count must be at least 1")
     if plan.s_policy == "all-subsets":
         if plan.mode == "random" and plan.n > ALL_SUBSETS_MAX_N:
             raise PlanError(f"all-subsets policy is restricted to n <= {ALL_SUBSETS_MAX_N}")
@@ -376,8 +376,6 @@ def parse_sweep_plan(text: str) -> SweepPlan:
 
 def _subset_masks(plan: SweepPlan, n: int, rng: random.Random) -> list[int]:
     full = (1 << n) - 1
-    if full == 0:
-        return []
     if plan.s_policy == "all-subsets":
         if n > ALL_SUBSETS_MAX_N:
             raise PlanError(f"all-subsets policy is restricted to n <= {ALL_SUBSETS_MAX_N}")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -94,6 +95,37 @@ def test_existence_cap():
 def test_k_below_two_rejected():
     with pytest.raises(ValueError):
         find_k_ended_covering_tree(star(3), VertexSet.full(4), 1)
+
+
+# The witnesses of both growth searches, recorded on CPython 3.10, 3.11 and
+# 3.12; a change to the search must return the same trees.
+WITNESS_SHA256 = "382a33d82be8373d937981cdea1e90c674954257c504e1c813657260bf76b0df"
+
+
+def witness_instances():
+    """Seeded graphs, each with S = V and two random S, many of which miss a covering path."""
+    rng = random.Random(1717)
+    hosts = [random_connected_graph(rng, 7 + i % 4, 0.35) for i in range(40)]
+    hosts += [bipartite_3_7(rng) for _ in range(20)]
+    # random recursive trees: their many branch vertices defeat the small branch budgets
+    hosts += [Graph.from_edges(10, [(rng.randrange(v), v) for v in range(1, 10)]) for _ in range(10)]
+    for graph in hosts:
+        for smask in (graph.full_mask, rng.randrange(1, 1 << graph.n), rng.randrange(1, 1 << graph.n)):
+            yield graph, VertexSet(graph.n, smask)
+
+
+def test_growth_search_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for graph, subset in witness_instances():
+        for search, budgets in ((find_k_ended_covering_tree, range(3, 7)),
+                                (covering_tree_with_branch_budget, range(1, 5))):
+            for budget in budgets:
+                tree = search(graph, subset, budget)
+                outcomes.add((search, tree is None))
+                digest.update(repr(tree.edges if tree else None).encode())
+    assert len(outcomes) == 4    # each search both finds a tree and finds none
+    assert digest.hexdigest() == WITNESS_SHA256
 
 
 # minimum leaves

@@ -188,6 +188,8 @@ def test_parse_plan_round_trip():
         "mode = random\nn = 8\ns_policy = all-subsets",
         "mode = random\np = 1.5",
         "mode = graph6",
+        "mode = exhaustive\nn = 3\ns_policy = random-subsets\ns_count = 0",
+        "mode = graph6\npath = x.g6\ns_policy = random-subsets\ns_count = 0",
         "k_min = 1",
         "k_min = 4\nk_max = 2",
         "bogus = 1",
