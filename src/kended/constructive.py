@@ -12,7 +12,8 @@ stop depends on k, so a run can resume from the outcome for a smaller k.
 alpha, kappa and every residual alpha come from the graph's own memo
 (invariants.subset_alpha and subset_kappa), shared with every other caller.
 The base path asks the graph for its path sets by size (`Graph.path_sets`)
-and walks the first path on the qualifying ones (`Graph.first_path`); only
+and walks the first path on them (`Graph.first_path`), dropping the set of a
+path that does not qualify and walking again; only
 `graphs` reads the path planes behind them.
 """
 
@@ -50,9 +51,11 @@ def base_path(graph: Graph, subset: VertexSet) -> Path:
 
     The longest such path, first in lexicographic order. Qualifying depends
     only on the vertex set, so the path sets come from `Graph.path_sets`,
-    longest first, and `Graph.first_path` walks the qualifying sets of the
-    first length that has one. The reverse of a path is a path on the same
-    set, so the first path reads with first < last vertex. It covers S iff
+    longest first. `Graph.first_path` walks the sets of one length, and a
+    set whose first path fails to qualify is dropped and the walk repeated:
+    no other path on that set qualifies either, so the first qualifying
+    path is the first path on what is left. The reverse of a path is a path
+    on the same set, so the first path reads with first < last vertex. It covers S iff
     `smask & ~path.mask() == 0`. One path always qualifies for a connected
     graph and nonempty S, so exhaustion is an internal invariant failure.
     Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
@@ -74,9 +77,13 @@ def base_path(graph: Graph, subset: VertexSet) -> Path:
         return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
 
     for length in range(graph.n, 0, -1):
-        goals = [m for m in graph.path_sets(length) if qualifies(m)]
-        if goals:
-            return Path(tuple(graph.first_path(goals)))
+        goals = graph.path_sets(length)
+        while goals:
+            seq = graph.first_path(goals)
+            pmask = mask_of(seq)
+            if qualifies(pmask):
+                return Path(tuple(seq))
+            goals.remove(pmask)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 

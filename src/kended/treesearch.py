@@ -13,6 +13,26 @@ state over budget is sound, and any covering tree can be pruned down to one
 whose every leaf lies in S without raising either budget, so the search
 restricts acceptance to such trees without losing completeness.
 
+Each call of the search first tests one bound per budget (`_leaf_bound_cuts`,
+`_branch_bound_cuts`). Let F be the vertices of S outside the tree whose
+every neighbour is in it, and L the tree's leaves. A vertex of F can join a
+grown tree only as a leaf hanging from a vertex of the current tree.
+- Leaf budget: a grown tree keeps one leaf per leaf of L, the leaf itself or
+  a leaf of what hangs from it, all distinct, and every vertex of F is a
+  leaf too. A vertex of F is a kept leaf only if it hangs from a leaf of L,
+  which then lies in N(F), and distinct leaves of L keep distinct leaves, so
+  at most min(|F|, |L & N(F)|) vertices of F are counted twice. The state is
+  cut when |L| + |F| - min(|F|, |L & N(F)|) exceeds the budget.
+- Branch budget: a grown tree keeps every branch vertex of the current
+  tree, so once their count equals the budget no other vertex may reach
+  degree 3. A vertex of F with no branch neighbour must then hang from a
+  leaf of L, since a degree-2 parent would reach degree 3, and no leaf of L
+  may take two children, so the state is cut when those F vertices
+  outnumber the leaves adjacent to them.
+A cut state has no accepting tree beyond it, and the memoized search returns
+False from a state exactly when none lies beyond it, so the cuts leave the
+first tree in DFS order, and so every witness, unchanged.
+
 Before it, the existence searches share trivial answers, the coverability
 check and the covering path. The covering path comes from the
 graph's Held-Karp path planes by vertex mask (`Graph.covering_path`; only
@@ -38,18 +58,57 @@ def _check_cap(graph: Graph, cap: int) -> None:
         raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
 
 
+def _forced(rows: tuple[int, ...], smask: int, mask: int, avoid: int) -> tuple[int, int]:
+    """How many vertices of S outside the tree have every neighbour in it and
+    none in `avoid`, and the union of their neighbourhoods."""
+    count = near = 0
+    banned = ~mask | avoid
+    t = smask & ~mask
+    while t:
+        lu = t & -t
+        t ^= lu
+        row = rows[lu.bit_length() - 1]
+        if row & banned == 0:
+            count += 1
+            near |= row
+    return count, near
+
+
+def _leaf_bound_cuts(rows: tuple[int, ...], smask: int, budget: int, mask: int, deg1: int, deg2: int) -> bool:
+    """Whether every covering tree grown from this state has more than `budget`
+    leaves: each forced vertex ends as a leaf, and a leaf of the state stops
+    being one only by taking a child, so at most one per forced vertex does."""
+    forced, near = _forced(rows, smask, mask, 0)
+    return deg1.bit_count() + forced - min(forced, (deg1 & near).bit_count()) > budget
+
+
+def _branch_bound_cuts(rows: tuple[int, ...], smask: int, budget: int, mask: int, deg1: int, deg2: int) -> bool:
+    """Whether, with the branch budget spent, the forced vertices without a
+    branch neighbour outnumber the leaves they could hang from, one each. The
+    one-vertex start counts its root as a branch vertex, which every forced
+    vertex then neighbours, so it is never cut."""
+    branch = mask & ~deg1 & ~deg2
+    if branch.bit_count() < budget:
+        return False
+    forced, near = _forced(rows, smask, mask, branch)
+    return forced > (deg1 & near).bit_count()
+
+
 def _grow_tree(graph: Graph, smask: int, budget: int, r0: int, branches: bool) -> list[tuple[int, int]] | None:
     """Edges of a tree containing r0 that covers smask with all leaves in S and at
     most `budget` branch vertices (branches) or leaves (not branches), or None.
     S has at least two vertices, so the one-vertex start is never accepted."""
     n = graph.n
     rows = graph.rows
+    cuts = _branch_bound_cuts if branches else _leaf_bound_cuts
     seen: set[int] = set()
     edges: list[tuple[int, int]] = []
 
     def rec(mask: int, deg1: int, deg2: int) -> bool:
         if smask & ~mask == 0 and deg1 & ~smask == 0:
             return True
+        if cuts(rows, smask, budget, mask, deg1, deg2):
+            return False
         single = mask & (mask - 1) == 0
         m = mask
         while m:

@@ -7,8 +7,9 @@ from the library, since it checks only the path search. The two per-mask
 tuple DPs, `_path_endpoint_table` and `_min_leaf_table`, are the library's
 former subset tables, kept verbatim as the reference for its bit planes;
 `hamiltonian_path_by_backtracking` is the library's Hamiltonian search as it
-was before the independence-number bound, kept as the reference for its
-witness.
+was before the independence-number bound, and `grow_tree_unpruned` its
+growth search as it was before the forced-leaf bounds, each kept as the
+reference for its witnesses.
 """
 
 from __future__ import annotations
@@ -366,6 +367,67 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet,
                     return Path(seq)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
+
+
+def grow_tree_unpruned(graph: Graph, smask: int, budget: int, r0: int, branches: bool) -> list[tuple[int, int]] | None:
+    """`treesearch._grow_tree` without the forced-leaf bounds: edges of a tree
+    containing r0 that covers smask with all leaves in S and at most `budget`
+    branch vertices (branches) or leaves (not branches), or None."""
+    n = graph.n
+    rows = graph.rows
+    seen: set[int] = set()
+    edges: list[tuple[int, int]] = []
+
+    def rec(mask: int, deg1: int, deg2: int) -> bool:
+        if smask & ~mask == 0 and deg1 & ~smask == 0:
+            return True
+        single = mask & (mask - 1) == 0
+        m = mask
+        while m:
+            lw = m & -m
+            w = lw.bit_length() - 1
+            m ^= lw
+            cand = rows[w] & ~mask
+            while cand:
+                lu = cand & -cand
+                u = lu.bit_length() - 1
+                cand ^= lu
+                if single:
+                    new_d1, new_d2 = mask | lu, 0
+                elif not branches:
+                    new_d1, new_d2 = (deg1 & ~lw) | lu, 0
+                    if new_d1.bit_count() > budget:
+                        continue
+                elif deg1 & lw:
+                    new_d1, new_d2 = (deg1 & ~lw) | lu, deg2 | lw
+                elif deg2 & lw:
+                    if (mask & ~deg1 & ~deg2).bit_count() >= budget:
+                        continue
+                    new_d1, new_d2 = deg1 | lu, deg2 & ~lw
+                else:
+                    new_d1, new_d2 = deg1 | lu, deg2
+                new_mask = mask | lu
+                key = ((new_mask << n) | new_d1) << n | new_d2
+                if key in seen:
+                    continue
+                seen.add(key)
+                dead = False
+                t = new_d1 & ~smask
+                while t:
+                    lv = t & -t
+                    if rows[lv.bit_length() - 1] & ~new_mask == 0:
+                        dead = True
+                        break
+                    t ^= lv
+                if dead:
+                    continue
+                edges.append((w, u))
+                if rec(new_mask, new_d1, new_d2):
+                    return True
+                edges.pop()
+        return False
+
+    return list(edges) if rec(1 << r0, 0, 0) else None
 
 
 def hamiltonian_path_by_backtracking(graph: Graph) -> Path | None:

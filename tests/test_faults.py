@@ -11,6 +11,12 @@ construction must meet, and a wrong hypothesis flag is checked by nothing the
 searches compute. Both are caught here by the verdict-vs-oracle test, which
 recomputes alpha, kappa, the hypothesis and the cover conclusions of every
 verdict by brute force in `tests/oracles.py`.
+
+The growth search's forced-leaf bounds are seeded too. A leaf bound that cuts
+too much aborts at n <= 4, because every leaf-budget search must find the tree
+the minimum-leaf table promises. The branch-budget search has no such second
+route in the harness, so its fault first shows at n = 6, as a branch-cover
+counterexample.
 """
 
 import functools
@@ -19,8 +25,8 @@ from itertools import combinations
 
 import pytest
 
-from kended import invariants, verify
-from kended.errors import InternalInvariantError
+from kended import invariants, treesearch, verify
+from kended.errors import CounterexampleError, InternalInvariantError
 from kended.formats import parse_graph6
 from kended.graphs import Graph, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
@@ -33,6 +39,7 @@ from oracles import (
 )
 
 REPRODUCTION = re.compile(r"claim '[a-z-]+' on graph \S+ with S=\[[0-9, ]*\], k=\d+")
+N4 = SweepPlan(mode="exhaustive", n=4)    # 44 graphs, 5,462 verdicts
 
 
 @pytest.fixture
@@ -76,6 +83,39 @@ def test_alpha_one_too_low_aborts_a_sweep_with_reproduction_data(monkeypatch):
     assert str(info.value).endswith("(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=2)")
 
 
+def test_leaf_bound_without_its_absorbed_leaves_aborts_a_sweep(monkeypatch):
+    # a leaf that takes a forced vertex as its child stops being a leaf; without
+    # "- min(...)" the bound counts both and cuts states that still fit the budget
+    def faulty(rows, smask, budget, mask, deg1, deg2):
+        return deg1.bit_count() + treesearch._forced(rows, smask, mask, 0)[0] > budget
+
+    monkeypatch.setattr(treesearch, "_leaf_bound_cuts", faulty)
+    with pytest.raises(InternalInvariantError, match="the minimum-leaf table gives 3 leaves but the growth "
+                                                     "search found no tree with at most 3") as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value).endswith("(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=3)")
+
+
+def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
+    # the branch bound cutting whenever a forced vertex lacks a branch neighbour,
+    # though a leaf could take it; it changes no branch-budget result on any
+    # labelled graph with n <= 5, so exhaustive n <= 5 runs quiet, and the
+    # sampled n = 6 tier of the acceptance tests first aborts at its 3,505th
+    # graph (E[?g, S=[1, 2, 3, 4], k=3); this is the smallest sweep found that
+    # catches it: the first connected G(6, 0.3) of seed 0, with every S
+    def faulty(rows, smask, budget, mask, deg1, deg2):
+        branch = mask & ~deg1 & ~deg2
+        return branch.bit_count() >= budget and treesearch._forced(rows, smask, mask, branch)[0] > 0
+
+    monkeypatch.setattr(treesearch, "_branch_bound_cuts", faulty)
+    plan = SweepPlan(mode="random", n=6, p=0.3, count=8, seed=0, s_policy="all-subsets")
+    with pytest.raises(CounterexampleError) as info:
+        for _ in sweep_verdicts(plan):
+            pass
+    assert str(info.value) == "counterexample for claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3"
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_facts(graph6: str, smask: int) -> tuple[int, int | None, int, int]:
     """alpha(S), kappa(S) (None when |S| <= 1), and the least leaf and branch
@@ -107,9 +147,6 @@ def oracle_mismatches(plan: SweepPlan) -> list:
         if any(actual[name] != value for name, value in expected.items()):
             mismatches.append(verdict)
     return mismatches
-
-
-N4 = SweepPlan(mode="exhaustive", n=4)    # 44 graphs, 5,462 verdicts
 
 
 def test_every_exhaustive_n4_verdict_matches_the_oracles():

@@ -22,6 +22,7 @@ from oracles import (
     _min_leaf_table,
     _path_endpoint_table,
     covering_path_by_forward_dp,
+    grow_tree_unpruned,
     hamiltonian_path_by_backtracking,
     hamiltonian_path_by_permutations,
     min_branch_cover_by_enumeration,
@@ -126,6 +127,91 @@ def test_growth_search_witnesses_are_pinned():
                 digest.update(repr(tree.edges if tree else None).encode())
     assert len(outcomes) == 4    # each search both finds a tree and finds none
     assert digest.hexdigest() == WITNESS_SHA256
+
+
+# The forced-leaf bounds cut only states from which no accepting tree is
+# reachable, so the first tree in DFS order, and every witness, must be the
+# one the unpruned body in tests/oracles.py returns.
+
+
+def public_witnesses(cases):
+    return [tree.edges if tree else None
+            for graph, subset in cases
+            for search, budgets in ((find_k_ended_covering_tree, range(2, 8)),
+                                    (covering_tree_with_branch_budget, range(6)))
+            for tree in (search(graph, subset, budget) for budget in budgets)]
+
+
+def assert_witnesses_match_unpruned(monkeypatch, instances):
+    cases = [(graph, VertexSet(graph.n, smask)) for graph, smask in instances]
+    grown = []
+    grow = treesearch._grow_tree
+
+    def recording(*args):
+        grown.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(treesearch, "_grow_tree", recording)
+    pruned = public_witnesses(cases)
+    assert grown    # the growth search ran
+    monkeypatch.setattr(treesearch, "_grow_tree", grow_tree_unpruned)
+    assert public_witnesses(cases) == pruned
+
+
+def test_bounded_growth_search_matches_unpruned_every_labelled_graph_n_le_5(monkeypatch):
+    assert_witnesses_match_unpruned(monkeypatch, [(graph, smask) for graph in connected_graphs_up_to(5)
+                                                  for smask in range(1 << graph.n)])
+
+
+def test_bounded_growth_search_matches_unpruned_on_random_gnp(monkeypatch):
+    rng = random.Random(1818)
+    instances = []
+    for i in range(100):
+        graph = random_connected_graph(rng, 6 + i % 5, rng.choice((0.3, 0.45, 0.6)))
+        instances += [(graph, graph.full_mask)] + [(graph, rng.randrange(1, 1 << graph.n)) for _ in range(3)]
+    assert_witnesses_match_unpruned(monkeypatch, instances)
+
+
+def test_bounded_growth_search_matches_unpruned_on_random_trees(monkeypatch):
+    rng = random.Random(1819)
+    instances = []
+    for i in range(60):
+        n = 6 + i % 5
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        u, v = rng.sample(range(n), 2)
+        chord = [] if (min(u, v), max(u, v)) in edges else [(u, v)]
+        for graph in (Graph.from_edges(n, edges), Graph.from_edges(n, edges + chord)):
+            instances += [(graph, graph.full_mask), (graph, rng.randrange(1, 1 << n))]
+    assert_witnesses_match_unpruned(monkeypatch, instances)
+
+
+def test_bounded_growth_search_matches_unpruned_on_complete_bipartite(monkeypatch):
+    rng = random.Random(1820)
+    instances = []
+    for a in range(1, 10):
+        for b in range(1, 11 - a):
+            graph = Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+            instances += [(graph, graph.full_mask)] + [(graph, rng.randrange(1, 1 << graph.n)) for _ in range(3)]
+    assert_witnesses_match_unpruned(monkeypatch, instances)
+
+
+def test_each_bound_cuts_on_k37(monkeypatch):
+    # K_{3,7} with the part of 7 labelled first, so the search starts there, S = V
+    graph = Graph.from_edges(10, [(u, 7 + v) for u in range(7) for v in range(3)])
+    subset = VertexSet.full(10)
+    cut = []
+    for name in ("_leaf_bound_cuts", "_branch_bound_cuts"):
+        def recording(*args, name=name, bound=getattr(treesearch, name)):
+            if bound(*args):
+                cut.append(name)
+                return True
+            return False
+
+        monkeypatch.setattr(treesearch, name, recording)
+    assert [find_k_ended_covering_tree(graph, subset, k).leaf_count for k in range(5, 8)] == [5, 6, 7]
+    assert "_leaf_bound_cuts" in cut and "_branch_bound_cuts" not in cut
+    assert covering_tree_with_branch_budget(graph, subset, 1).branch_count == 1
+    assert "_branch_bound_cuts" in cut
 
 
 # minimum leaves
