@@ -5,11 +5,14 @@ error, 2 usage or parse errors. An internal error (a proved property failed,
 which means a bug here) is reported on stderr with the graph6, S and, for
 construct, k that reproduce it. Reports are JSON on stdout or a file; pass
 --no-timing for byte-stable output across runs. Every command runs at the
-fixed vertex cap treesearch.DEFAULT_TREE_CAP (10); no option changes it.
+fixed vertex cap treesearch.DEFAULT_TREE_CAP (10); no option changes it, and
+an instance or a sharpness range above it is refused with exit 2.
 
 main(argv) is reentrant and builds its argument parser once per process; each
-call parses into a fresh namespace and looks up its cmd_* handler by name. It
-returns the exit code, also for --help and for argparse's usage errors.
+call parses into a fresh namespace and looks up its cmd_* handler by name. A
+handler returns (inputs, results, exit code); main times it and writes the one
+report. main returns the exit code, also for --help and for argparse's usage
+errors.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .families import make_family, parse_family_spec
 from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, VertexSet
 from .invariants import independence_number, set_connectivity_pair
-from .treesearch import DEFAULT_TREE_CAP
+from .treesearch import DEFAULT_TREE_CAP, _check_cap
 from .verify import SHARPNESS_NOTE, SweepPlan, parse_sweep_plan, run_sweep, verify_sharpness
 
 EXIT_OK = 0
@@ -134,18 +137,9 @@ def _parse_subset(spec: str, graph: Graph, family_subset: VertexSet | None) -> V
     return VertexSet.from_vertices(graph.n, vertices)
 
 
-def _emit(args, document: dict) -> None:
-    text = rpt.render_report(document)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def cmd_analyze(args) -> int:
-    start = time.perf_counter()
+def cmd_analyze(args) -> tuple[dict, dict, int]:
     graph, family_subset, echo = _load_graph(args)
+    _check_cap(graph, DEFAULT_TREE_CAP)
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
     witness = independence_number(graph, subset)
@@ -168,13 +162,10 @@ def cmd_analyze(args) -> int:
         "threshold_k": threshold,
         "largest_failing_k": largest_failing,
     }
-    elapsed = None if args.no_timing else time.perf_counter() - start
-    _emit(args, rpt.make_report("analyze", echo, results, elapsed))
-    return EXIT_OK
+    return echo, results, EXIT_OK
 
 
-def cmd_construct(args) -> int:
-    start = time.perf_counter()
+def cmd_construct(args) -> tuple[dict, dict, int]:
     graph, family_subset, echo = _load_graph(args)
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
@@ -193,13 +184,10 @@ def cmd_construct(args) -> int:
             "attachments": [rpt.path_to_json(p) for p in outcome.trace[1:]],
         },
     }
-    elapsed = None if args.no_timing else time.perf_counter() - start
-    _emit(args, rpt.make_report("construct", echo, results, elapsed))
-    return EXIT_OK
+    return echo, results, EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, dict, int]:
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = parse_sweep_plan(handle.read())
@@ -216,9 +204,7 @@ def cmd_verify(args) -> int:
     else:
         results = rpt.sweep_report_to_json(sweep, include_timing=not args.no_timing)
         code = EXIT_OK
-    elapsed = None if args.no_timing else time.perf_counter() - start
-    _emit(args, rpt.make_report("verify", inputs, results, elapsed))
-    return code
+    return inputs, results, code
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -229,12 +215,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def cmd_sharpness(args) -> int:
-    start = time.perf_counter()
+def cmd_sharpness(args) -> tuple[dict, dict, int]:
     m_lo, m_hi = _parse_range(args.m_range)
     k_lo, k_hi = _parse_range(args.k_range)
     if m_lo < 1 or k_lo < 1 or m_hi < m_lo or k_hi < k_lo:
         raise ValueError("ranges must be A..B with 1 <= A <= B")
+    if max(m_hi, k_hi) > DEFAULT_TREE_CAP:
+        # skipped_cells lists every cell outside the cap, so the range must be bounded
+        raise ValueError(f"range upper end {max(m_hi, k_hi)} is above the cap {DEFAULT_TREE_CAP}")
     inputs = {"m_range": [m_lo, m_hi], "k_range": [k_lo, k_hi], "cap": DEFAULT_TREE_CAP}
     cells = []
     skipped = []
@@ -253,9 +241,7 @@ def cmd_sharpness(args) -> int:
         "all_match": all_match,
         "note": SHARPNESS_NOTE,
     }
-    elapsed = None if args.no_timing else time.perf_counter() - start
-    _emit(args, rpt.make_report("sharpness", inputs, results, elapsed))
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    return inputs, results, EXIT_OK if all_match else EXIT_MISMATCH
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -263,8 +249,17 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:    # argparse printed the help (0) or a usage error (2)
         return exc.code
+    start = time.perf_counter()
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        inputs, results, code = globals()[f"cmd_{args.command}"](args)
+        elapsed = None if args.no_timing else time.perf_counter() - start
+        text = rpt.render_report(rpt.make_report(args.command, inputs, results, elapsed))
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return code
     except (FormatError, PlanError, ValueError, CapExceededError, OSError) as exc:
         print(f"kended: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

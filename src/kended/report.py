@@ -129,15 +129,9 @@ def sweep_report_to_json(report: SweepReport, include_timing: bool) -> dict:
         "claims": claims,
     }
     if include_timing:
-        out["worst_case"] = {
-            claim: {
-                "elapsed_seconds": worst.elapsed,
-                "graph_id": worst.graph_id,
-                "S": list(worst.subset),
-                "k": worst.k,
-            }
-            for claim, worst in sorted(report.worst.items())
-        }
+        worst = report.worst
+        out["worst_case"] = None if worst is None else {
+            "elapsed_seconds": worst.elapsed, "graph_id": worst.graph_id}
     return out
 
 

@@ -18,6 +18,10 @@ One builder, `_verdict`, makes every TheoremVerdict. It reads alpha, kappa and
 the hypothesis from the graph's memo; each claim function brings only its own
 witness, audit, conclusion and detail, taken from the GraphContext caches of
 the tree searches and constructions.
+
+Time is measured once per graph, in `_graph_task`: the planes, memos and
+constructions a graph's verdicts share are built by whichever claim asks
+first, so a clock per verdict would charge that shared work to one claim.
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ class TheoremVerdict:
     hypothesis_holds: bool
     conclusion_holds: bool
     witness: Tree | None
-    elapsed: float
     detail: dict | None = None
 
     @property
@@ -180,26 +183,29 @@ def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget:
         raise InternalInvariantError("witness tree violates leaves >= branch vertices + 2")
 
 
-def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, start: float, witness: Tree | None,
+def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, witness: Tree | None,
              conclusion: bool, detail: dict | None = None) -> TheoremVerdict:
     """The verdict of one claim on (graph, S, k): alpha, kappa and the hypothesis
-    are read here, from the graph's memo, and elapsed runs from `start`."""
+    are read here, from the graph's memo."""
     alpha = ctx.alpha(smask)
     kappa = ctx.kappa(smask)
     return TheoremVerdict(
         claim=claim, graph_id=ctx.graph_id, subset=_subset_tuple(smask), k=k, alpha=alpha,
         kappa=kappa, hypothesis_holds=hypothesis_holds(alpha, k, kappa), conclusion_holds=conclusion,
-        witness=witness, elapsed=time.perf_counter() - start, detail=detail)
+        witness=witness, detail=detail)
 
 
 def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    start = time.perf_counter()
     witness = ctx.cover_tree(smask, k)
     if witness is not None:
         _audit_cover_witness(ctx, witness, smask, k, None)
-    constructive_covering = ctx.construct(smask, k).kind == COVERING
-    verdict = _verdict(ctx, "kended-cover", smask, k, start, witness, witness is not None,
+    outcome = ctx.construct(smask, k)
+    constructive_covering = outcome.kind == COVERING
+    verdict = _verdict(ctx, "kended-cover", smask, k, witness, witness is not None,
                        {"constructive_covering": constructive_covering})
+    # the construction's bound alpha - kappa - k + 1 is <= 0 exactly when the hypothesis holds
+    if verdict.hypothesis_holds != (outcome.bound is None or outcome.bound <= 0):
+        raise InternalInvariantError("the hypothesis flag disagrees with the construction's bound")
     if verdict.hypothesis_holds and not constructive_covering:
         raise InternalInvariantError("construction must cover when the hypothesis holds")
     if constructive_covering and witness is None:
@@ -208,18 +214,16 @@ def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
 
 
 def _verdict_branch(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    start = time.perf_counter()
     witness = ctx.branch_tree(smask, k - 2)
     if witness is not None:
         _audit_cover_witness(ctx, witness, smask, None, k - 2)
-    return _verdict(ctx, "branch-cover", smask, k, start, witness, witness is not None)
+    return _verdict(ctx, "branch-cover", smask, k, witness, witness is not None)
 
 
 def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    start = time.perf_counter()
     cover = ctx.cover_tree(smask, k)
     if cover is not None:
-        return _verdict(ctx, "residual-bound", smask, k, start, cover, True, {"covering": True})
+        return _verdict(ctx, "residual-bound", smask, k, cover, True, {"covering": True})
     outcome = ctx.construct(smask, k)
     if outcome.kind == COVERING:
         raise InternalInvariantError(
@@ -231,13 +235,12 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
     outcome.tree.validate_in(ctx.graph)
     conclusion = residual <= bound and outcome.tree.leaf_count <= k
-    return _verdict(ctx, "residual-bound", smask, k, start, outcome.tree, conclusion,
+    return _verdict(ctx, "residual-bound", smask, k, outcome.tree, conclusion,
                     {"covering": False, "residual_alpha": residual, "bound": bound})
 
 
 def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     """S = V and k = 2, so the hypothesis reads alpha <= kappa + 1."""
-    start = time.perf_counter()
     full = ctx.graph.full_mask
     ham = hamiltonian_path_exists(ctx.graph)
     if (ham is None) != (ctx.cover_tree(full, 2) is None):
@@ -245,7 +248,7 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
             "backtracking Hamiltonian search disagrees with the covering-path oracle"
         )
     witness = Tree.from_path(ctx.graph.n, ham.vertices) if ham is not None else None
-    return _verdict(ctx, "hamiltonian-path", full, 2, start, witness, ham is not None)
+    return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
 
 
 def _context(graph: Graph, k: int) -> GraphContext:
@@ -437,19 +440,23 @@ def _graph_verdicts(graph: Graph, subset_masks: list[int],
     return verdicts
 
 
-def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...]]) -> list[TheoremVerdict] | None:
-    """Every verdict of one instance, or None for a skipped one; aborts on a counterexample."""
+def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...]]
+                ) -> tuple[float, list[TheoremVerdict]] | None:
+    """(seconds, every verdict) of one instance, or None for a skipped one; aborts
+    on a counterexample."""
     graph, subset_masks, ks = args
     if graph is None:
         return None
+    start = time.perf_counter()
     verdicts = _graph_verdicts(graph, subset_masks, ks)
+    seconds = time.perf_counter() - start
     for verdict in verdicts:
         if verdict.is_counterexample:
             raise CounterexampleError(verdict)
-    return verdicts
+    return seconds, verdicts
 
 
-def _graph_results(plan: SweepPlan) -> Iterator[list[TheoremVerdict] | None]:
+def _graph_results(plan: SweepPlan) -> Iterator[tuple[float, list[TheoremVerdict]] | None]:
     """_graph_task over the plan's instances in order, in this process or in a pool."""
     validate_plan(plan)
     ks = tuple(range(plan.k_min, plan.k_max + 1))
@@ -463,9 +470,9 @@ def _graph_results(plan: SweepPlan) -> Iterator[list[TheoremVerdict] | None]:
 
 def sweep_verdicts(plan: SweepPlan) -> Iterator[TheoremVerdict]:
     """Deterministic stream of verdicts for a plan; aborts on any counterexample."""
-    for verdicts in _graph_results(plan):
-        if verdicts is not None:
-            yield from verdicts
+    for result in _graph_results(plan):
+        if result is not None:
+            yield from result[1]
 
 
 @dataclass
@@ -477,10 +484,10 @@ class ClaimTally:
 
 @dataclass
 class WorstCase:
+    """The slowest graph of a sweep: the seconds of all its verdicts together."""
+
     elapsed: float
     graph_id: str
-    subset: tuple[int, ...]
-    k: int
 
 
 @dataclass
@@ -489,7 +496,7 @@ class SweepReport:
     graphs_evaluated: int = 0
     skipped_disconnected: int = 0
     claims: dict[str, ClaimTally] = field(default_factory=dict)
-    worst: dict[str, WorstCase] = field(default_factory=dict)
+    worst: WorstCase | None = None
 
     @property
     def total_instances(self) -> int:
@@ -501,19 +508,17 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     report = SweepReport(plan=plan)
     for claim in CLAIMS:
         report.claims[claim] = ClaimTally()
-    for verdicts in _graph_results(plan):
-        if verdicts is None:
+    for result in _graph_results(plan):
+        if result is None:
             report.skipped_disconnected += 1
             continue
+        seconds, verdicts = result
         report.graphs_evaluated += 1
         for verdict in verdicts:
             tally = report.claims[verdict.claim]
             tally.instances += 1
             tally.hypothesis_true += verdict.hypothesis_holds
             tally.conclusion_true += verdict.conclusion_holds
-            worst = report.worst.get(verdict.claim)
-            if worst is None or verdict.elapsed > worst.elapsed:
-                report.worst[verdict.claim] = WorstCase(
-                    verdict.elapsed, verdict.graph_id, verdict.subset, verdict.k
-                )
+        if report.worst is None or seconds > report.worst.elapsed:
+            report.worst = WorstCase(seconds, verdicts[0].graph_id)
     return report

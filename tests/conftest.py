@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -34,3 +36,17 @@ def graph_with_subset(draw, min_n: int = 1, max_n: int = 6, connected: bool = Fa
 
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

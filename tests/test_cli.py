@@ -10,6 +10,8 @@ from kended.families import GraphFamilySpec, make_family
 from kended.formats import emit_edge_list, emit_graph6
 from kended.report import REPORT_SCHEMA
 
+from conftest import time_limit
+
 
 PETERSEN_K2 = ("construct", "--family", "petersen", "--k", "2", "--no-timing")
 PATH11_GRAPH6 = "JhCGGC@?G?_"    # the path on 11 vertices, one above the cap
@@ -159,6 +161,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     big.write_text(PATH11_GRAPH6 + "\n")
     code, _, err = run_cli(capsys, "construct", "--graph", str(big), "--k", "2")
     assert code == 2 and "above the cap 10" in err
+    code, _, err = run_cli(capsys, "analyze", "--family", "path 11")
+    assert code == 2 and "above the cap 10" in err
     plan.write_text(f"mode = graph6\npath = {big}\ns_policy = s=v\n")
     code, _, err = run_cli(capsys, "verify", "--plan", str(plan))
     assert code == 2 and "above the cap 10" in err
@@ -223,6 +227,15 @@ def test_sharpness_skips_cells_above_cap(capsys):
     assert [4, 3] in res["skipped_cells"]
 
 
+def test_sharpness_refuses_a_range_above_the_cap_at_once(capsys):
+    # a range is refused before its skipped cells are listed one by one
+    for m_range, k_range in (("1..100000000", "1..1"), ("1..1", "1..100000000"), ("1..11", "1..1")):
+        with time_limit(2):
+            code, out, err = run_cli(capsys, "sharpness", "--m-range", m_range, "--k-range", k_range)
+        assert (code, out) == (2, "")
+        assert "above the cap 10" in err
+
+
 def test_byte_stable_reports_without_timing(capsys, tmp_path):
     # the same argv twice in one process: same exit code and bytes
     for args in (("analyze", "--family", "kmm 2 2", "--set", "B", "--no-timing"), PETERSEN_K2):
@@ -284,6 +297,7 @@ def test_main_runs_a_handler_rebound_after_the_first_call(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
     seen = []
-    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.family) or 0)
-    assert run_cli(capsys, *argv) == (0, "", "")
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.family) or ({}, {}, 0))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and report_of(out)["results"] == {}
     assert seen == ["cycle 5"]

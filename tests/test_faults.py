@@ -4,13 +4,16 @@ A harness that cannot fail proves nothing, so every fault here is patched into
 one library function and the test requires a named abort, never a quiet
 verdict. A fault that no check catches gets a new check; it is not dropped.
 
-Two faults run quiet through the harness's own checks on exhaustive n <= 4:
-kappa - 1 on every pair flow, and the hypothesis read at k - 1 in the verdict
-layer. A smaller kappa only shrinks the hypothesis and loosens the bounds the
-construction must meet, and a wrong hypothesis flag is checked by nothing the
-searches compute. Both are caught here by the verdict-vs-oracle test, which
-recomputes alpha, kappa, the hypothesis and the cover conclusions of every
-verdict by brute force in `tests/oracles.py`.
+One fault runs quiet through the harness's own checks on exhaustive n <= 4:
+kappa - 1 on every pair flow. A smaller kappa only shrinks the hypothesis and
+loosens the bounds the construction must meet. It is caught here by the
+verdict-vs-oracle test, which recomputes alpha, kappa, the hypothesis and the
+cover conclusions of every verdict by brute force in `tests/oracles.py`.
+
+The hypothesis flag of the verdict layer is checked against the construction's
+bound alpha - kappa - k + 1, which is at most 0 exactly when the hypothesis
+holds, so a hypothesis read at k - 1 aborts the sweep at the first verdict
+where the two disagree.
 
 The growth search's forced-leaf bounds are seeded too. A leaf bound that cuts
 too much aborts at n <= 4, because every leaf-budget search must find the tree
@@ -160,7 +163,11 @@ def test_kappa_one_too_low_is_caught_by_the_oracles(monkeypatch):
     assert len(oracle_mismatches(N4)) == 3958    # the sweep itself runs clean
 
 
-def test_hypothesis_at_k_minus_one_is_caught_by_the_oracles(monkeypatch):
+def test_hypothesis_at_k_minus_one_aborts_a_sweep_with_reproduction_data(monkeypatch):
     exact = verify.hypothesis_holds
     monkeypatch.setattr(verify, "hypothesis_holds", lambda alpha, k, kappa: exact(alpha, k - 1, kappa))
-    assert len(oracle_mismatches(N4)) == 645    # the sweep itself runs clean
+    with pytest.raises(InternalInvariantError, match="the hypothesis flag disagrees with the "
+                                                     "construction's bound") as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value).endswith("(claim 'kended-cover' on graph Bo with S=[1, 2], k=2)")

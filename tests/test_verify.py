@@ -2,9 +2,8 @@ import hashlib
 import json
 import pickle
 import re
-import signal
 import sys
-from contextlib import contextmanager
+import time
 from dataclasses import replace
 
 import pytest
@@ -32,6 +31,7 @@ from kended.verify import (
 )
 from kended.invariants import ConnectivityValue
 
+from conftest import time_limit
 from oracles import min_branch_cover_by_enumeration, min_leaf_cover_by_enumeration
 
 
@@ -320,7 +320,7 @@ def test_counterexample_aborts_with_reproduction_data(monkeypatch):
         lambda ctx, smask, k: TheoremVerdict(
             claim="kended-cover", graph_id=ctx.graph_id, subset=(0,), k=k,
             alpha=1, kappa=ConnectivityValue.INFINITE, hypothesis_holds=True,
-            conclusion_holds=False, witness=None, elapsed=0.0,
+            conclusion_holds=False, witness=None,
         ),
     )
     with pytest.raises(CounterexampleError) as err:
@@ -503,20 +503,6 @@ def test_faulty_min_leaf_table_aborts_the_sweep(monkeypatch, fault):
         minimum_leaf_covering_tree(graph, VertexSet(graph.n, smask))
 
 
-@contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"sweep did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_internal_failure_carries_reproduction_data(monkeypatch, workers):
     # a construction that never reports a covering; pool workers inherit the
@@ -545,6 +531,26 @@ def test_sweep_report_json_shape():
     assert set(payload["claims"]) == {
         "branch-cover", "hamiltonian-path", "kended-cover", "residual-bound",
     }
-    assert "worst_case" in payload
+    assert set(payload["worst_case"]) == {"elapsed_seconds", "graph_id"}
     stable = sweep_report_to_json(report, include_timing=False)
     assert "worst_case" not in stable
+    empty = run_sweep(SweepPlan(mode="random", n=4, p=0.0, count=3, s_policy="s=v"))
+    assert empty.graphs_evaluated == 0
+    assert sweep_report_to_json(empty, include_timing=True)["worst_case"] is None
+
+
+def test_worst_case_names_the_slowest_graph(monkeypatch):
+    # the planes a graph's verdicts share are charged to the graph, not to
+    # the claim that first asks for them
+    slow = Graph.from_edges(3, [(0, 1), (1, 2)])
+    build = graphs._path_planes
+
+    def slow_planes(rows):
+        if rows == slow.rows:
+            time.sleep(0.2)
+        return build(rows)
+
+    monkeypatch.setattr(graphs, "_path_planes", slow_planes)
+    worst = run_sweep(SweepPlan(mode="exhaustive", n=3)).worst
+    assert worst.graph_id == emit_graph6(slow)
+    assert worst.elapsed >= 0.2
