@@ -30,13 +30,18 @@ COVERING = "covering"
 RESIDUAL_BOUND = "residual-bound"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConstructionOutcome:
     """Result of the construction: a covering tree, or a k-ended tree with a residual bound.
 
     `bound` is alpha - kappa - k + 1, or None when kappa is infinite (|S| <= 1),
     in which case the outcome is always a trivial covering. The trace replays
     the construction: base path first, then each attached path.
+
+    Immutable by convention, like `Tree` and `Graph`: the sweep's caches hand
+    one outcome to several claims and to the next k. It is not frozen because
+    a frozen dataclass sets each field through object.__setattr__, a cost every
+    construction paid.
     """
 
     kind: str    # COVERING or RESIDUAL_BOUND
@@ -179,7 +184,10 @@ def construct_k_ended_tree(
     `start` resumes from an outcome this function returned for the same graph
     and S at a smaller k: the base path and the attachments do not depend on
     k, so its tree, residual and trace are this run's prefix and the
-    attachment loop goes on from there. When alpha <= k + kappa - 1 the
+    attachment loop goes on from there. A covering start has residual 0, so
+    the loop would not run and every check but the leaf budget was passed on
+    the same tree: its tree and trace are returned with this k's bound, after
+    the leaf budget is checked again. When alpha <= k + kappa - 1 the
     outcome is always a covering (asserted); otherwise a residual-bound
     outcome satisfies residual <= alpha - kappa - k + 1 (asserted).
     """
@@ -192,13 +200,19 @@ def construct_k_ended_tree(
     if not graph.is_connected():
         raise ValueError("construction needs a connected graph")
     if smask.bit_count() <= 1:
+        if start is not None:    # the trivial covering has no k in it
+            return start
         v = smask.bit_length() - 1 if smask else 0
-        tree = Tree.single_vertex(graph.n, v)
-        return ConstructionOutcome(COVERING, tree, 0, None, ())
+        return ConstructionOutcome(COVERING, Tree.single_vertex(graph.n, v), 0, None, ())
     alpha = subset_alpha(graph, smask)
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
+    if start is not None and start.kind == COVERING:
+        # residual 0 ends the loop at once: start's tree and trace under this k's bound
+        if start.tree.leaf_count > k:
+            raise InternalInvariantError("covering tree exceeded the leaf budget")
+        return ConstructionOutcome(COVERING, start.tree, 0, bound, start.trace)
     if start is None:
         path0 = base_path(graph, subset)
         tree = Tree.from_path(graph.n, path0.vertices)

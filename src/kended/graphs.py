@@ -265,6 +265,9 @@ class Graph:
         smask, the lowest bit of the spans plane ANDed with the within planes
         of smask, or None if none does: the path the forward DP records first."""
         ends, spans = self.path_planes()
+        if spans >> smask & 1:
+            # smask is itself a path set, so the least one containing it
+            return self._walk(ends, 1 << smask)[::-1]
         within = _vertex_planes(self.n)[1]
         for v in iter_bits(smask):
             spans &= within[v]
@@ -393,7 +396,9 @@ class Tree:
     tree-adjacency mask per host vertex, and the leaf (degree one) and branch
     (degree at least three) masks, so every degree query is a popcount. The
     sorted `vertices` and `edges` tuples are kept for equality, hashing and
-    serialization. `validate_in` additionally checks that every edge exists
+    serialization. `from_path` and `single_vertex` build a path's masks
+    directly, since a sequence of distinct in-range vertices needs none of
+    those checks. `validate_in` additionally checks that every edge exists
     in a concrete host graph.
     """
 
@@ -438,6 +443,10 @@ class Tree:
                 leaf |= 1 << v
             elif d >= 3:
                 branch |= 1 << v
+        self._store(host_n, vs, es, vmask, adj, leaf, branch)
+
+    def _store(self, host_n: int, vs: tuple[int, ...], es: tuple[tuple[int, int], ...], vmask: int,
+               adj: list[int], leaf: int, branch: int) -> None:
         self.host_n = host_n
         self.vertices = vs
         self.edges = es
@@ -448,12 +457,35 @@ class Tree:
 
     @classmethod
     def single_vertex(cls, host_n: int, v: int) -> "Tree":
-        return cls(host_n, (v,), ())
+        return cls.from_path(host_n, (v,))
 
     @classmethod
     def from_path(cls, host_n: int, vertices: Iterable[int]) -> "Tree":
+        """The path through `vertices` in order, as a tree.
+
+        Distinct in-range vertices, at least one, always make a tree, so the
+        masks are built in one pass along the path; any other sequence goes
+        through the general constructor, which raises its usual ValueError.
+        """
         vs = tuple(vertices)
-        return cls(host_n, vs, [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)])
+        if vs and min(vs) >= 0 and max(vs) < host_n:
+            adj = [0] * host_n
+            es = []
+            u = vs[0]
+            vmask = 1 << u
+            for v in vs[1:]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                vmask |= 1 << v
+                es.append((u, v) if u < v else (v, u))
+                u = v
+            if vmask.bit_count() == len(vs):    # no repeated vertex
+                es.sort()
+                tree = cls.__new__(cls)
+                tree._store(host_n, tuple(sorted(vs)), tuple(es), vmask, adj,
+                            1 << vs[0] | 1 << u if es else 0, 0)
+                return tree
+        return cls(host_n, vs, list(zip(vs, vs[1:])))
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count() if 0 <= v < self.host_n else 0

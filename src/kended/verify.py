@@ -14,10 +14,17 @@ All four are proved statements, so any counterexample verdict is promoted to
 a hard CounterexampleError carrying full reproduction data: it means a bug in
 this package, not new mathematics.
 
-One builder, `_verdict`, makes every TheoremVerdict. It reads alpha, kappa and
-the hypothesis from the graph's memo; each claim function brings only its own
-witness, audit, conclusion and detail, taken from the GraphContext caches of
-the tree searches and constructions.
+One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha
+and kappa once per S of a graph and the hypothesis per verdict; each claim
+function brings only its own witness, audit, conclusion and detail, taken from
+the GraphContext caches of the tree searches and constructions. The caches hand
+one tree to several k and claims, so each tree object is checked against the
+graph once, and each verdict still checks that its witness covers S within its
+budgets.
+
+Verdicts are plain dataclasses, immutable by convention like `Tree` and
+`Graph`; a frozen one sets each of its ten fields through object.__setattr__,
+which every verdict paid.
 
 Time is measured once per graph, in `_graph_task`: the planes, memos and
 constructions a graph's verdicts share are built by whichever claim asks
@@ -26,7 +33,6 @@ first, so a clock per verdict would charge that shared work to one claim.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,9 +66,9 @@ S_POLICIES = ("all-subsets", "random-subsets", "s=v")
 ALL_SUBSETS_MAX_N = 6
 
 
-@dataclass(frozen=True)
+@dataclass
 class TheoremVerdict:
-    """Outcome of one claim check on one instance.
+    """Outcome of one claim check on one instance; immutable by convention.
 
     hypothesis_holds always records alpha <= k + kappa - 1 (true for infinite
     kappa); for the unconditional residual-bound claim a counterexample is any
@@ -124,6 +130,9 @@ class GraphContext:
     used by one worker without coordination. alpha and kappa delegate to the
     graph's own memo (invariants.subset_alpha and subset_kappa), which the
     construction reads too; construct resumes from the construction for k - 1.
+    `_facts` holds S's tuple, alpha and kappa per S for the verdicts, and
+    `_validated` the trees already checked against the graph, by id (the value
+    keeps the tree, so its id is not reused).
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -132,6 +141,8 @@ class GraphContext:
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
         self._construct: dict[tuple[int, int], ConstructionOutcome] = {}
+        self._facts: dict[int, tuple[tuple[int, ...], int, ConnectivityValue]] = {}
+        self._validated: dict[int, Tree] = {}
 
     def alpha(self, smask: int) -> int:
         return subset_alpha(self.graph, smask)
@@ -165,14 +176,21 @@ class GraphContext:
         return self._construct[key]
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_tuple(smask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(smask))
+def _validate(ctx: GraphContext, tree: Tree) -> None:
+    """Check a tree against the graph, once per tree object; a tree edge that is
+    not a graph edge is an internal failure, so the sweep reports where."""
+    if id(tree) in ctx._validated:
+        return
+    try:
+        tree.validate_in(ctx.graph)
+    except ValueError as exc:
+        raise InternalInvariantError(str(exc)) from exc
+    ctx._validated[id(tree)] = tree
 
 
 def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget: int | None,
                          branch_budget: int | None) -> None:
-    tree.validate_in(ctx.graph)
+    _validate(ctx, tree)
     if smask & ~tree.vertex_mask:
         raise InternalInvariantError("witness tree does not cover the subset")
     if leaf_budget is not None and tree.leaf_count > leaf_budget:
@@ -185,12 +203,14 @@ def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget:
 
 def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, witness: Tree | None,
              conclusion: bool, detail: dict | None = None) -> TheoremVerdict:
-    """The verdict of one claim on (graph, S, k): alpha, kappa and the hypothesis
-    are read here, from the graph's memo."""
-    alpha = ctx.alpha(smask)
-    kappa = ctx.kappa(smask)
+    """The verdict of one claim on (graph, S, k): S's tuple, alpha and kappa are
+    read once per S, from the graph's memo, and the hypothesis here."""
+    facts = ctx._facts.get(smask)
+    if facts is None:
+        facts = ctx._facts[smask] = (tuple(iter_bits(smask)), ctx.alpha(smask), ctx.kappa(smask))
+    subset, alpha, kappa = facts
     return TheoremVerdict(
-        claim=claim, graph_id=ctx.graph_id, subset=_subset_tuple(smask), k=k, alpha=alpha,
+        claim=claim, graph_id=ctx.graph_id, subset=subset, k=k, alpha=alpha,
         kappa=kappa, hypothesis_holds=hypothesis_holds(alpha, k, kappa), conclusion_holds=conclusion,
         witness=witness, detail=detail)
 
@@ -233,7 +253,7 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     assert not kappa.is_infinite    # infinite kappa always yields a covering
     bound = ctx.alpha(smask) - kappa.finite - k + 1
     residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
-    outcome.tree.validate_in(ctx.graph)
+    _validate(ctx, outcome.tree)
     conclusion = residual <= bound and outcome.tree.leaf_count <= k
     return _verdict(ctx, "residual-bound", smask, k, outcome.tree, conclusion,
                     {"covering": False, "residual_alpha": residual, "bound": bound})

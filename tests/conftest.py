@@ -34,6 +34,14 @@ def graph_with_subset(draw, min_n: int = 1, max_n: int = 6, connected: bool = Fa
     return graph, smask
 
 
+def labelled_graphs(n_max: int):
+    """Every labelled graph on 1..n_max vertices, connected or not."""
+    for n in range(1, n_max + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+
+
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 

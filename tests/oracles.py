@@ -7,9 +7,10 @@ from the library, since it checks only the path search. The two per-mask
 tuple DPs, `_path_endpoint_table` and `_min_leaf_table`, are the library's
 former subset tables, kept verbatim as the reference for its bit planes;
 `hamiltonian_path_by_backtracking` is the library's Hamiltonian search as it
-was before the independence-number bound, and `grow_tree_unpruned` its
-growth search as it was before the forced-leaf bounds, each kept as the
-reference for its witnesses.
+was before the independence-number bound, `grow_tree_unpruned` its
+growth search as it was before the forced-leaf bounds, and
+`covering_path_by_and_loop` its covering-path lookup as it was before the
+path-set shortcut, each kept as the reference for its witnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, Path, VertexSet, iter_bits
+from kended.graphs import Graph, Path, VertexSet, _vertex_planes, iter_bits
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -288,6 +289,19 @@ def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:
                     endpoint[nm] |= lu
                     parent[(nm, u)] = v
     return None
+
+
+def covering_path_by_and_loop(graph: Graph, smask: int) -> list[int] | None:
+    """`Graph.covering_path` without its shortcut for a path set: the least path
+    set containing smask is always found by ANDing the within plane of each
+    vertex of smask into the spans plane."""
+    ends, spans = graph.path_planes()
+    within = _vertex_planes(graph.n)[1]
+    for v in iter_bits(smask):
+        spans &= within[v]
+    if not spans:
+        return None
+    return graph._walk(ends, spans & -spans)[::-1]
 
 
 def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:

@@ -10,7 +10,7 @@ from kended.constructive import (
     construct_k_ended_tree,
     maximal_attachment_path,
 )
-from kended.errors import CapExceededError
+from kended.errors import CapExceededError, InternalInvariantError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
 from kended.graphs import Graph, Path, Tree, VertexSet
 from kended.invariants import (
@@ -271,22 +271,34 @@ def test_construct_trace_replays_to_tree():
 
 def assert_resumes_match_fresh(graph, subset, ks):
     """Each k resumed from the fresh k - 1 and from the fresh smallest k equals a fresh run
-    in kind, tree, residual_alpha, bound and trace (the outcome's fields); returns the
-    number of attachments made at the largest k."""
+    in kind, tree, residual_alpha, bound and trace (the outcome's fields), and a covering
+    start hands on its own tree; returns the number of attachments made at the largest k."""
     fresh = {k: construct_k_ended_tree(graph, subset, k) for k in ks}
     for k in ks[1:]:
         for previous in {k - 1, ks[0]}:
-            resumed = construct_k_ended_tree(graph, subset, k, start=fresh[previous])
+            start = fresh[previous]
+            resumed = construct_k_ended_tree(graph, subset, k, start=start)
             assert resumed == fresh[k]
+            if start.kind == COVERING:
+                assert resumed.tree is start.tree
     return len(fresh[ks[-1]].trace) - 1
 
 
 def test_resumed_construction_matches_fresh_every_labelled_graph_n_le_5():
-    for n in range(2, 6):
+    for n in range(1, 6):
         for graph in enumerate_connected_labeled_graphs(n):
             for smask in range(1, 1 << n):
-                if smask.bit_count() >= 2:
-                    assert_resumes_match_fresh(graph, VertexSet(n, smask), (2, 3, 4, 5))
+                assert_resumes_match_fresh(graph, VertexSet(n, smask), (2, 3, 4, 5))
+
+
+def test_a_covering_start_is_checked_against_the_leaf_budget():
+    # the claw's three leaves fit k = 3, not k = 2: the budget is checked at every k
+    claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    leaves = VertexSet(4, 0b1110)
+    three = construct_k_ended_tree(claw, leaves, 3)
+    assert three.kind == COVERING and three.tree.leaf_count == 3
+    with pytest.raises(InternalInvariantError, match="covering tree exceeded the leaf budget"):
+        construct_k_ended_tree(claw, leaves, 2, start=three)
 
 
 def test_resumed_construction_matches_fresh_on_bipartite_n10():

@@ -20,20 +20,26 @@ too much aborts at n <= 4, because every leaf-budget search must find the tree
 the minimum-leaf table promises. The branch-budget search has no such second
 route in the harness, so its fault first shows at n = 6, as a branch-cover
 counterexample.
+
+A witness that uses a non-edge fails the host check of the witness audit,
+which the sweep reports like every other internal failure, with the claim,
+graph6, S and k, in serial and in pool mode.
 """
 
 import functools
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from kended import invariants, treesearch, verify
+from kended import cli, invariants, treesearch, verify
 from kended.errors import CounterexampleError, InternalInvariantError
 from kended.formats import parse_graph6
-from kended.graphs import Graph, iter_bits
+from kended.graphs import Graph, Tree, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
 
+from conftest import time_limit
 from oracles import (
     independent_sets_by_enumeration,
     max_internally_disjoint_paths,
@@ -117,6 +123,31 @@ def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
         for _ in sweep_verdicts(plan):
             pass
     assert str(info.value) == "counterexample for claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypatch, tmp_path, capsys, workers):
+    # the path through every vertex in label order, handed out as the k = 3
+    # leaf-budget witness; the audit's ValueError from validate_in must reach
+    # the sweep as an internal failure that names the instance, also from a
+    # pool worker (the pool forks after the patch), and the CLI must report an
+    # internal error (exit 1), not a usage error (exit 2)
+    exact = verify.find_k_ended_covering_tree
+
+    def faulty(graph, subset, k, cap=treesearch.DEFAULT_TREE_CAP):
+        tree = exact(graph, subset, k, cap=cap)
+        return Tree.from_path(graph.n, range(graph.n)) if k == 3 and tree is not None else tree
+
+    monkeypatch.setattr(verify, "find_k_ended_covering_tree", faulty)
+    with time_limit(60), pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(replace(N4, workers=workers)):
+            pass
+    message = "tree edge (1, 2) is not a graph edge (claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=3)"
+    assert str(info.value) == message
+    plan = tmp_path / "n4.plan"
+    plan.write_text(f"mode = exhaustive\nn = 4\nworkers = {workers}\n")
+    assert cli.main(["verify", "--plan", str(plan), "--no-timing"]) == 1
+    assert capsys.readouterr().err == f"kended: internal error: {message}\n"
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +209,37 @@ def test_one_vertex_tree_has_no_leaves():
     t = Tree.single_vertex(3, 1)
     assert t.leaf_count == 0
     assert t.branch_count == 0
+
+
+def tree_state(tree):
+    return tuple(getattr(tree, name) for name in Tree.__slots__)
+
+
+def test_from_path_equals_the_general_constructor_on_every_path_n_le_5():
+    # the paths of the labelled graphs on n vertices are the sequences of
+    # distinct vertices in range(n), each a path of K_n
+    for n in range(1, 6):
+        for length in range(1, n + 1):
+            for vs in permutations(range(n), length):
+                general = Tree(n, vs, list(zip(vs, vs[1:])))
+                assert tree_state(Tree.from_path(n, vs)) == tree_state(general), vs
+                assert tree_state(Tree.from_path(n, iter(vs))) == tree_state(general), vs
+        for v in range(n):
+            assert tree_state(Tree.single_vertex(n, v)) == tree_state(Tree(n, (v,), ()))
+
+
+@pytest.mark.parametrize("host_n, vs", [(3, ()), (3, (0, 1, 0)), (3, (2, 2)), (3, (0, 3)), (3, (3,)),
+                                        (3, (-1, 0)), (0, (0,))])
+def test_from_path_rejects_what_the_general_constructor_rejects(host_n, vs):
+    with pytest.raises(ValueError) as general:
+        Tree(host_n, vs, list(zip(vs, vs[1:])))
+    with pytest.raises(ValueError) as fast:
+        Tree.from_path(host_n, vs)
+    assert str(fast.value) == str(general.value)
+    if len(vs) == 1:
+        with pytest.raises(ValueError) as single:
+            Tree.single_vertex(host_n, vs[0])
+        assert str(single.value) == str(general.value)
 
 
 def test_spider_branch_vertices():

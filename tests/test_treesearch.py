@@ -17,10 +17,11 @@ from kended.treesearch import (
     minimum_leaf_covering_tree,
 )
 
-from conftest import graphs
+from conftest import graphs, labelled_graphs
 from oracles import (
     _min_leaf_table,
     _path_endpoint_table,
+    covering_path_by_and_loop,
     covering_path_by_forward_dp,
     grow_tree_unpruned,
     hamiltonian_path_by_backtracking,
@@ -405,6 +406,20 @@ def test_covering_path_matches_forward_dp_on_random_graphs():
         for _ in range(4):
             smask = rng.randrange(1 << graph.n)
             assert graph.covering_path(smask) == covering_path_by_forward_dp(graph, smask)
+
+
+def test_covering_path_shortcut_matches_the_and_loop():
+    # a path set S is the least path set containing S, so covering_path walks
+    # from S itself; it must walk the path the AND over S's within planes finds
+    rng = random.Random(808)
+    hosts = list(labelled_graphs(5)) + [random_gnp(8 + i % 3, 0.5, rng) for i in range(15)]
+    path_sets = 0
+    for graph in hosts:
+        spans = graph.path_planes()[1]
+        for smask in range(1 << graph.n):
+            assert graph.covering_path(smask) == covering_path_by_and_loop(graph, smask), (graph, smask)
+            path_sets += spans >> smask & 1
+    assert 0 < path_sets < sum(1 << graph.n for graph in hosts)
 
 
 def assert_min_leaf_table_matches_enumeration(graph, smasks):

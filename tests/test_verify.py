@@ -377,6 +377,30 @@ def test_all_subsets_sweep_runs_alpha_once_per_mask(monkeypatch, edges):
     assert len(masks) == len(set(masks)) <= 32
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 2), (0, 3), (0, 4)],    # the star K_{1,4}
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)],    # C5 plus chords (0, 2), (1, 3)
+])
+def test_all_subsets_sweep_checks_each_tree_against_the_graph_once(monkeypatch, edges):
+    # the caches hand one tree to several k and claims: the verdict layer checks
+    # each tree object once, and every witness of a subset claim at least once
+    checked = []
+    original = graphs.Tree.validate_in
+
+    def counted(tree, graph):
+        if sys._getframe(1).f_globals["__name__"] == "kended.verify":
+            checked.append(tree)
+        original(tree, graph)
+
+    monkeypatch.setattr(graphs.Tree, "validate_in", counted)
+    verdicts = _graph_verdicts(Graph.from_edges(5, edges), list(range(1, 32)), (2, 3, 4))
+    ids = [id(tree) for tree in checked]
+    assert len(ids) == len(set(ids))
+    witnessed = [v for v in verdicts if v.witness is not None and v.claim != "hamiltonian-path"]
+    assert {id(v.witness) for v in witnessed} <= set(ids)
+    assert len(ids) < len(witnessed)
+
+
 def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
     import kended.verify as V
 
