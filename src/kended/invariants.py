@@ -4,7 +4,9 @@ Every result is a function of the graph and subset alone. Independence numbers
 use branch-and-bound over bitmask candidate sets. Connectivity is unit-capacity
 max flow on the vertex-split digraph (Even & Tarjan 1975), so values are exact
 Menger counts; the residual network is one bitmask per split node, and the flow
-stops at min(deg x, deg y).
+stops at min(deg x, deg y). Every x-y path uses its own neighbour of x and of
+y, so disjoint paths of at most 3 edges that reach min(deg x, deg y) settle a
+pair without a flow, as they do for most pairs of a dense graph.
 
 alpha and kappa are memoized once per graph, on the Graph itself, and only
 here: subset_alpha keeps alpha by mask, and subset_kappa, the one
@@ -197,6 +199,15 @@ def enumerate_maximum_independent_subsets(
 def local_connectivity(graph: Graph, x: int, y: int) -> int:
     """Maximum number of internally disjoint x-y paths (exact, via unit-capacity flow).
 
+    The short paths come first: the direct edge, one path through each common
+    neighbour, and x-a-b-y paths. For those, each private neighbour a of the
+    end with fewer of them (a neighbour of that end only, not the other end
+    itself) takes, in index order, the lowest free private neighbour b of the
+    other end with ab an edge. The paths are disjoint, and each uses its own
+    neighbour of x and of y, so if every a finds a b they number
+    min(deg x, deg y), which no set of disjoint paths exceeds, and that is
+    the value. Otherwise the flow below runs from scratch.
+
     Every vertex v other than x and y is split into an in-node v and an
     out-node n + v joined by a unit arc; each edge uv becomes unit arcs
     n + u -> v and n + v -> u. No two arcs are antiparallel, so the residual
@@ -212,19 +223,36 @@ def local_connectivity(graph: Graph, x: int, y: int) -> int:
     if x == y:
         raise ValueError("local connectivity needs two distinct vertices")
     rows = graph.rows
+    row_x, row_y = rows[x], rows[y]
+    common = row_x & row_y
+    near = row_x & ~common & ~(1 << y)
+    far = row_y & ~common & ~(1 << x)
+    if near.bit_count() > far.bit_count():
+        near, far = far, near
+    # [xy] + |common| + |near|, reached when every near vertex finds a far one
+    limit = min(row_x.bit_count(), row_y.bit_count())
+    m = near
+    while m:
+        low = m & -m
+        b = rows[low.bit_length() - 1] & far
+        if not b:
+            break
+        far ^= b & -b
+        m ^= low
+    else:
+        return limit
     res = [1 << (n + v) for v in range(n)] + list(rows)
     out_x = n + x
-    flow = (rows[x] >> y) & 1
+    flow = (row_x >> y) & 1
     res[x] = 0
     res[y] = flow << out_x
     res[out_x] ^= flow << y
-    for w in iter_bits(rows[x] & rows[y]):
+    for w in iter_bits(common):
         res[out_x] ^= 1 << w
         res[w] = 1 << out_x
         res[n + w] ^= (1 << y) | (1 << w)
         res[y] |= 1 << (n + w)
         flow += 1
-    limit = min(rows[x].bit_count(), rows[y].bit_count())
     while flow < limit:
         levels = [1 << out_x]
         seen = frontier = levels[0]

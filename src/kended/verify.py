@@ -20,7 +20,8 @@ function brings only its own witness, audit, conclusion and detail, taken from
 the GraphContext caches of the tree searches and constructions. The caches hand
 one tree to several k and claims, so each tree object is checked against the
 graph once, and each verdict still checks that its witness covers S within its
-budgets.
+budgets. The Hamiltonian witness, a path from the backtracking search, is
+checked against the graph too.
 
 Verdicts are plain dataclasses, immutable by convention like `Tree` and
 `Graph`; a frozen one sets each of its ten fields through object.__setattr__,
@@ -267,7 +268,10 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
         raise InternalInvariantError(
             "backtracking Hamiltonian search disagrees with the covering-path oracle"
         )
-    witness = Tree.from_path(ctx.graph.n, ham.vertices) if ham is not None else None
+    witness = None
+    if ham is not None:
+        witness = Tree.from_path(ctx.graph.n, ham.vertices)
+        _validate(ctx, witness)
     return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
 
 

@@ -21,9 +21,15 @@ the minimum-leaf table promises. The branch-budget search has no such second
 route in the harness, so its fault first shows at n = 6, as a branch-cover
 counterexample.
 
+A kappa one too high on every pair flow lets the hypothesis hold where the
+theorem promises nothing, and the construction then finds no base path. This
+is the fault a pair value settled without its flow would make if it
+over-counted disjoint paths.
+
 A witness that uses a non-edge fails the host check of the witness audit,
 which the sweep reports like every other internal failure, with the claim,
-graph6, S and k, in serial and in pool mode.
+graph6, S and k, in serial and in pool mode. The Hamiltonian witness gets the
+same check.
 """
 
 import functools
@@ -36,7 +42,7 @@ import pytest
 from kended import cli, invariants, treesearch, verify
 from kended.errors import CounterexampleError, InternalInvariantError
 from kended.formats import parse_graph6
-from kended.graphs import Graph, Tree, iter_bits
+from kended.graphs import Graph, Path, Tree, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
 
 from conftest import time_limit
@@ -148,6 +154,37 @@ def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypat
     plan.write_text(f"mode = exhaustive\nn = 4\nworkers = {workers}\n")
     assert cli.main(["verify", "--plan", str(plan), "--no-timing"]) == 1
     assert capsys.readouterr().err == f"kended: internal error: {message}\n"
+
+
+def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):
+    # the vertices in label order whenever a Hamiltonian path exists: the
+    # covering-path oracle agrees that one exists, so only the host check of
+    # the witness can tell; on the path 1-0-2 the order 0, 1, 2 uses 12
+    exact = verify.hamiltonian_path_exists
+
+    def faulty(graph, cap=treesearch.DEFAULT_TREE_CAP):
+        path = exact(graph, cap=cap)
+        return None if path is None else Path(tuple(range(graph.n)))
+
+    monkeypatch.setattr(verify, "hamiltonian_path_exists", faulty)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value) == ("tree edge (1, 2) is not a graph edge "
+                               "(claim 'hamiltonian-path' on graph Bo with S=[0, 1, 2], k=2)")
+
+
+def test_kappa_one_too_high_aborts_a_sweep_with_reproduction_data(monkeypatch):
+    # a pair value above the true flow, the error a flow shortcut could make by
+    # over-counting disjoint paths: the hypothesis then holds where the theorem
+    # promises nothing, and the construction finds no base path it can trust
+    exact = invariants.local_connectivity
+    monkeypatch.setattr(invariants, "local_connectivity", lambda graph, x, y: exact(graph, x, y) + 1)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value) == ("path search exhausted; this contradicts the base-path guarantee "
+                               "(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=2)")
 
 
 @functools.lru_cache(maxsize=None)

@@ -168,6 +168,11 @@ def test_local_connectivity_k4():
 def test_local_connectivity_cut_vertex():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert local_connectivity(g, 0, 2) == 1
+    # 0-2-4-1 and 0-3-4-1 share 4: once 2 takes 4, no x-a-b-y path is left
+    # for 3, so the short paths do not count both
+    g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 4)])
+    assert local_connectivity(g, 0, 1) == 1
+    assert local_connectivity(g, 1, 0) == 1
 
 
 def test_local_connectivity_k34_within_large_part():
@@ -190,6 +195,14 @@ def test_local_connectivity_degree_bound_through_long_paths():
     c8 = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
     assert local_connectivity(c8, 0, 4) == 2
     assert local_connectivity(c8, 4, 0) == 2
+    # two x-a-b-y paths exist (0-2-5-1 and 0-3-4-1), but matching each
+    # neighbour of one end to its lowest free neighbour of the other pairs 2
+    # with 4 and leaves 3 none, so the short-path count stops at 1 and the
+    # flow finds the second path
+    g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)])
+    assert max_internally_disjoint_paths(g, 0, 1) == 2
+    assert local_connectivity(g, 0, 1) == 2
+    assert local_connectivity(g, 1, 0) == 2
 
 
 def test_local_connectivity_matches_oracle_every_labelled_graph_n_le_5():
