@@ -8,13 +8,13 @@ terminal vertex. Each attachment raises the leaf budget by at most one and
 lowers the residual independence number by at least one, so the loop ends
 with either a covering tree with at most k leaves or a k-ended tree whose
 residual is at most alpha - kappa - k + 1. Nothing before the loop's
-stop depends on k, so a run can resume from the outcome for a smaller k.
-alpha, kappa and every residual alpha come from the graph's own memo
-(invariants.subset_alpha and subset_kappa), shared with every other caller.
-The base path asks the graph for its path sets by size (`Graph.path_sets`)
-and walks the first path on them (`Graph.first_path`), dropping the set of a
-path that does not qualify and walking again; only
-`graphs` reads the path planes behind them.
+stop depends on k, so a run can resume from the outcome for a smaller k;
+only the sweep's `GraphContext` does, and it hands a covering at k - 1 on to
+k itself. alpha, kappa and every residual alpha come from the graph's own
+memo (invariants.subset_alpha and subset_kappa), shared with every other
+caller. The base path takes the first path on each path set of a size from
+`Graph.first_paths`, longest sets first; only `graphs` reads the path planes
+behind it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class ConstructionOutcome:
     the construction: base path first, then each attached path.
 
     Immutable by convention, like `Tree` and `Graph`: the sweep's caches hand
-    one outcome to several claims and to the next k. It is not frozen because
+    one outcome to several claims, and its tree and trace to the outcomes of
+    the next k, as a covering or as a resumed start. It is not frozen because
     a frozen dataclass sets each field through object.__setattr__, a cost every
     construction paid.
     """
@@ -55,14 +56,13 @@ def base_path(graph: Graph, subset: VertexSet) -> Path:
     """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
 
     The longest such path, first in lexicographic order. Qualifying depends
-    only on the vertex set, so the path sets come from `Graph.path_sets`,
-    longest first. `Graph.first_path` walks the sets of one length, and a
-    set whose first path fails to qualify is dropped and the walk repeated:
-    no other path on that set qualifies either, so the first qualifying
-    path is the first path on what is left. The reverse of a path is a path
-    on the same set, so the first path reads with first < last vertex. It covers S iff
-    `smask & ~path.mask() == 0`. One path always qualifies for a connected
-    graph and nonempty S, so exhaustion is an internal invariant failure.
+    only on the vertex set, so only the first path on each path set is
+    tried, as `Graph.first_paths` yields them, longest sets first: if it
+    fails, no other path on its set qualifies either. The reverse of a path
+    is a path on the same set, so the first path reads with first < last
+    vertex. It covers S iff `smask & ~path.mask() == 0`. One path always
+    qualifies for a connected graph and nonempty S, so exhaustion is an
+    internal invariant failure.
     Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
     """
     smask = graph.subset_mask(subset)
@@ -82,13 +82,9 @@ def base_path(graph: Graph, subset: VertexSet) -> Path:
         return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
 
     for length in range(graph.n, 0, -1):
-        goals = graph.path_sets(length)
-        while goals:
-            seq = graph.first_path(goals)
-            pmask = mask_of(seq)
-            if qualifies(pmask):
+        for seq in graph.first_paths(length):
+            if qualifies(mask_of(seq)):
                 return Path(tuple(seq))
-            goals.remove(pmask)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
@@ -184,12 +180,12 @@ def construct_k_ended_tree(
     `start` resumes from an outcome this function returned for the same graph
     and S at a smaller k: the base path and the attachments do not depend on
     k, so its tree, residual and trace are this run's prefix and the
-    attachment loop goes on from there. A covering start has residual 0, so
-    the loop would not run and every check but the leaf budget was passed on
-    the same tree: its tree and trace are returned with this k's bound, after
-    the leaf budget is checked again. When alpha <= k + kappa - 1 the
-    outcome is always a covering (asserted); otherwise a residual-bound
-    outcome satisfies residual <= alpha - kappa - k + 1 (asserted).
+    attachment loop goes on from there; a covering start has residual 0, so
+    the loop adds nothing and its tree meets every check below at this k.
+    |S| <= 1 gives the one-vertex covering, start or not. When alpha <= k +
+    kappa - 1 the outcome is always a covering (asserted); otherwise a
+    residual-bound outcome satisfies residual <= alpha - kappa - k + 1
+    (asserted).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -200,19 +196,12 @@ def construct_k_ended_tree(
     if not graph.is_connected():
         raise ValueError("construction needs a connected graph")
     if smask.bit_count() <= 1:
-        if start is not None:    # the trivial covering has no k in it
-            return start
         v = smask.bit_length() - 1 if smask else 0
         return ConstructionOutcome(COVERING, Tree.single_vertex(graph.n, v), 0, None, ())
     alpha = subset_alpha(graph, smask)
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = alpha - kappa.finite - k + 1
-    if start is not None and start.kind == COVERING:
-        # residual 0 ends the loop at once: start's tree and trace under this k's bound
-        if start.tree.leaf_count > k:
-            raise InternalInvariantError("covering tree exceeded the leaf budget")
-        return ConstructionOutcome(COVERING, start.tree, 0, bound, start.trace)
     if start is None:
         path0 = base_path(graph, subset)
         tree = Tree.from_path(graph.n, path0.vertices)

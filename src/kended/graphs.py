@@ -12,7 +12,7 @@ Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end and one per
 leaf count, built with one shift step (`_grow`), the vertex and size planes
 (`_vertex_planes`) and the down-closure (`_down_closure`). Only this module
-reads a plane; callers ask by vertex mask: `path_sets`, `first_path`,
+reads a plane; callers ask by size or vertex mask: `first_paths`,
 `covering_path` and `min_leaves`.
 """
 
@@ -220,31 +220,31 @@ class Graph:
             self._paths = _path_planes(self.rows)
         return self._paths
 
-    def path_sets(self, size: int) -> list[int]:
-        """The vertex sets of the paths on `size` vertices, ascending."""
-        return list(iter_bits(self.path_planes()[1] & _vertex_planes(self.n)[2][size]))
+    def first_paths(self, size: int) -> Iterator[list[int]]:
+        """The lexicographically first path on each vertex set of a path on
+        `size` vertices, in lexicographic order; nothing where no such set
+        exists.
 
-    def first_path(self, goals: Iterable[int]) -> list[int]:
-        """The lexicographically first path whose vertex set is one of the
-        masks `goals`, all of the same size.
-
-        The walk never backtracks. With P the set visited so far, `rest` is
-        the plane of the remainders g - P of the goals g that P can still
-        reach. The walk takes the lowest candidate u (any vertex first, then
-        a neighbour of the last vertex) for which some remainder is the set
-        of a path that ends at u, `rest & ends[u]`, and keeps those
-        remainders, minus u: a shift by 2**u. A remainder never holds a
-        visited vertex, so visited neighbours fail the test by themselves.
-        Raises ValueError when no goal is a path set.
+        Each path is one walk over the goal plane, bit m for each path set m
+        of that size not yet yielded, and its set is cleared from the plane
+        after it is yielded. The walk never backtracks. With P the set
+        visited so far, `rest` is the plane of the remainders g - P of the
+        goals g that P can still reach. The walk takes the lowest candidate
+        u (any vertex first, then a neighbour of the last vertex) for which
+        some remainder is the set of a path that ends at u, `rest & ends[u]`,
+        and keeps those remainders, minus u: a shift by 2**u. A remainder
+        never holds a visited vertex, so visited neighbours fail the test by
+        themselves.
         """
         ends, spans = self.path_planes()
-        rest = mask_of(goals) & spans    # the goal plane: bit m for each goal mask m
-        if not rest:
-            raise ValueError("no goal mask is the vertex set of a path")
-        return self._walk(ends, rest)
+        goals = spans & _vertex_planes(self.n)[2][size]
+        while goals:
+            seq = self._walk(ends, goals)
+            yield seq
+            goals ^= 1 << mask_of(seq)
 
     def _walk(self, ends: tuple[int, ...], rest: int) -> list[int]:
-        """The `first_path` walk from a nonzero goal plane `rest`."""
+        """The `first_paths` walk from a nonzero goal plane `rest`."""
         seq: list[int] = []
         cand = self.full_mask
         while not rest & 1:
@@ -261,7 +261,7 @@ class Graph:
         return seq
 
     def covering_path(self, smask: int) -> list[int] | None:
-        """The reversed `first_path` walk on the least path set containing
+        """The reversed `first_paths` walk on the least path set containing
         smask, the lowest bit of the spans plane ANDed with the within planes
         of smask, or None if none does: the path the forward DP records first."""
         ends, spans = self.path_planes()

@@ -130,7 +130,10 @@ class GraphContext:
     Everything cached here is a pure function of the graph, so contexts can be
     used by one worker without coordination. alpha and kappa delegate to the
     graph's own memo (invariants.subset_alpha and subset_kappa), which the
-    construction reads too; construct resumes from the construction for k - 1.
+    construction reads too. construct hands a covering at k - 1 on to k, with
+    its tree and trace and a bound one lower: the tree's leaves were checked
+    against k - 1. Any other k resumes the construction from the outcome at
+    k - 1, and only this class resumes one.
     `_facts` holds S's tuple, alpha and kappa per S for the verdicts, and
     `_validated` the trees already checked against the graph, by id (the value
     keeps the tree, so its id is not reused).
@@ -171,9 +174,14 @@ class GraphContext:
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
         if key not in self._construct:
-            self._construct[key] = construct_k_ended_tree(
-                self.graph, VertexSet(self.graph.n, smask), k,
-                start=self._construct.get((smask, k - 1)))
+            start = self._construct.get((smask, k - 1))
+            if start is not None and start.kind == COVERING:
+                # a tree that covers S with at most k - 1 leaves is this k's covering
+                bound = None if start.bound is None else start.bound - 1
+                self._construct[key] = ConstructionOutcome(COVERING, start.tree, 0, bound, start.trace)
+            else:
+                self._construct[key] = construct_k_ended_tree(
+                    self.graph, VertexSet(self.graph.n, smask), k, start=start)
         return self._construct[key]
 
 

@@ -21,6 +21,7 @@ from kended.invariants import (
     set_connectivity,
 )
 from kended.treesearch import find_k_ended_covering_tree
+from kended.verify import GraphContext
 
 from oracles import base_path_by_enumeration, random_connected_graph
 
@@ -270,17 +271,26 @@ def test_construct_trace_replays_to_tree():
 
 
 def assert_resumes_match_fresh(graph, subset, ks):
-    """Each k resumed from the fresh k - 1 and from the fresh smallest k equals a fresh run
-    in kind, tree, residual_alpha, bound and trace (the outcome's fields), and a covering
-    start hands on its own tree; returns the number of attachments made at the largest k."""
+    """Each k resumed from the fresh k - 1 and from the fresh smallest k, and each k of
+    the sweep context, equals a fresh run in kind, tree, residual_alpha, bound and trace
+    (the outcome's fields); a covering start with |S| >= 2 hands on its own tree, and the
+    context hands on a covering at k - 1 itself. Returns the number of attachments made
+    at the largest k."""
     fresh = {k: construct_k_ended_tree(graph, subset, k) for k in ks}
     for k in ks[1:]:
         for previous in {k - 1, ks[0]}:
             start = fresh[previous]
             resumed = construct_k_ended_tree(graph, subset, k, start=start)
             assert resumed == fresh[k]
-            if start.kind == COVERING:
+            if start.kind == COVERING and len(subset) >= 2:
                 assert resumed.tree is start.tree
+    ctx = GraphContext(graph)
+    for k in ks:
+        outcome = ctx.construct(subset.mask, k)
+        assert outcome == fresh[k]
+        start = ctx._construct.get((subset.mask, k - 1))
+        if start is not None and start.kind == COVERING:    # equal to fresh, so its bound is one lower
+            assert outcome.tree is start.tree and outcome.trace is start.trace
     return len(fresh[ks[-1]].trace) - 1
 
 

@@ -26,6 +26,10 @@ theorem promises nothing, and the construction then finds no base path. This
 is the fault a pair value settled without its flow would make if it
 over-counted disjoint paths.
 
+The sweep context hands a covering at k - 1 on to k with a bound one lower.
+A covering handed on with the bound of k - 1 runs quiet on exhaustive n <= 4
+and aborts on n <= 5, where the bound first disagrees with the hypothesis flag.
+
 A witness that uses a non-edge fails the host check of the witness audit,
 which the sweep reports like every other internal failure, with the claim,
 graph6, S and k, in serial and in pool mode. The Hamiltonian witness gets the
@@ -40,6 +44,7 @@ from itertools import combinations
 import pytest
 
 from kended import cli, invariants, treesearch, verify
+from kended.constructive import COVERING
 from kended.errors import CounterexampleError, InternalInvariantError
 from kended.formats import parse_graph6
 from kended.graphs import Graph, Path, Tree, iter_bits
@@ -239,3 +244,28 @@ def test_hypothesis_at_k_minus_one_aborts_a_sweep_with_reproduction_data(monkeyp
         for _ in sweep_verdicts(N4):
             pass
     assert str(info.value).endswith("(claim 'kended-cover' on graph Bo with S=[1, 2], k=2)")
+
+
+def test_a_covering_handed_on_with_the_bound_of_k_minus_one_aborts_a_sweep(monkeypatch):
+    # the sweep context hands a covering at k - 1 on to k with a bound one lower;
+    # kept at k - 1, the bound is one too high, which the hypothesis check sees
+    # only where the hypothesis first holds at k and the construction already
+    # covered at k - 1: no instance with n <= 4 is such, and exhaustive n <= 5
+    # aborts at the first one
+    exact = verify.GraphContext.construct
+
+    def faulty(ctx, smask, k):
+        start = ctx._construct.get((smask, k - 1))
+        if (smask, k) not in ctx._construct and start is not None and start.kind == COVERING:
+            ctx._construct[(smask, k)] = replace(start)    # the bound of k - 1
+        return exact(ctx, smask, k)
+
+    monkeypatch.setattr(verify.GraphContext, "construct", faulty)
+    for _ in sweep_verdicts(N4):
+        pass
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=5)):
+            pass
+    assert str(info.value) == ("the hypothesis flag disagrees with the construction's bound "
+                               "(claim 'kended-cover' on graph DY_ with S=[2, 3, 4], k=3)")
+

@@ -82,8 +82,6 @@ def assert_planes_match_tuple_tables(graph):
         assert graph.min_leaves(m) == leaves[m], (graph, m)
         assert [j for j, plane in enumerate(sizes) if plane >> m & 1] == [m.bit_count()], (n, m)
     assert spans >> (1 << n) == 0 and all(p >> (1 << n) == 0 for p in ends + sizes)
-    assert [graph.path_sets(j) for j in range(n + 1)] == [
-        [m for m in range(1 << n) if table[m] and m.bit_count() == j] for j in range(n + 1)], graph
 
 
 def test_planes_match_tuple_tables_on_every_labelled_graph_n_le_5():
@@ -111,48 +109,43 @@ def test_planes_match_tuple_tables_on_random_graphs():
         assert_planes_match_tuple_tables(graph)
 
 
-def assert_first_path_is_least_goal_path(graph, rng, draws):
-    # the path sets of each size, and a random nonempty goal list per draw from them, against enumeration
-    for length in range(1, graph.n + 1):
-        paths = list(_paths_with_length(graph, length))
-        sized = sorted({mask_of(seq) for seq in paths})
-        assert graph.path_sets(length) == sized, (graph, length)
-        for _ in range(draws if sized else 0):
-            goals = rng.sample(sized, rng.randint(1, len(sized)))
-            expected = min(seq for seq in paths if mask_of(seq) in goals)
-            assert tuple(graph.first_path(goals)) == expected, (graph, length, goals)
+def assert_first_paths_are_least_paths(graph):
+    # per size, the least path on each path set, in lexicographic order, against enumeration
+    for size in range(1, graph.n + 1):
+        least = {}
+        for seq in _paths_with_length(graph, size):
+            least.setdefault(mask_of(seq), seq)
+        assert [tuple(seq) for seq in graph.first_paths(size)] == sorted(least.values()), (graph, size)
 
 
-def test_first_path_matches_enumeration_on_every_labelled_graph_n_le_5():
-    rng = random.Random(1111)
+def test_first_paths_match_enumeration_on_every_labelled_graph_n_le_5():
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
-            graph = Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
-            assert_first_path_is_least_goal_path(graph, rng, 2)
+            assert_first_paths_are_least_paths(
+                Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1]))
 
 
-def test_first_path_matches_enumeration_on_random_connected_graphs():
+def test_first_paths_match_enumeration_on_random_connected_graphs():
     rng = random.Random(1112)
     for n in range(6, 11):
         for p in (0.3, 0.5):
-            assert_first_path_is_least_goal_path(random_connected_graph(rng, n, p), rng, 3)
+            assert_first_paths_are_least_paths(random_connected_graph(rng, n, p))
 
 
-def test_first_path_rejects_a_plane_without_a_path_set():
+def test_first_paths_yield_nothing_for_a_size_without_a_path_set():
     graph = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        graph.first_path([])
-    with pytest.raises(ValueError):
-        graph.first_path([0b101])    # {0, 2} spans no path
+    assert list(graph.first_paths(2)) == [[0, 1]]
+    assert list(graph.first_paths(3)) == []
+    assert list(graph.first_paths(0)) == []
 
 
-def test_first_path_aborts_on_a_table_that_loses_a_path():
+def test_first_paths_abort_on_a_table_that_loses_a_path():
     graph = Graph.from_edges(2, [(0, 1)])
     ends, spans = graph.path_planes()
     graph._paths = (ends[0], ends[1] & ~(1 << 0b10)), spans    # the path on {1} no longer ends at 1
     with pytest.raises(InternalInvariantError):
-        graph.first_path([0b11])
+        next(graph.first_paths(2))
 
 
 def test_vertex_set_semantics():

@@ -372,7 +372,7 @@ def test_hamiltonian_search_reads_no_path_or_leaf_plane(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("hamiltonian_path_exists read a path or minimum-leaf plane")
 
-    for name in ("covering_path", "first_path", "path_sets", "min_leaves"):
+    for name in ("covering_path", "first_paths", "min_leaves"):
         monkeypatch.setattr(Graph, name, forbidden)
     pairs = [[(u, v) for u in range(n) for v in range(u + 1, n)] for n in range(6)]
     for n in range(6):

@@ -239,17 +239,38 @@ def test_sweep_stream_is_deterministic():
 # must leave both byte for byte as they are.
 N4_STREAM_SHA256 = "c2828d708b0ffc9ecd563e5a26ca61df1cf08003ce0607cf69536b9b06bf1216"
 N4_REPORT_SHA256 = "5398b6bc5af3cf514dcecbfea4649a44ba45950009aed6ba5daaaaf070976cff"
+# Recorded on CPython 3.11 while every (S, k) still ran the construction.
+N5_STREAM_SHA256 = "d08ed543d2c0e920275325295fce9a3664b8dc8c5a6577043f04d747841ac834"
+
+
+def verdict_stream_sha256(plan):
+    stream = hashlib.sha256()
+    for verdict in sweep_verdicts(plan):
+        stream.update((json.dumps(verdict_to_json(verdict), sort_keys=True) + "\n").encode())
+    return stream.hexdigest()
 
 
 def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
-    stream = hashlib.sha256()
-    for verdict in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
-        stream.update((json.dumps(verdict_to_json(verdict), sort_keys=True) + "\n").encode())
-    assert stream.hexdigest() == N4_STREAM_SHA256
+    assert verdict_stream_sha256(SweepPlan(mode="exhaustive", n=4)) == N4_STREAM_SHA256
     monkeypatch.chdir(tmp_path)    # the report echoes the plan path
     (tmp_path / "p4.plan").write_text("mode = exhaustive\nn = 4\n")
     assert cli.main(["verify", "--plan", "p4.plan", "--no-timing", "--out", "r.json"]) == 0
     assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == N4_REPORT_SHA256
+
+
+def test_exhaustive_n5_stream_is_pinned_and_constructs_only_past_a_covering(monkeypatch):
+    # the context hands a covering at k - 1 on to k itself; 69,510 constructions
+    # ran when every (S, k) constructed
+    original = constructive.construct_k_ended_tree
+    calls = []
+
+    def counted(graph, subset, k, start=None):
+        calls.append(k)
+        return original(graph, subset, k, start=start)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    assert verdict_stream_sha256(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)) == N5_STREAM_SHA256
+    assert len(calls) == 23778
 
 
 def test_sweep_random_n9_clean_and_reproducible():
