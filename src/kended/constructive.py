@@ -14,7 +14,8 @@ k itself. alpha, kappa and every residual alpha come from the graph's own
 memo (invariants.subset_alpha and subset_kappa), shared with every other
 caller. The base path takes the first path on each path set of a size from
 `Graph.first_paths`, longest sets first; only `graphs` reads the path planes
-behind it.
+behind it. Its tree is the graph's memoized tree of its path set
+(`Graph.path_tree`), the covering search's object where the sets agree.
 """
 
 from __future__ import annotations
@@ -204,8 +205,8 @@ def construct_k_ended_tree(
     bound = alpha - kappa.finite - k + 1
     if start is None:
         path0 = base_path(graph, subset)
-        tree = Tree.from_path(graph.n, path0.vertices)
-        residual_alpha = subset_alpha(graph, smask & ~path0.mask())
+        tree = graph.path_tree(path0.mask(), path0.vertices)
+        residual_alpha = subset_alpha(graph, smask & ~tree.vertex_mask)
         trace = [path0]
         if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:
             raise InternalInvariantError("base path violates its residual guarantee")

@@ -3,17 +3,23 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 All four types are immutable after construction and safe to share across
-concurrent workers; a graph's connectivity flag, its path and minimum-leaf
-tables and its subset invariant memos (alpha by mask, pair flows, kappa by
-mask; read and written only by `invariants`) are filled lazily, but each is
-a pure function of the adjacency rows.
+concurrent workers. A graph fills these memos lazily, each a pure function of
+the adjacency rows:
+- the connectivity flag;
+- the path planes (`path_planes`);
+- the path trees, one `Tree` per path set, of the first path on it
+  (`path_tree`), shared by the covering search and the construction's base
+  path;
+- the minimum-leaf planes (`min_leaves`);
+- the subset invariants: alpha by mask, pair flows and kappa by mask, read
+  and written only by `invariants`.
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end and one per
 leaf count, built with one shift step (`_grow`), the vertex and size planes
 (`_vertex_planes`) and the down-closure (`_down_closure`). Only this module
 reads a plane; callers ask by size or vertex mask: `first_paths`,
-`covering_path` and `min_leaves`.
+`covering_set`, `path_tree` and `min_leaves`.
 """
 
 from __future__ import annotations
@@ -130,7 +136,7 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_connected", "_paths", "_min_leaves", "_alpha", "_flows", "_kappa")
+    __slots__ = ("n", "rows", "_connected", "_paths", "_path_trees", "_min_leaves", "_alpha", "_flows", "_kappa")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -151,6 +157,7 @@ class Graph:
         self.rows = rows
         self._connected: bool | None = None
         self._paths: tuple[tuple[int, ...], int] | None = None
+        self._path_trees: dict[int, Tree] = {}
         self._min_leaves: tuple[int, ...] | None = None
         self._alpha: dict[int, int] = {}
         self._flows: dict[tuple[int, int], int] = {}
@@ -260,20 +267,28 @@ class Graph:
             cand = self.rows[u]
         return seq
 
-    def covering_path(self, smask: int) -> list[int] | None:
-        """The reversed `first_paths` walk on the least path set containing
-        smask, the lowest bit of the spans plane ANDed with the within planes
-        of smask, or None if none does: the path the forward DP records first."""
-        ends, spans = self.path_planes()
+    def covering_set(self, smask: int) -> int | None:
+        """The least path set containing smask, the lowest bit of the spans
+        plane ANDed with the within planes of smask, or None if none does."""
+        spans = self.path_planes()[1]
         if spans >> smask & 1:
-            # smask is itself a path set, so the least one containing it
-            return self._walk(ends, 1 << smask)[::-1]
+            return smask
         within = _vertex_planes(self.n)[1]
         for v in iter_bits(smask):
             spans &= within[v]
-        if not spans:
-            return None
-        return self._walk(ends, spans & -spans)[::-1]
+        return (spans & -spans).bit_length() - 1 if spans else None
+
+    def path_tree(self, pmask: int, seq: Iterable[int] | None = None) -> Tree:
+        """The tree of the first path on the path set pmask, built on first use
+        and then shared: each subset whose covering set or base path is pmask
+        gets this one object. A caller that holds that first path passes it as
+        seq, which spares the `first_paths` walk from the one goal pmask."""
+        tree = self._path_trees.get(pmask)
+        if tree is None:
+            if seq is None:
+                seq = self._walk(self.path_planes()[0], 1 << pmask)
+            tree = self._path_trees[pmask] = Tree.from_path(self.n, seq)
+        return tree
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),

@@ -34,14 +34,18 @@ False from a state exactly when none lies beyond it, so the cuts leave the
 first tree in DFS order, and so every witness, unchanged.
 
 Before it, the existence searches share trivial answers, the coverability
-check and the covering path. The covering path comes from the
-graph's Held-Karp path planes by vertex mask (`Graph.covering_path`; only
-`graphs` reads a plane). hamiltonian_path_exists reads no plane, so the two
-routes are cross-checked: it backtracks unless alpha(V), from the alpha memo,
-exceeds ceil(n/2), which rules out a Hamiltonian path (Jung 1978). Leaf
-budgets read the graph's minimum-leaf planes (`Graph.min_leaves`), which
-answer "no" without a search and are cross-checked by each growth search.
-Both tables are built once per graph and shared by every subset and budget.
+check and the covering path. The covering path's tree is the graph's memoized
+tree of the least path set containing S (`Graph.covering_set`,
+`Graph.path_tree`; only `graphs` reads a plane), one object for every subset
+with that set. hamiltonian_path_exists reads no plane, so the two routes are
+cross-checked: it backtracks unless alpha(V), from the alpha memo, exceeds
+ceil(n/2), which rules out a Hamiltonian path (Jung 1978). Leaf budgets read
+the graph's minimum-leaf planes (`Graph.min_leaves`), which answer "no"
+without a search and are cross-checked by each growth search. A branch-budget
+"no" is checked against the same planes: a tree with L >= 2 leaves has at
+most L - 2 branch vertices, so no tree within budget b is a contradiction
+where a tree with at most b + 2 leaves covers S. Both tables are built once
+per graph and shared by every subset and budget.
 """
 
 from __future__ import annotations
@@ -178,9 +182,9 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
         return Tree.single_vertex(graph.n, max(smask.bit_length() - 1, 0))
     if not _coverable(graph, smask):
         return None
-    seq = graph.covering_path(smask)
-    if seq is not None:
-        return Tree.from_path(graph.n, seq)
+    pset = graph.covering_set(smask)
+    if pset is not None:
+        return graph.path_tree(pset)
     if budget == (0 if branches else 2):
         return None
     minimum = 0 if branches else graph.min_leaves(smask)
@@ -191,10 +195,14 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
     if edges is not None:
         return Tree(graph.n, [r0] + [v for edge in edges for v in edge], edges)
     if branches:
-        return None
-    raise InternalInvariantError(
-        f"the minimum-leaf table gives {minimum} leaves but the growth search found no tree with at most {budget}"
-    )
+        # a tree with L >= 2 leaves has at most L - 2 branch vertices
+        minimum = graph.min_leaves(smask)
+        if minimum > budget + 2:
+            return None
+        found = f"the branch search found no tree with at most {budget} branch vertices"
+    else:
+        found = f"the growth search found no tree with at most {budget}"
+    raise InternalInvariantError(f"the minimum-leaf table gives {minimum} leaves but {found}")
 
 
 def find_k_ended_covering_tree(

@@ -9,7 +9,7 @@ former subset tables, kept verbatim as the reference for its bit planes;
 `hamiltonian_path_by_backtracking` is the library's Hamiltonian search as it
 was before the independence-number bound, `grow_tree_unpruned` its
 growth search as it was before the forced-leaf bounds, and
-`covering_path_by_and_loop` its covering-path lookup as it was before the
+`covering_set_by_and_loop` its covering-set lookup as it was before the
 path-set shortcut, each kept as the reference for its witnesses.
 """
 
@@ -291,17 +291,15 @@ def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:
     return None
 
 
-def covering_path_by_and_loop(graph: Graph, smask: int) -> list[int] | None:
-    """`Graph.covering_path` without its shortcut for a path set: the least path
+def covering_set_by_and_loop(graph: Graph, smask: int) -> int | None:
+    """`Graph.covering_set` without its shortcut for a path set: the least path
     set containing smask is always found by ANDing the within plane of each
     vertex of smask into the spans plane."""
-    ends, spans = graph.path_planes()
+    spans = graph.path_planes()[1]
     within = _vertex_planes(graph.n)[1]
     for v in iter_bits(smask):
         spans &= within[v]
-    if not spans:
-        return None
-    return graph._walk(ends, spans & -spans)[::-1]
+    return (spans & -spans).bit_length() - 1 if spans else None
 
 
 def _reachable_free_count(graph: Graph, v: int, visited: int) -> int:

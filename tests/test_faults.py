@@ -17,9 +17,11 @@ where the two disagree.
 
 The growth search's forced-leaf bounds are seeded too. A leaf bound that cuts
 too much aborts at n <= 4, because every leaf-budget search must find the tree
-the minimum-leaf table promises. The branch-budget search has no such second
-route in the harness, so its fault first shows at n = 6, as a branch-cover
-counterexample.
+the minimum-leaf table promises. The branch-budget search is checked against
+the same table: a tree with L >= 2 leaves has at most L - 2 branch vertices,
+so a "no" at budget b where a tree with b + 2 leaves covers S aborts. The
+seeded branch-bound fault changes no result on n <= 5, so it first shows at
+n = 6.
 
 A kappa one too high on every pair flow lets the hypothesis hold where the
 theorem promises nothing, and the construction then finds no base path. This
@@ -45,7 +47,7 @@ import pytest
 
 from kended import cli, invariants, treesearch, verify
 from kended.constructive import COVERING
-from kended.errors import CounterexampleError, InternalInvariantError
+from kended.errors import InternalInvariantError
 from kended.formats import parse_graph6
 from kended.graphs import Graph, Path, Tree, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
@@ -123,17 +125,20 @@ def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
     # labelled graph with n <= 5, so exhaustive n <= 5 runs quiet, and the
     # sampled n = 6 tier of the acceptance tests first aborts at its 3,505th
     # graph (E[?g, S=[1, 2, 3, 4], k=3); this is the smallest sweep found that
-    # catches it: the first connected G(6, 0.3) of seed 0, with every S
+    # catches it: the first connected G(6, 0.3) of seed 0, with every S. The
+    # wrong "no" meets the minimum-leaf table, since a tree with 3 leaves has
+    # at most 1 branch vertex, before it could become a counterexample
     def faulty(rows, smask, budget, mask, deg1, deg2):
         branch = mask & ~deg1 & ~deg2
         return branch.bit_count() >= budget and treesearch._forced(rows, smask, mask, branch)[0] > 0
 
     monkeypatch.setattr(treesearch, "_branch_bound_cuts", faulty)
     plan = SweepPlan(mode="random", n=6, p=0.3, count=8, seed=0, s_policy="all-subsets")
-    with pytest.raises(CounterexampleError) as info:
+    with pytest.raises(InternalInvariantError) as info:
         for _ in sweep_verdicts(plan):
             pass
-    assert str(info.value) == "counterexample for claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3"
+    assert str(info.value) == ("the minimum-leaf table gives 3 leaves but the branch search found no tree with "
+                               "at most 1 branch vertices (claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3)")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -269,3 +274,28 @@ def test_a_covering_handed_on_with_the_bound_of_k_minus_one_aborts_a_sweep(monke
     assert str(info.value) == ("the hypothesis flag disagrees with the construction's bound "
                                "(claim 'kended-cover' on graph DY_ with S=[2, 3, 4], k=3)")
 
+
+
+@pytest.mark.parametrize("reader, message", [
+    ("covering search", "witness tree does not cover the subset"),
+    ("construction", "base path violates its residual guarantee"),
+])
+def test_a_path_tree_memo_that_hands_back_another_set_aborts_a_sweep(monkeypatch, reader, message):
+    # the memo answers with the tree of the set without the lowest vertex, where
+    # that is a path set too; the covering search asks without a sequence, the
+    # construction with its base path. The least covering set is the least path
+    # set containing S, so the lower set misses S, and a base tree that lacks a
+    # base path vertex leaves more of S uncovered than the base path's guarantee
+    exact = Graph.path_tree
+
+    def faulty(graph, pmask, seq=None):
+        lower = pmask & (pmask - 1)
+        if (seq is None) == (reader == "covering search") and lower and graph.covering_set(lower) == lower:
+            return exact(graph, lower)
+        return exact(graph, pmask, seq)
+
+    monkeypatch.setattr(Graph, "path_tree", faulty)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value) == f"{message} (claim 'kended-cover' on graph A_ with S=[0, 1], k=2)"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from kended import treesearch
 from kended.errors import CapExceededError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family, random_gnp
-from kended.graphs import Graph, VertexSet
+from kended.graphs import Graph, Tree, VertexSet
 from kended.invariants import subset_alpha
 from kended.treesearch import (
     covering_tree_with_branch_budget,
@@ -21,8 +21,8 @@ from conftest import graphs, labelled_graphs
 from oracles import (
     _min_leaf_table,
     _path_endpoint_table,
-    covering_path_by_and_loop,
     covering_path_by_forward_dp,
+    covering_set_by_and_loop,
     grow_tree_unpruned,
     hamiltonian_path_by_backtracking,
     hamiltonian_path_by_permutations,
@@ -372,7 +372,7 @@ def test_hamiltonian_search_reads_no_path_or_leaf_plane(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("hamiltonian_path_exists read a path or minimum-leaf plane")
 
-    for name in ("covering_path", "first_paths", "min_leaves"):
+    for name in ("covering_set", "path_tree", "first_paths", "min_leaves"):
         monkeypatch.setattr(Graph, name, forbidden)
     pairs = [[(u, v) for u in range(n) for v in range(u + 1, n)] for n in range(6)]
     for n in range(6):
@@ -392,11 +392,20 @@ def connected_graphs_up_to(n_max):
         yield from enumerate_connected_labeled_graphs(n)
 
 
+def covering_tree(graph, smask):
+    pset = graph.covering_set(smask)
+    return None if pset is None else graph.path_tree(pset)
+
+
+def tree_of(graph, seq):
+    return None if seq is None else Tree.from_path(graph.n, seq)
+
+
 def test_covering_path_matches_forward_dp_every_labelled_graph_n_le_5():
-    # the shared endpoint table must give the very witness the forward DP unwinds
+    # the shared endpoint table must give the tree of the path the forward DP unwinds
     for graph in connected_graphs_up_to(5):
         for smask in range(1 << graph.n):
-            assert graph.covering_path(smask) == covering_path_by_forward_dp(graph, smask)
+            assert covering_tree(graph, smask) == tree_of(graph, covering_path_by_forward_dp(graph, smask))
 
 
 def test_covering_path_matches_forward_dp_on_random_graphs():
@@ -405,19 +414,19 @@ def test_covering_path_matches_forward_dp_on_random_graphs():
         graph = random_gnp(6 + i % 5, 0.5, rng)
         for _ in range(4):
             smask = rng.randrange(1 << graph.n)
-            assert graph.covering_path(smask) == covering_path_by_forward_dp(graph, smask)
+            assert covering_tree(graph, smask) == tree_of(graph, covering_path_by_forward_dp(graph, smask))
 
 
 def test_covering_path_shortcut_matches_the_and_loop():
-    # a path set S is the least path set containing S, so covering_path walks
-    # from S itself; it must walk the path the AND over S's within planes finds
+    # a path set S is the least path set containing S, so covering_set returns
+    # S itself; it must be the set the AND over S's within planes finds
     rng = random.Random(808)
     hosts = list(labelled_graphs(5)) + [random_gnp(8 + i % 3, 0.5, rng) for i in range(15)]
     path_sets = 0
     for graph in hosts:
         spans = graph.path_planes()[1]
         for smask in range(1 << graph.n):
-            assert graph.covering_path(smask) == covering_path_by_and_loop(graph, smask), (graph, smask)
+            assert graph.covering_set(smask) == covering_set_by_and_loop(graph, smask), (graph, smask)
             path_sets += spans >> smask & 1
     assert 0 < path_sets < sum(1 << graph.n for graph in hosts)
 

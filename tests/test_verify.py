@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import random
 import re
 import sys
 import time
@@ -11,15 +12,17 @@ import pytest
 from kended import cli, constructive, graphs, invariants, treesearch
 from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
-from kended.families import GraphFamilySpec, make_family
+from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
 from kended.formats import emit_graph6, parse_graph6
-from kended.graphs import Graph, VertexSet
+from kended.graphs import Graph, Tree, VertexSet, mask_of
 from kended.report import sweep_report_to_json, verdict_to_json
 from kended.treesearch import DEFAULT_TREE_CAP, minimum_leaf_covering_tree
 from kended.verify import (
+    GraphContext,
     SweepPlan,
     TheoremVerdict,
     _graph_verdicts,
+    _verdict_hamiltonian,
     parse_sweep_plan,
     run_sweep,
     sweep_verdicts,
@@ -32,7 +35,12 @@ from kended.verify import (
 from kended.invariants import ConnectivityValue
 
 from conftest import time_limit
-from oracles import min_branch_cover_by_enumeration, min_leaf_cover_by_enumeration
+from oracles import (
+    covering_path_by_forward_dp,
+    min_branch_cover_by_enumeration,
+    min_leaf_cover_by_enumeration,
+    random_connected_graph,
+)
 
 
 def kmm(m, k):
@@ -241,6 +249,13 @@ N4_STREAM_SHA256 = "c2828d708b0ffc9ecd563e5a26ca61df1cf08003ce0607cf69536b9b06bf
 N4_REPORT_SHA256 = "5398b6bc5af3cf514dcecbfea4649a44ba45950009aed6ba5daaaaf070976cff"
 # Recorded on CPython 3.11 while every (S, k) still ran the construction.
 N5_STREAM_SHA256 = "d08ed543d2c0e920275325295fce9a3664b8dc8c5a6577043f04d747841ac834"
+# Recorded on CPython 3.11 while every (S, k) still built its own path tree,
+# for the plans of `larger_plans`.
+LARGER_STREAM_SHA256 = {
+    "bipartite-3-7": "10192353d4ff0c3bfe1cf707d56d37b1b41c344f0429bba2f1e0394d651e0dc0",
+    "gnp-9-0.3": "28bbea6b90a81ffb7c89b368530992ec6cf99333fd1101a0c1697711a3baeb1d",
+    "gnp-8-0.5": "e431edfdac4e14d57a93b05e185e4535d5a2a6ffc505ff7f439c445b575a8799",
+}
 
 
 def verdict_stream_sha256(plan):
@@ -271,6 +286,105 @@ def test_exhaustive_n5_stream_is_pinned_and_constructs_only_past_a_covering(monk
     rebind_everywhere(monkeypatch, original, counted)
     assert verdict_stream_sha256(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)) == N5_STREAM_SHA256
     assert len(calls) == 23778
+
+
+def larger_plans(folder):
+    """Plans at n = 8..10: 20 connected bipartite graphs with parts 3 and 7,
+    S = V and k = 2..6, and 20 connected G(9, 0.3) and G(8, 0.5) graphs with 3
+    random S each."""
+    rng = random.Random(2024)
+    bipartite = []
+    while len(bipartite) < 20:
+        label = list(range(10))
+        rng.shuffle(label)
+        graph = Graph.from_edges(10, [(label[a], label[3 + b]) for a in range(3) for b in range(7)
+                                      if rng.random() < 0.8])
+        if graph.is_connected():
+            bipartite.append(graph)
+    path = folder / "bipartite.g6"
+    path.write_text("".join(emit_graph6(graph) + "\n" for graph in bipartite))
+    return {
+        "bipartite-3-7": SweepPlan(mode="graph6", path=str(path), s_policy="s=v", k_min=2, k_max=6),
+        "gnp-9-0.3": SweepPlan(mode="random", n=9, p=0.3, count=41, seed=9, s_policy="random-subsets", s_count=3),
+        "gnp-8-0.5": SweepPlan(mode="random", n=8, p=0.5, count=22, seed=8, s_policy="random-subsets", s_count=3),
+    }
+
+
+def test_larger_streams_are_pinned(tmp_path):
+    for name, plan in larger_plans(tmp_path).items():
+        assert run_sweep(plan).graphs_evaluated == 20, name
+        assert verdict_stream_sha256(plan) == LARGER_STREAM_SHA256[name], name
+
+
+def memo_hosts():
+    """Every connected labelled graph with n <= 5, and two random connected
+    graphs for each n = 6..10."""
+    for n in range(1, 6):
+        yield from enumerate_connected_labeled_graphs(n)
+    rng = random.Random(24)
+    for n in range(6, 11):
+        for _ in range(2):
+            yield random_connected_graph(rng, n, 0.4)
+
+
+def test_each_path_set_has_one_tree_for_the_covering_and_the_base_path():
+    # the covering tree of S is the tree of the oracle's covering path, one
+    # object per least path set; the base tree (k = 2 attaches nothing) is the
+    # memo's tree of its set, the covering tree itself where the sets agree
+    shared = 0
+    for graph in memo_hosts():
+        ctx = GraphContext(graph)
+        by_set = {}
+        for smask in range(1, 1 << graph.n):
+            tree = ctx.cover_tree(smask, 2)
+            seq = covering_path_by_forward_dp(graph, smask)
+            assert tree == (None if seq is None else Tree.from_path(graph.n, seq)), (graph, smask)
+            if smask.bit_count() < 2:
+                continue
+            base = ctx.construct(smask, 2)
+            pmask = base.trace[0].mask()
+            assert base.tree is graph.path_tree(pmask)
+            assert base.tree == Tree.from_path(graph.n, base.trace[0].vertices)
+            if seq is not None:
+                assert by_set.setdefault(mask_of(seq), tree) is tree
+                if pmask == mask_of(seq):
+                    assert base.tree is tree
+                    shared += 1
+    assert shared > 0
+
+
+def test_the_hamiltonian_witness_stays_off_the_path_tree_memo():
+    # the backtracking path is the independent route, so its tree equals the
+    # covering tree of V but is built apart from it
+    found = 0
+    for graph in memo_hosts():
+        ctx = GraphContext(graph)
+        witness = _verdict_hamiltonian(ctx).witness
+        cover = ctx.cover_tree(graph.full_mask, 2)
+        assert (witness is None) == (cover is None)
+        if witness is not None:
+            assert witness == cover and witness is not cover
+            found += 1
+    assert found > 0
+
+
+def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(monkeypatch):
+    # 46,415 trees and 39,687 walks when every (S, k) built its own path tree
+    calls = {"trees": 0, "walks": 0}
+    from_path, walk = Tree.from_path.__func__, Graph._walk
+
+    def counted_tree(cls, host_n, vertices):
+        calls["trees"] += 1
+        return from_path(cls, host_n, vertices)
+
+    def counted_walk(graph, ends, rest):
+        calls["walks"] += 1
+        return walk(graph, ends, rest)
+
+    monkeypatch.setattr(Tree, "from_path", classmethod(counted_tree))
+    monkeypatch.setattr(Graph, "_walk", counted_walk)
+    assert sum(1 for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4))) == 209302
+    assert calls == {"trees": 20394, "walks": 32214}
 
 
 def test_sweep_random_n9_clean_and_reproducible():
