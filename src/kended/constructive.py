@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .graphs import Graph, Path, Tree, VertexSet, iter_bits, mask_of
-from .invariants import hypothesis_holds, maximum_independent_masks, subset_alpha, subset_kappa
+from .invariants import maximum_independent_masks, subset_alpha, subset_kappa
 from .treesearch import DEFAULT_TREE_CAP, _check_cap
 
 COVERING = "covering"
@@ -186,7 +186,8 @@ def construct_k_ended_tree(
     |S| <= 1 gives the one-vertex covering, start or not. When alpha <= k +
     kappa - 1 the outcome is always a covering (asserted); otherwise a
     residual-bound outcome satisfies residual <= alpha - kappa - k + 1
-    (asserted).
+    (asserted). An attachment that `augment` refuses is a failed step, not bad
+    input, so its ValueError is raised as InternalInvariantError.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -214,8 +215,11 @@ def construct_k_ended_tree(
         tree, residual_alpha, trace = start.tree, start.residual_alpha, list(start.trace)
     t = len(trace) + 1
     while residual_alpha > 0 and t < k:
-        p0 = maximal_attachment_path(graph, tree, subset)
-        tree = augment(tree, p0)
+        try:
+            p0 = maximal_attachment_path(graph, tree, subset)
+            tree = augment(tree, p0)
+        except ValueError as exc:    # the input checks above leave no bad input here
+            raise InternalInvariantError(str(exc)) from exc
         trace.append(p0)
         t += 1
         new_residual = subset_alpha(graph, smask & ~tree.vertex_mask)
@@ -224,7 +228,7 @@ def construct_k_ended_tree(
         residual_alpha = new_residual
         if tree.leaf_count > t:
             raise InternalInvariantError("tree exceeded its leaf budget")
-    tree.validate_in(graph)
+    graph.check_tree(tree)
     if residual_alpha == 0:
         if not tree.covers(subset):
             raise InternalInvariantError("zero residual but the subset is not covered")
@@ -233,6 +237,6 @@ def construct_k_ended_tree(
         return ConstructionOutcome(COVERING, tree, 0, bound, tuple(trace))
     if residual_alpha > bound:
         raise InternalInvariantError(f"residual alpha {residual_alpha} exceeds the bound {bound}")
-    if hypothesis_holds(alpha, k, kappa):
+    if bound <= 0:
         raise InternalInvariantError("outcome must be covering when alpha <= k + kappa - 1")
     return ConstructionOutcome(RESIDUAL_BOUND, tree, residual_alpha, bound, tuple(trace))

@@ -106,7 +106,6 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0:
         raise EdgeListError(f"line {no}: negative vertex count")
     rows = [0] * n
-    edges = []
     for no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -123,5 +122,4 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"line {no}: duplicate edge ({u}, {v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return Graph(n, rows)

@@ -12,7 +12,8 @@ the adjacency rows:
   path;
 - the minimum-leaf planes (`min_leaves`);
 - the subset invariants: alpha by mask, pair flows and kappa by mask, read
-  and written only by `invariants`.
+  and written only by `invariants`;
+- the trees already checked against the graph (`check_tree`).
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end and one per
@@ -136,7 +137,8 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_connected", "_paths", "_path_trees", "_min_leaves", "_alpha", "_flows", "_kappa")
+    __slots__ = ("n", "rows", "_connected", "_paths", "_path_trees", "_min_leaves", "_alpha", "_flows", "_kappa",
+                 "_checked")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -162,6 +164,7 @@ class Graph:
         self._alpha: dict[int, int] = {}
         self._flows: dict[tuple[int, int], int] = {}
         self._kappa: dict[int, tuple] = {}
+        self._checked: dict[int, Tree] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -289,6 +292,17 @@ class Graph:
                 seq = self._walk(self.path_planes()[0], 1 << pmask)
             tree = self._path_trees[pmask] = Tree.from_path(self.n, seq)
         return tree
+
+    def check_tree(self, tree: Tree) -> None:
+        """Check once per tree object that every tree edge is a graph edge, else
+        raise InternalInvariantError. An id vouches only for the tree kept under it."""
+        if self._checked.get(id(tree)) is tree:
+            return
+        try:
+            tree.validate_in(self)
+        except ValueError as exc:
+            raise InternalInvariantError(str(exc)) from exc
+        self._checked[id(tree)] = tree
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),

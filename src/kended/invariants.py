@@ -206,7 +206,7 @@ def local_connectivity(graph: Graph, x: int, y: int) -> int:
     other end with ab an edge. The paths are disjoint, and each uses its own
     neighbour of x and of y, so if every a finds a b they number
     min(deg x, deg y), which no set of disjoint paths exceeds, and that is
-    the value. Otherwise the flow below runs from scratch.
+    the value. Otherwise the flow below runs, reusing all but the x-a-b-y paths.
 
     Every vertex v other than x and y is split into an in-node v and an
     out-node n + v joined by a unit arc; each edge uv becomes unit arcs

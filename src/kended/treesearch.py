@@ -287,10 +287,6 @@ def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> Path |
     """
     _check_cap(graph, cap)
     n = graph.n
-    if n == 0:
-        return None
-    if n == 1:
-        return Path((0,))
     if not graph.is_connected() or subset_alpha(graph, graph.full_mask) > (n + 1) // 2:
         return None
     rows = graph.rows

@@ -14,14 +14,13 @@ All four are proved statements, so any counterexample verdict is promoted to
 a hard CounterexampleError carrying full reproduction data: it means a bug in
 this package, not new mathematics.
 
-One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha
-and kappa once per S of a graph and the hypothesis per verdict; each claim
+One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
+kappa and the least k the hypothesis admits once per S of a graph; each claim
 function brings only its own witness, audit, conclusion and detail, taken from
-the GraphContext caches of the tree searches and constructions. The caches hand
-one tree to several k and claims, so each tree object is checked against the
-graph once, and each verdict still checks that its witness covers S within its
-budgets. The Hamiltonian witness, a path from the backtracking search, is
-checked against the graph too.
+the GraphContext caches of the tree searches and constructions. The caches
+hand one tree to several k and claims, and `Graph.check_tree` checks a tree
+object once per graph for the construction, the verdicts and the sharpness
+cells, while each verdict checks that its witness covers S within its budgets.
 
 Verdicts are plain dataclasses, immutable by convention like `Tree` and
 `Graph`; a frozen one sets each of its ten fields through object.__setattr__,
@@ -54,7 +53,7 @@ from .families import (
 )
 from .formats import emit_graph6, parse_graph6
 from .graphs import Graph, Tree, VertexSet, iter_bits
-from .invariants import ConnectivityValue, hypothesis_holds, set_connectivity, subset_alpha, subset_kappa
+from .invariants import ConnectivityValue, set_connectivity, subset_alpha, subset_kappa
 from .treesearch import (
     DEFAULT_TREE_CAP,
     covering_tree_with_branch_budget,
@@ -137,9 +136,8 @@ class GraphContext:
     its tree and trace and a bound one lower: the tree's leaves were checked
     against k - 1. Any other k resumes the construction from the outcome at
     k - 1, and only this class resumes one.
-    `_facts` holds S's tuple, alpha and kappa per S for the verdicts, and
-    `_validated` the trees already checked against the graph, by id (the value
-    keeps the tree, so its id is not reused).
+    `_facts` holds, per S, its tuple, alpha, kappa and the least k for which
+    alpha <= k + kappa - 1: alpha - kappa + 1, or 0 when kappa is infinite.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -148,8 +146,7 @@ class GraphContext:
         self._cover: dict[tuple[int, int], Tree | None] = {}
         self._branch: dict[tuple[int, int], Tree | None] = {}
         self._construct: dict[tuple[int, int], ConstructionOutcome] = {}
-        self._facts: dict[int, tuple[tuple[int, ...], int, ConnectivityValue]] = {}
-        self._validated: dict[int, Tree] = {}
+        self._facts: dict[int, tuple[tuple[int, ...], int, ConnectivityValue, int]] = {}
 
     def alpha(self, smask: int) -> int:
         return subset_alpha(self.graph, smask)
@@ -187,22 +184,15 @@ class GraphContext:
                     self.graph, VertexSet(self.graph.n, smask), k, start=start)
         return self._construct[key]
 
-
-def _validate(ctx: GraphContext, tree: Tree) -> None:
-    """Check a tree against the graph, once per tree object; a tree edge that is
-    not a graph edge is an internal failure, so the sweep reports where."""
-    if id(tree) in ctx._validated:
-        return
-    try:
-        tree.validate_in(ctx.graph)
-    except ValueError as exc:
-        raise InternalInvariantError(str(exc)) from exc
-    ctx._validated[id(tree)] = tree
+    def _subset_facts(self, smask: int) -> tuple[tuple[int, ...], int, ConnectivityValue, int]:
+        alpha, kappa = self.alpha(smask), self.kappa(smask)
+        least_k = 0 if kappa.is_infinite else alpha - kappa.finite + 1
+        return self._facts.setdefault(smask, (tuple(iter_bits(smask)), alpha, kappa, least_k))
 
 
 def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget: int | None,
                          branch_budget: int | None) -> None:
-    _validate(ctx, tree)
+    ctx.graph.check_tree(tree)
     if smask & ~tree.vertex_mask:
         raise InternalInvariantError("witness tree does not cover the subset")
     if leaf_budget is not None and tree.leaf_count > leaf_budget:
@@ -215,13 +205,10 @@ def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget:
 
 def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, witness: Tree | None,
              conclusion: bool, detail: dict | None = None) -> TheoremVerdict:
-    """The verdict of one claim on (graph, S, k): S's tuple, alpha and kappa are
-    read once per S, from the graph's memo, and the hypothesis here."""
-    facts = ctx._facts.get(smask)
-    if facts is None:
-        facts = ctx._facts[smask] = (tuple(iter_bits(smask)), ctx.alpha(smask), ctx.kappa(smask))
-    subset, alpha, kappa = facts
-    return TheoremVerdict(claim, ctx.graph_id, subset, k, alpha, kappa, hypothesis_holds(alpha, k, kappa),
+    """The verdict of one claim on (graph, S, k): S's tuple, alpha, kappa and the
+    least k of the hypothesis are read once per S, from the graph's memo."""
+    subset, alpha, kappa, least_k = ctx._facts.get(smask) or ctx._subset_facts(smask)
+    return TheoremVerdict(claim, ctx.graph_id, subset, k, alpha, kappa, k >= least_k,
                           conclusion, witness, detail)
 
 
@@ -263,7 +250,7 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     assert not kappa.is_infinite    # infinite kappa always yields a covering
     bound = ctx.alpha(smask) - kappa.finite - k + 1
     residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
-    _validate(ctx, outcome.tree)
+    ctx.graph.check_tree(outcome.tree)
     conclusion = residual <= bound and outcome.tree.leaf_count <= k
     return _verdict(ctx, "residual-bound", smask, k, outcome.tree, conclusion,
                     {"covering": False, "residual_alpha": residual, "bound": bound})
@@ -280,7 +267,7 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     witness = None
     if ham is not None:
         witness = Tree.from_path(ctx.graph.n, ham.vertices)
-        _validate(ctx, witness)
+        ctx.graph.check_tree(witness)
     return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
 
 
@@ -326,8 +313,8 @@ def verify_sharpness(m: int, k: int) -> SharpnessVerdict:
     assert not kappa.is_infinite
     min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset)
     min_branch, branch_tree = min_branch_covering_tree(graph, subset)
-    leaf_tree.validate_in(graph)
-    branch_tree.validate_in(graph)
+    graph.check_tree(leaf_tree)
+    graph.check_tree(branch_tree)
     return SharpnessVerdict(m, k, alpha, kappa.finite, min_leaves, min_branch)
 
 

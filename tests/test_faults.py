@@ -10,10 +10,11 @@ loosens the bounds the construction must meet. It is caught here by the
 verdict-vs-oracle test, which recomputes alpha, kappa, the hypothesis and the
 cover conclusions of every verdict by brute force in `tests/oracles.py`.
 
-The hypothesis flag of the verdict layer is checked against the construction's
-bound alpha - kappa - k + 1, which is at most 0 exactly when the hypothesis
-holds, so a hypothesis read at k - 1 aborts the sweep at the first verdict
-where the two disagree.
+The hypothesis flag of the verdict layer, k >= alpha - kappa + 1 with the least
+k read once per S, is checked against the construction's bound
+alpha - kappa - k + 1, which is at most 0 exactly when the hypothesis holds,
+so a least k one too high (the hypothesis read at k - 1) aborts the sweep at
+the first verdict where the two disagree.
 
 The growth search's forced-leaf bounds are seeded too. A leaf bound that cuts
 too much aborts at n <= 4, because every leaf-budget search must find the tree
@@ -34,8 +35,10 @@ and aborts on n <= 5, where the bound first disagrees with the hypothesis flag.
 
 A witness that uses a non-edge fails the host check of the witness audit,
 which the sweep reports like every other internal failure, with the claim,
-graph6, S and k, in serial and in pool mode. The Hamiltonian witness gets the
-same check.
+graph6, S and k, in serial and in pool mode. The Hamiltonian witness, the
+construction's tree and the sharpness cells' trees get the same check, from
+`Graph.check_tree`. An attachment that `augment` refuses is a failed step of
+the construction, not bad input, so it ends the sweep and the CLI the same way.
 """
 
 import functools
@@ -45,7 +48,7 @@ from itertools import combinations
 
 import pytest
 
-from kended import cli, invariants, treesearch, verify
+from kended import cli, constructive, invariants, treesearch, verify
 from kended.constructive import COVERING
 from kended.errors import InternalInvariantError
 from kended.formats import parse_graph6
@@ -166,6 +169,59 @@ def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypat
     assert capsys.readouterr().err == f"kended: internal error: {message}\n"
 
 
+def attached_along_a_non_edge(graph, tree, path):
+    """The attachment with its last step moved to the highest tree vertex off
+    the vertex before it."""
+    far = tree.vertex_mask & ~graph.rows[path.vertices[-2]]
+    return Path(path.vertices[:-1] + (far.bit_length() - 1,)) if far else path
+
+
+def touching_the_tree_early(graph, tree, path):
+    """The attachment started at the highest tree vertex other than its end."""
+    touch = tree.vertex_mask & ~(1 << path.end)
+    return Path((touch.bit_length() - 1,) + path.vertices) if touch else path
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bend, message", [
+    (attached_along_a_non_edge, "tree edge (2, 3) is not a graph edge"),
+    (touching_the_tree_early, "attachment path touches the tree before its end"),
+], ids=["non-edge", "early-touch"])
+def test_a_faulty_attachment_aborts_a_sweep_and_the_cli_as_an_internal_error(
+        monkeypatch, tmp_path, capsys, bend, message, workers):
+    # the construction's host check and augment's ValueError must reach the
+    # sweep as internal failures that name the instance, also from a pool
+    # worker, and `kended verify` and `kended construct` must exit 1 with an
+    # internal error, not 2 with a usage error
+    exact = constructive.maximal_attachment_path
+    monkeypatch.setattr(constructive, "maximal_attachment_path",
+                        lambda graph, tree, subset: bend(graph, tree, exact(graph, tree, subset)))
+    where = "claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=3"
+    with time_limit(60), pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(replace(N4, workers=workers)):
+            pass
+    assert str(info.value) == f"{message} ({where})"
+    plan = tmp_path / "n4.plan"
+    plan.write_text(f"mode = exhaustive\nn = 4\nworkers = {workers}\n")
+    assert cli.main(["verify", "--plan", str(plan), "--no-timing"]) == 1
+    assert capsys.readouterr().err == f"kended: internal error: {message} ({where})\n"
+    # K_{1,3} with S = B: the base path leaves one leaf of the star to attach
+    assert cli.main(["construct", "--family", "kmm 1 2", "--set", "B", "--k", "3", "--no-timing"]) == 1
+    assert capsys.readouterr().err == f"kended: internal error: {message} (graph6=Cs, S=[1, 2, 3], k=3)\n"
+
+
+def test_a_sharpness_leaf_tree_on_a_non_edge_is_an_internal_error(monkeypatch, capsys):
+    # the path through every vertex in label order as the minimum-leaf tree of
+    # K_{1,2}: the cell's host check must fail as an internal error (exit 1)
+    exact = verify.minimum_leaf_covering_tree
+    monkeypatch.setattr(verify, "minimum_leaf_covering_tree", lambda graph, subset: (
+        exact(graph, subset)[0], Tree.from_path(graph.n, range(graph.n))))
+    with pytest.raises(InternalInvariantError, match=r"^tree edge \(1, 2\) is not a graph edge$"):
+        verify.verify_sharpness(1, 1)
+    assert cli.main(["sharpness", "--m-range", "1..1", "--k-range", "1..1", "--no-timing"]) == 1
+    assert capsys.readouterr().err == "kended: internal error: tree edge (1, 2) is not a graph edge\n"
+
+
 def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):
     # the vertices in label order whenever a Hamiltonian path exists: the
     # covering-path oracle agrees that one exists, so only the host check of
@@ -242,8 +298,15 @@ def test_kappa_one_too_low_is_caught_by_the_oracles(monkeypatch):
 
 
 def test_hypothesis_at_k_minus_one_aborts_a_sweep_with_reproduction_data(monkeypatch):
-    exact = verify.hypothesis_holds
-    monkeypatch.setattr(verify, "hypothesis_holds", lambda alpha, k, kappa: exact(alpha, k - 1, kappa))
+    # the least k of the hypothesis one too high reads the hypothesis at k - 1
+    exact = verify.GraphContext._subset_facts
+
+    def faulty(ctx, smask):
+        subset, alpha, kappa, least_k = exact(ctx, smask)
+        ctx._facts[smask] = facts = (subset, alpha, kappa, least_k + (not kappa.is_infinite))
+        return facts
+
+    monkeypatch.setattr(verify.GraphContext, "_subset_facts", faulty)
     with pytest.raises(InternalInvariantError, match="the hypothesis flag disagrees with the "
                                                      "construction's bound") as info:
         for _ in sweep_verdicts(N4):

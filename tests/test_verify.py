@@ -517,23 +517,46 @@ def test_all_subsets_sweep_runs_alpha_once_per_mask(monkeypatch, edges):
     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)],    # C5 plus chords (0, 2), (1, 3)
 ])
 def test_all_subsets_sweep_checks_each_tree_against_the_graph_once(monkeypatch, edges):
-    # the caches hand one tree to several k and claims: the verdict layer checks
-    # each tree object once, and every witness of a subset claim at least once
-    checked = []
-    original = graphs.Tree.validate_in
+    # the caches hand one tree to several k and claims, and the construction's
+    # trees to the verdicts: the graph checks each tree object once, across the
+    # construction and the verdicts together, and every witness of a subset
+    # claim and every constructed tree with an edge is among them
+    checked, constructed = [], []
+    original, construct = graphs.Tree.validate_in, constructive.construct_k_ended_tree
 
     def counted(tree, graph):
-        if sys._getframe(1).f_globals["__name__"] == "kended.verify":
-            checked.append(tree)
+        checked.append(tree)
         original(tree, graph)
 
+    def recorded(graph, subset, k, start=None):
+        outcome = construct(graph, subset, k, start=start)
+        constructed.append(outcome.tree)
+        return outcome
+
     monkeypatch.setattr(graphs.Tree, "validate_in", counted)
+    rebind_everywhere(monkeypatch, construct, recorded)
     verdicts = _graph_verdicts(Graph.from_edges(5, edges), list(range(1, 32)), (2, 3, 4))
     ids = [id(tree) for tree in checked]
     assert len(ids) == len(set(ids))
     witnessed = [v for v in verdicts if v.witness is not None and v.claim != "hamiltonian-path"]
     assert {id(v.witness) for v in witnessed} <= set(ids)
+    assert {id(tree) for tree in constructed if len(tree.vertices) > 1} <= set(ids)
     assert len(ids) < len(witnessed)
+
+
+def test_the_sweep_reads_the_hypothesis_from_the_least_k_of_each_subset(monkeypatch):
+    # the verdicts compare k with alpha - kappa + 1, read once per S, and the
+    # construction tests its own bound alpha - kappa - k + 1 <= 0
+    calls = []
+    original = invariants.hypothesis_holds
+
+    def counted(alpha, k, kappa):
+        calls.append(k)
+        return original(alpha, k, kappa)
+
+    rebind_everywhere(monkeypatch, original, counted)
+    assert sum(1 for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=4))) == 5462
+    assert calls == []
 
 
 def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
