@@ -17,9 +17,9 @@ the adjacency rows:
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end and one per
-leaf count, built with one shift step (`_grow`), the vertex and size planes
-(`_vertex_planes`) and the down-closure (`_down_closure`). Only this module
-reads a plane; callers ask by size or vertex mask: `first_paths`,
+leaf count, built by one fixpoint kernel (`_close`), the vertex and size
+planes (`_vertex_planes`) and the down-closure (`_down_closure`). Only this
+module reads a plane; callers ask by size or vertex mask: `first_paths`,
 `covering_set`, `path_tree` and `min_leaves`.
 """
 
@@ -71,32 +71,42 @@ def _down_closure(plane: int, within: tuple[int, ...]) -> int:
     return plane
 
 
-def _grow(front: list[int], nbrs: list[list[int]], without: tuple[int, ...]) -> list[int]:
-    """One shift step: front[v] holds the masks of paths that end at v, and
-    entry v of the result those one vertex longer. A path ending at v is one
-    ending at a neighbour of v, on a mask without v, plus v: a shift of the
-    plane by 2**v."""
-    grown = []
-    for v, near_v in enumerate(nbrs):
-        near = 0
-        for u in near_v:
-            near |= front[u]
-        grown.append((near & without[v]) << (1 << v))
-    return grown
+def _close(planes: list[int], rows: tuple[int, ...], nbrs: list[list[int]], without: tuple[int, ...],
+           unseen: int) -> list[int]:
+    """Grow the seed planes in place to their least fixpoint, where planes[v]
+    holds the masks of paths that end at v and gains ((OR of planes[u],
+    u ~ v) & without[v]) << 2**v & unseen: a path ending at a neighbour of v,
+    on a mask without v, plus v, a shift of the plane by 2**v.
+
+    Sweeps v up, then down, alternately, updating each plane from the current
+    ones of its neighbours, so one sweep extends a path along a whole
+    monotone run of its vertices; `stale` holds the vertices with a neighbour
+    changed since their last update. Update order cannot change a least
+    fixpoint, so the planes are those of one step per path length."""
+    order = list(range(len(planes)))
+    stale = (1 << len(planes)) - 1
+    while stale:
+        for v in order:
+            if stale >> v & 1:
+                stale ^= 1 << v
+                near = 0
+                for u in nbrs[v]:
+                    near |= planes[u]
+                grown = planes[v] | (near & without[v]) << (1 << v) & unseen
+                if grown != planes[v]:
+                    planes[v] = grown
+                    stale |= rows[v]
+        order.reverse()
+    return planes
 
 
 def _path_planes(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The Held-Karp endpoint table (Held & Karp 1962) as the bit planes
-    (ends, spans) described at `Graph.path_planes`, one `_grow` step per
-    path length."""
+    (ends, spans) described at `Graph.path_planes`, closed by `_close` from
+    the one-vertex paths."""
     n = len(rows)
-    without = _vertex_planes(n)[0]
     nbrs = [list(iter_bits(row)) for row in rows]
-    front = [1 << (1 << v) for v in range(n)]
-    ends = front
-    while any(front):
-        front = _grow(front, nbrs, without)
-        ends = [plane | new for plane, new in zip(ends, front)]
+    ends = _close([1 << (1 << v) for v in range(n)], rows, nbrs, _vertex_planes(n)[0], -1)
     return tuple(ends), functools.reduce(operator.or_, ends, 0)
 
 
@@ -107,9 +117,9 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
     `trees` holds the vertex sets of the trees with at most j leaves, the
     path sets for j = 2. Cutting a pendant path off a tree with 3 or more
     leaves removes one leaf, so the sets new at level j grow a pendant path
-    from each vertex with the `_grow` step of `_path_planes`, front[v] holding
-    the masks whose path ends at v. A mask already in `trees` leaves the
-    front: it grows from its own level. Each plane is closed under removing
+    from each vertex with `_close`, whose plane v starts as the sets new at
+    level j - 1 that hold v. A mask already in `trees` is left out of the
+    growth: it grows from its own level. Each plane is closed under removing
     vertices, a superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto 2007).
     """
     n = len(rows)
@@ -118,12 +128,9 @@ def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
     planes = [_down_closure(sum(1 << (1 << v) for v in range(n)), within)] * 2 + [_down_closure(spans, within)]
     trees = fresh = spans
     while fresh:
-        front = [fresh & plane for plane in within]
-        fresh, unseen = 0, ~trees
-        while any(front):
-            front = [plane & unseen for plane in _grow(front, nbrs, without)]
-            for plane in front:
-                fresh |= plane
+        unseen = ~trees
+        grown = _close([fresh & plane for plane in within], rows, nbrs, without, unseen)
+        fresh = functools.reduce(operator.or_, grown, 0) & unseen
         if fresh:
             trees |= fresh
             planes.append(planes[-1] | _down_closure(fresh, within))

@@ -4,12 +4,18 @@ Every CLI command emits one document with schema_version, command, an echo of
 its inputs, a results payload and a timing block. Infinite connectivity is
 serialized as the string "infinity", never a number; trees are serialized as
 sorted edge lists and re-parse into valid Tree values.
+
+`render_report` writes a document exactly as `json.dumps(report, indent=2)`
+does. It is written by hand because json's C encoder runs only without an
+indent (CPython 3.10-3.12), so an indented dump runs json's generator-based
+Python encoder, about twice the time of this one recursive renderer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .graphs import Path, Tree
@@ -146,4 +152,45 @@ def make_report(command: str, inputs: dict, results: dict, elapsed: float | None
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as `json.dumps(report, indent=2)` writes it, plus a newline."""
+    return _render(report, "") + "\n"
+
+
+def _render(value: Any, pad: str) -> str:
+    """One JSON value at indent `pad`. Only exact dict, list, tuple, str, int
+    and float values and True, False and None are rendered; any other value,
+    a subclass or a non-str key included, raises TypeError rather than risk
+    a rendering that differs from json's."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            items.append(encode_basestring_ascii(key) + ": " + _render(item, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return json.dumps(value)
+    raise TypeError(f"report value of type {kind.__name__} is not rendered")

@@ -300,7 +300,9 @@ def verify_hamiltonian_path_condition(graph: Graph) -> TheoremVerdict:
 
 
 def verify_sharpness(m: int, k: int) -> SharpnessVerdict:
-    """Exact invariants of the complete-bipartite cell with parts m and m+k, S = larger part."""
+    """Exact invariants of the complete-bipartite cell with parts m and m+k, S = larger part.
+
+    An internal error names the cell: m, k and the graph6 of K_{m,m+k}."""
     if m < 1 or k < 1:
         raise ValueError("sharpness cells need m >= 1 and k >= 1")
     n = 2 * m + k
@@ -308,13 +310,16 @@ def verify_sharpness(m: int, k: int) -> SharpnessVerdict:
         raise CapExceededError(f"cell (m={m}, k={k}) needs n={n}, above the cap {DEFAULT_TREE_CAP}")
     graph, subset = make_family(GraphFamilySpec("complete-bipartite", (m, k)))
     assert subset is not None
-    alpha = subset_alpha(graph, subset.mask)
-    kappa = set_connectivity(graph, subset)
-    assert not kappa.is_infinite
-    min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset)
-    min_branch, branch_tree = min_branch_covering_tree(graph, subset)
-    graph.check_tree(leaf_tree)
-    graph.check_tree(branch_tree)
+    try:
+        alpha = subset_alpha(graph, subset.mask)
+        kappa = set_connectivity(graph, subset)
+        assert not kappa.is_infinite
+        min_leaves, leaf_tree = minimum_leaf_covering_tree(graph, subset)
+        min_branch, branch_tree = min_branch_covering_tree(graph, subset)
+        graph.check_tree(leaf_tree)
+        graph.check_tree(branch_tree)
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(f"{exc} (sharpness cell m={m}, k={k} on graph {emit_graph6(graph)})") from exc
     return SharpnessVerdict(m, k, alpha, kappa.finite, min_leaves, min_branch)
 
 

@@ -6,6 +6,9 @@ the implementations it checks; the reference base path takes alpha and kappa
 from the library, since it checks only the path search. The two per-mask
 tuple DPs, `_path_endpoint_table` and `_min_leaf_table`, are the library's
 former subset tables, kept verbatim as the reference for its bit planes;
+`path_planes_by_length_steps` and `min_leaf_planes_by_length_steps` are its
+former plane builders, one shift step per path length, kept as the reference
+for its fixpoint kernel;
 `hamiltonian_path_by_backtracking` is the library's Hamiltonian search as it
 was before the independence-number bound, `grow_tree_unpruned` its
 growth search as it was before the forced-leaf bounds, and
@@ -19,7 +22,7 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, Path, VertexSet, _vertex_planes, iter_bits
+from kended.graphs import Graph, Path, VertexSet, _down_closure, _vertex_planes, iter_bits
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -244,6 +247,60 @@ def _min_leaf_table(rows: tuple[int, ...], ends: tuple[int, ...]) -> tuple[int, 
             if not mask & bit and exact[mask | bit] < exact[mask]:
                 exact[mask] = exact[mask | bit]
     return tuple(exact)
+
+
+def _grow(front: list[int], nbrs: list[list[int]], without: tuple[int, ...]) -> list[int]:
+    """One shift step: front[v] holds the masks of paths that end at v, and
+    entry v of the result those one vertex longer. A path ending at v is one
+    ending at a neighbour of v, on a mask without v, plus v: a shift of the
+    plane by 2**v."""
+    grown = []
+    for v, near_v in enumerate(nbrs):
+        near = 0
+        for u in near_v:
+            near |= front[u]
+        grown.append((near & without[v]) << (1 << v))
+    return grown
+
+
+def path_planes_by_length_steps(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The path planes (ends, spans) of `Graph.path_planes`, one `_grow` step
+    per path length."""
+    n = len(rows)
+    without = _vertex_planes(n)[0]
+    nbrs = [list(iter_bits(row)) for row in rows]
+    front = [1 << (1 << v) for v in range(n)]
+    ends = front
+    while any(front):
+        front = _grow(front, nbrs, without)
+        ends = [plane | new for plane, new in zip(ends, front)]
+    spans = 0
+    for plane in ends:
+        spans |= plane
+    return tuple(ends), spans
+
+
+def min_leaf_planes_by_length_steps(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
+    """The minimum-leaf planes of `Graph.min_leaves`: the sets new at level j
+    grow a pendant path one `_grow` step per length from each vertex of the
+    sets new at level j - 1, front[v] holding the masks whose path ends at v,
+    and a mask with a tree of at most j - 1 leaves leaves the front."""
+    n = len(rows)
+    without, within = _vertex_planes(n)[:2]
+    nbrs = [list(iter_bits(row)) for row in rows]
+    planes = [_down_closure(sum(1 << (1 << v) for v in range(n)), within)] * 2 + [_down_closure(spans, within)]
+    trees = fresh = spans
+    while fresh:
+        front = [fresh & plane for plane in within]
+        fresh, unseen = 0, ~trees
+        while any(front):
+            front = [plane & unseen for plane in _grow(front, nbrs, without)]
+            for plane in front:
+                fresh |= plane
+        if fresh:
+            trees |= fresh
+            planes.append(planes[-1] | _down_closure(fresh, within))
+    return tuple(planes)
 
 
 def covering_path_by_forward_dp(graph: Graph, smask: int) -> list[int] | None:

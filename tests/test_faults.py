@@ -213,13 +213,16 @@ def test_a_faulty_attachment_aborts_a_sweep_and_the_cli_as_an_internal_error(
 def test_a_sharpness_leaf_tree_on_a_non_edge_is_an_internal_error(monkeypatch, capsys):
     # the path through every vertex in label order as the minimum-leaf tree of
     # K_{1,2}: the cell's host check must fail as an internal error (exit 1)
+    # that names the cell's m, k and graph6
     exact = verify.minimum_leaf_covering_tree
     monkeypatch.setattr(verify, "minimum_leaf_covering_tree", lambda graph, subset: (
         exact(graph, subset)[0], Tree.from_path(graph.n, range(graph.n))))
-    with pytest.raises(InternalInvariantError, match=r"^tree edge \(1, 2\) is not a graph edge$"):
+    message = "tree edge (1, 2) is not a graph edge (sharpness cell m=1, k=1 on graph Bo)"
+    with pytest.raises(InternalInvariantError) as info:
         verify.verify_sharpness(1, 1)
+    assert str(info.value) == message
     assert cli.main(["sharpness", "--m-range", "1..1", "--k-range", "1..1", "--no-timing"]) == 1
-    assert capsys.readouterr().err == "kended: internal error: tree edge (1, 2) is not a graph edge\n"
+    assert capsys.readouterr() == ("", f"kended: internal error: {message}\n")
 
 
 def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):

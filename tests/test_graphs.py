@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kended import graphs as graphs_module
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
 from kended.errors import InternalInvariantError
 from kended.families import random_gnp
@@ -15,8 +16,8 @@ from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_kended_cover
 
 from conftest import graphs, seeded_rng
-from oracles import (_min_leaf_table, _path_endpoint_table, _paths_with_length, random_connected_graph,
-                     random_spanning_tree)
+from oracles import (_min_leaf_table, _path_endpoint_table, _paths_with_length, min_leaf_planes_by_length_steps,
+                     path_planes_by_length_steps, random_connected_graph, random_spanning_tree)
 
 
 def test_graph_construction_validates_symmetry():
@@ -108,6 +109,46 @@ def test_planes_match_tuple_tables_on_random_graphs():
     assert any(graph.is_connected() for graph in drawn[-6:])
     for graph in drawn:
         assert_planes_match_tuple_tables(graph)
+
+
+def zigzag(n):
+    """0, n - 1, 1, n - 2, ...: a walk in this order turns at every vertex, so
+    each of its edges is a monotone run of its own."""
+    return [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+
+
+def kernel_hosts():
+    """Every labelled graph with n <= 5, random connected and disconnected
+    graphs with n = 6..10, bipartite graphs with parts 3 and 7 under shuffled
+    labels, and the path and the cycle on 10 vertices in zigzag order."""
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+    rng = random.Random(2626)
+    for n in range(6, 11):
+        for p in (0.2, 0.35, 0.5, 0.8):
+            yield random_gnp(n, p, rng)
+        yield random_connected_graph(rng, n, 0.3)
+    for _ in range(4):
+        order = list(range(10))
+        rng.shuffle(order)
+        yield Graph.from_edges(10, [(order[a], order[b]) for a in range(3) for b in range(3, 10)
+                                    if rng.random() < 0.7])
+    walk = zigzag(10)
+    yield Graph.from_edges(10, list(zip(walk, walk[1:])))
+    yield Graph.from_edges(10, list(zip(walk, walk[1:] + walk[:1])))
+
+
+def test_plane_kernel_matches_length_steps():
+    hosts = list(kernel_hosts())
+    assert any(graph.is_connected() for graph in hosts[1100:]) and any(
+        not graph.is_connected() for graph in hosts[1100:])
+    for graph in hosts:
+        ends, spans = graphs_module._path_planes(graph.rows)
+        assert (ends, spans) == path_planes_by_length_steps(graph.rows), graph
+        assert graphs_module._min_leaf_planes(graph.rows, spans) == min_leaf_planes_by_length_steps(
+            graph.rows, spans), graph
 
 
 def assert_first_paths_are_least_paths(graph):

@@ -258,34 +258,60 @@ LARGER_STREAM_SHA256 = {
 }
 
 
-def verdict_stream_sha256(plan):
+def verdict_stream_sha256(verdicts):
     stream = hashlib.sha256()
-    for verdict in sweep_verdicts(plan):
+    for verdict in verdicts:
         stream.update((json.dumps(verdict_to_json(verdict), sort_keys=True) + "\n").encode())
     return stream.hexdigest()
 
 
 def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
-    assert verdict_stream_sha256(SweepPlan(mode="exhaustive", n=4)) == N4_STREAM_SHA256
+    assert verdict_stream_sha256(sweep_verdicts(SweepPlan(mode="exhaustive", n=4))) == N4_STREAM_SHA256
     monkeypatch.chdir(tmp_path)    # the report echoes the plan path
     (tmp_path / "p4.plan").write_text("mode = exhaustive\nn = 4\n")
     assert cli.main(["verify", "--plan", "p4.plan", "--no-timing", "--out", "r.json"]) == 0
     assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == N4_REPORT_SHA256
 
 
-def test_exhaustive_n5_stream_is_pinned_and_constructs_only_past_a_covering(monkeypatch):
+@pytest.fixture(scope="module")
+def exhaustive_n5_sweep():
+    """One default exhaustive n <= 5 sweep, counted: its verdict stream digest,
+    and the number of verdicts, constructions, path trees and path walks."""
+    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0}
+    construct = constructive.construct_k_ended_tree
+    from_path, walk = Tree.from_path.__func__, Graph._walk
+
+    def counted_construct(graph, subset, k, start=None):
+        calls["constructions"] += 1
+        return construct(graph, subset, k, start=start)
+
+    def counted_tree(cls, host_n, vertices):
+        calls["trees"] += 1
+        return from_path(cls, host_n, vertices)
+
+    def counted_walk(graph, ends, rest):
+        calls["walks"] += 1
+        return walk(graph, ends, rest)
+
+    def counted_verdicts(plan):
+        for verdict in sweep_verdicts(plan):
+            calls["verdicts"] += 1
+            yield verdict
+
+    with pytest.MonkeyPatch.context() as patch:
+        rebind_everywhere(patch, construct, counted_construct)
+        patch.setattr(Tree, "from_path", classmethod(counted_tree))
+        patch.setattr(Graph, "_walk", counted_walk)
+        digest = verdict_stream_sha256(counted_verdicts(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)))
+    return digest, calls
+
+
+def test_exhaustive_n5_stream_is_pinned_and_constructs_only_past_a_covering(exhaustive_n5_sweep):
     # the context hands a covering at k - 1 on to k itself; 69,510 constructions
     # ran when every (S, k) constructed
-    original = constructive.construct_k_ended_tree
-    calls = []
-
-    def counted(graph, subset, k, start=None):
-        calls.append(k)
-        return original(graph, subset, k, start=start)
-
-    rebind_everywhere(monkeypatch, original, counted)
-    assert verdict_stream_sha256(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)) == N5_STREAM_SHA256
-    assert len(calls) == 23778
+    digest, calls = exhaustive_n5_sweep
+    assert digest == N5_STREAM_SHA256
+    assert calls["constructions"] == 23778
 
 
 def larger_plans(folder):
@@ -313,7 +339,7 @@ def larger_plans(folder):
 def test_larger_streams_are_pinned(tmp_path):
     for name, plan in larger_plans(tmp_path).items():
         assert run_sweep(plan).graphs_evaluated == 20, name
-        assert verdict_stream_sha256(plan) == LARGER_STREAM_SHA256[name], name
+        assert verdict_stream_sha256(sweep_verdicts(plan)) == LARGER_STREAM_SHA256[name], name
 
 
 def memo_hosts():
@@ -368,23 +394,11 @@ def test_the_hamiltonian_witness_stays_off_the_path_tree_memo():
     assert found > 0
 
 
-def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(monkeypatch):
+def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(exhaustive_n5_sweep):
     # 46,415 trees and 39,687 walks when every (S, k) built its own path tree
-    calls = {"trees": 0, "walks": 0}
-    from_path, walk = Tree.from_path.__func__, Graph._walk
-
-    def counted_tree(cls, host_n, vertices):
-        calls["trees"] += 1
-        return from_path(cls, host_n, vertices)
-
-    def counted_walk(graph, ends, rest):
-        calls["walks"] += 1
-        return walk(graph, ends, rest)
-
-    monkeypatch.setattr(Tree, "from_path", classmethod(counted_tree))
-    monkeypatch.setattr(Graph, "_walk", counted_walk)
-    assert sum(1 for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4))) == 209302
-    assert calls == {"trees": 20394, "walks": 32214}
+    calls = exhaustive_n5_sweep[1]
+    assert calls["verdicts"] == 209302
+    assert (calls["trees"], calls["walks"]) == (20394, 32214)
 
 
 def test_sweep_random_n9_clean_and_reproducible():
