@@ -36,8 +36,6 @@ from .graphs import Graph, Path, Tree, VertexSet
 from .invariants import (
     ConnectivityValue,
     IndependenceWitness,
-    enumerate_maximum_independent_subsets,
-    hypothesis_holds,
     independence_number,
     local_connectivity,
     set_connectivity,
@@ -58,10 +56,7 @@ from .verify import (
     parse_sweep_plan,
     run_sweep,
     sweep_verdicts,
-    verify_branch_cover,
-    verify_hamiltonian_path_condition,
-    verify_kended_cover,
-    verify_residual_bound,
+    verify_instance,
     verify_sharpness,
 )
 
@@ -95,10 +90,8 @@ __all__ = [
     "emit_edge_list",
     "emit_graph6",
     "enumerate_connected_labeled_graphs",
-    "enumerate_maximum_independent_subsets",
     "find_k_ended_covering_tree",
     "hamiltonian_path_exists",
-    "hypothesis_holds",
     "independence_number",
     "local_connectivity",
     "make_family",
@@ -114,9 +107,6 @@ __all__ = [
     "set_connectivity",
     "set_connectivity_pair",
     "sweep_verdicts",
-    "verify_branch_cover",
-    "verify_hamiltonian_path_condition",
-    "verify_kended_cover",
-    "verify_residual_bound",
+    "verify_instance",
     "verify_sharpness",
 ]

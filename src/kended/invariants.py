@@ -96,13 +96,6 @@ class IndependenceWitness:
     witness: VertexSet
 
 
-def hypothesis_holds(alpha: int, k: int, kappa: ConnectivityValue) -> bool:
-    """Whether alpha <= k + kappa - 1; an infinite kappa satisfies it automatically."""
-    if kappa.is_infinite:
-        return True
-    return alpha <= k + kappa.finite - 1
-
-
 def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
     """Exact maximum independent subset of the vertices in smask: (size, witness mask).
 
@@ -186,14 +179,6 @@ def maximum_independent_masks(graph: Graph, smask: int, cap: int = DEFAULT_ENUME
     rec(smask, 0, 0)
     out.sort()
     return out
-
-
-def enumerate_maximum_independent_subsets(
-    graph: Graph, subset: VertexSet, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[VertexSet]:
-    """The complete, deterministically ordered list of maximum independent subsets of S."""
-    smask = graph.subset_mask(subset)
-    return [VertexSet(graph.n, m) for m in maximum_independent_masks(graph, smask, cap)]
 
 
 def local_connectivity(graph: Graph, x: int, y: int) -> int:

@@ -1,9 +1,9 @@
-"""JSON report documents: schema, encoders and round-trip helpers.
+"""JSON report documents: schema and encoders.
 
 Every CLI command emits one document with schema_version, command, an echo of
 its inputs, a results payload and a timing block. Infinite connectivity is
 serialized as the string "infinity", never a number; trees are serialized as
-sorted edge lists and re-parse into valid Tree values.
+sorted edge lists.
 
 `render_report` writes a document exactly as `json.dumps(report, indent=2)`
 does. It is written by hand because json's C encoder runs only without an
@@ -80,16 +80,8 @@ def tree_to_json(tree: Tree) -> dict:
     }
 
 
-def tree_from_json(obj: dict) -> Tree:
-    return Tree(obj["host_n"], obj["vertices"], [tuple(e) for e in obj["edges"]])
-
-
 def path_to_json(path: Path) -> list[int]:
     return list(path.vertices)
-
-
-def path_from_json(obj: list[int]) -> Path:
-    return Path(tuple(obj))
 
 
 def verdict_to_json(verdict: TheoremVerdict) -> dict:

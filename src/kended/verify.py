@@ -12,7 +12,9 @@ Checked claims (ids used in verdicts and reports):
 
 All four are proved statements, so any counterexample verdict is promoted to
 a hard CounterexampleError carrying full reproduction data: it means a bug in
-this package, not new mathematics.
+this package, not new mathematics. One instance runs through the sweep's own
+`_graph_task` (`verify_instance`), so it gets the same verdicts, the same
+reproduction data on an internal error and the same promotion.
 
 One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
 kappa and the least k the hypothesis admits once per S of a graph; each claim
@@ -271,32 +273,15 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
 
 
-def _context(graph: Graph, k: int) -> GraphContext:
+def verify_instance(graph: Graph, subset: VertexSet, k: int) -> list[TheoremVerdict]:
+    """The four verdicts of one instance (connected graph, k >= 2), in CLAIMS order,
+    from the sweep's own graph task; aborts on a counterexample."""
+    smask = graph.subset_mask(subset)
     if k < 2:
         raise ValueError("k must be at least 2")
     if graph.n == 0 or not graph.is_connected():
         raise ValueError("verification requires a nonempty connected graph")
-    return GraphContext(graph)
-
-
-def verify_kended_cover(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
-    """Check the k-ended covering claim on one instance (connected graph, k >= 2)."""
-    return _verdict_cover(_context(graph, k), graph.subset_mask(subset), k)
-
-
-def verify_branch_cover(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
-    """Check the branch-vertex covering claim on one instance."""
-    return _verdict_branch(_context(graph, k), graph.subset_mask(subset), k)
-
-
-def verify_residual_bound(graph: Graph, subset: VertexSet, k: int) -> TheoremVerdict:
-    """Check the unconditional cover-or-residual-bound claim on one instance."""
-    return _verdict_residual(_context(graph, k), graph.subset_mask(subset), k)
-
-
-def verify_hamiltonian_path_condition(graph: Graph) -> TheoremVerdict:
-    """Check the classical alpha <= kappa + 1 Hamiltonian path condition."""
-    return _verdict_hamiltonian(_context(graph, 2))
+    return _graph_task((graph, [smask], (k,)))[1]
 
 
 def verify_sharpness(m: int, k: int) -> SharpnessVerdict:

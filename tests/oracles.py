@@ -46,6 +46,11 @@ def independent_sets_by_enumeration(graph: Graph, smask: int) -> tuple[int, list
     return best, sorted(sets)
 
 
+def hypothesis_holds(alpha: int, k: int, kappa: ConnectivityValue) -> bool:
+    """The theorem's hypothesis alpha <= k + kappa - 1; an infinite kappa satisfies it."""
+    return kappa.is_infinite or alpha <= k + kappa.finite - 1
+
+
 def max_internally_disjoint_paths(graph: Graph, x: int, y: int) -> int:
     """Maximum size of a family of pairwise internally disjoint x-y paths."""
     internals: set[int] = set()

@@ -15,15 +15,14 @@ from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs,
 from kended.graphs import Graph, Path, Tree, VertexSet
 from kended.invariants import (
     alpha_mask,
-    enumerate_maximum_independent_subsets,
-    hypothesis_holds,
     independence_number,
+    maximum_independent_masks,
     set_connectivity,
 )
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import GraphContext
 
-from oracles import base_path_by_enumeration, random_connected_graph
+from oracles import base_path_by_enumeration, hypothesis_holds, random_connected_graph
 
 
 def kmm(m, k):
@@ -151,11 +150,10 @@ def test_attachment_hits_every_maximum_independent_subset():
                 maximal_attachment_path(graph, tree, subset)
             continue
         path = maximal_attachment_path(graph, tree, subset)
-        remainder = VertexSet(n, smask & ~tree.vertex_mask)
         union = 0
-        for si in enumerate_maximum_independent_subsets(graph, remainder):
-            assert path.mask() & si.mask, "attachment path must meet every maximum subset"
-            union |= si.mask
+        for si in maximum_independent_masks(graph, smask & ~tree.vertex_mask):
+            assert path.mask() & si, "attachment path must meet every maximum subset"
+            union |= si
         assert (union >> path.vertices[0]) & 1
         assert path.mask() & tree.vertex_mask == 1 << path.end
 
@@ -168,14 +166,14 @@ def test_exchange_property_on_random_instances():
         n = rng.randint(2, 7)
         graph = random_connected_graph(rng, n, 0.4)
         smask = rng.randrange(1, 1 << n)
-        subsets = enumerate_maximum_independent_subsets(graph, VertexSet(n, smask))
+        subsets = maximum_independent_masks(graph, smask)
         union = 0
         for si in subsets:
-            union |= si.mask
+            union |= si
         for si in subsets:
-            others = union & ~si.mask
+            others = union & ~si
             for s0 in VertexSet(n, others):
-                assert graph.rows[s0] & si.mask, "maximality forces a neighbor inside the subset"
+                assert graph.rows[s0] & si, "maximality forces a neighbor inside the subset"
 
 
 # augmentation

@@ -52,8 +52,8 @@ from kended import cli, constructive, invariants, treesearch, verify
 from kended.constructive import COVERING
 from kended.errors import InternalInvariantError
 from kended.formats import parse_graph6
-from kended.graphs import Graph, Path, Tree, iter_bits
-from kended.verify import SweepPlan, sweep_verdicts, verify_hamiltonian_path_condition
+from kended.graphs import Graph, Path, Tree, VertexSet, iter_bits
+from kended.verify import SweepPlan, sweep_verdicts, verify_instance
 
 from conftest import time_limit
 from oracles import (
@@ -83,8 +83,9 @@ def test_alpha_one_too_high_breaks_the_hamiltonian_verdict(alpha_one_too_high):
     # while the covering-path planes find the path
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(InternalInvariantError,
-                       match="backtracking Hamiltonian search disagrees with the covering-path oracle"):
-        verify_hamiltonian_path_condition(p4)
+                       match="backtracking Hamiltonian search disagrees with the covering-path oracle") as info:
+        verify_instance(p4, VertexSet.full(4), 2)
+    assert REPRODUCTION.search(str(info.value))
 
 
 def test_alpha_one_too_high_aborts_a_sweep_with_reproduction_data(alpha_one_too_high):

@@ -13,7 +13,7 @@ from kended.families import random_gnp
 from kended.graphs import Graph, Path, Tree, VertexSet, _vertex_planes, mask_of
 from kended.invariants import independence_number, set_connectivity_pair
 from kended.treesearch import find_k_ended_covering_tree
-from kended.verify import verify_kended_cover
+from kended.verify import verify_instance
 
 from conftest import graphs, seeded_rng
 from oracles import (_min_leaf_table, _path_endpoint_table, _paths_with_length, min_leaf_planes_by_length_steps,
@@ -295,7 +295,7 @@ def test_every_entry_point_rejects_a_subset_of_another_host():
         lambda: base_path(graph, other),
         lambda: construct_k_ended_tree(graph, other, 2),
         lambda: maximal_attachment_path(graph, Tree.single_vertex(3, 0), other),
-        lambda: verify_kended_cover(graph, other, 2),
+        lambda: verify_instance(graph, other, 2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="subset indexes 4 vertices but graph has 3"):

@@ -12,16 +12,16 @@ from kended.families import GraphFamilySpec, make_family
 from kended.graphs import Graph, VertexSet
 from kended.invariants import (
     ConnectivityValue,
-    enumerate_maximum_independent_subsets,
-    hypothesis_holds,
     independence_number,
     local_connectivity,
+    maximum_independent_masks,
     set_connectivity,
     set_connectivity_pair,
 )
 
 from conftest import graph_with_subset, graphs
 from oracles import (
+    hypothesis_holds,
     independent_sets_by_enumeration,
     max_internally_disjoint_paths,
     vertex_connectivity_by_cuts,
@@ -128,31 +128,27 @@ def test_alpha_range_check():
 
 def test_enumerate_maximum_independent_subsets_c4():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    sets = enumerate_maximum_independent_subsets(g, VertexSet.full(4))
-    assert [s.to_list() for s in sets] == [[0, 2], [1, 3]]
+    assert maximum_independent_masks(g, g.full_mask) == [0b0101, 0b1010]
 
 
 def test_enumerate_maximum_independent_subsets_k3():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    sets = enumerate_maximum_independent_subsets(g, VertexSet.full(3))
-    assert [s.to_list() for s in sets] == [[0], [1], [2]]
+    assert maximum_independent_masks(g, g.full_mask) == [0b001, 0b010, 0b100]
 
 
 def test_enumerate_maximum_independent_subsets_k23():
     graph, _ = kmm(2, 1)
-    sets = enumerate_maximum_independent_subsets(graph, VertexSet.full(5))
-    assert [s.to_list() for s in sets] == [[2, 3, 4]]
+    assert maximum_independent_masks(graph, graph.full_mask) == [0b11100]
 
 
 def test_enumerate_empty_subset():
-    sets = enumerate_maximum_independent_subsets(c5(), VertexSet.empty(5))
-    assert [s.to_list() for s in sets] == [[]]
+    assert maximum_independent_masks(c5(), 0) == [0]
 
 
 def test_enumerate_cap():
     g = Graph.from_edges(6, [])    # every 3-subset of 6 isolated vertices is independent
     with pytest.raises(CapExceededError):
-        enumerate_maximum_independent_subsets(g, VertexSet.full(6), cap=0)
+        maximum_independent_masks(g, g.full_mask, cap=0)
 
 
 # local connectivity
@@ -335,8 +331,7 @@ def test_alpha_matches_enumeration(data):
     expected, expected_sets = independent_sets_by_enumeration(graph, smask)
     witness = independence_number(graph, VertexSet(graph.n, smask))
     assert witness.size == expected
-    found = enumerate_maximum_independent_subsets(graph, VertexSet(graph.n, smask))
-    assert [s.mask for s in found] == expected_sets
+    assert maximum_independent_masks(graph, smask) == expected_sets
     # witness audits: inside S, independent, of the right size
     assert witness.witness.mask & ~smask == 0
     assert len(witness.witness) == expected

@@ -11,18 +11,13 @@ from kended.invariants import ConnectivityValue
 from kended.report import (
     REPORT_SCHEMA,
     make_report,
-    path_from_json,
-    path_to_json,
     render_report,
     sharpness_to_json,
-    tree_from_json,
     tree_to_json,
     verdict_to_json,
 )
-from kended.verify import SweepPlan, run_sweep, verify_kended_cover, verify_sharpness
+from kended.verify import SweepPlan, run_sweep, verify_instance, verify_sharpness
 from kended.graphs import VertexSet
-
-jsonschema = pytest.importorskip("jsonschema")
 
 
 def test_kappa_encoding():
@@ -34,24 +29,12 @@ def test_tree_round_trip():
     tree = Tree(5, (0, 1, 2, 4), [(0, 1), (1, 2), (2, 4)])
     payload = tree_to_json(tree)
     assert payload["edges"] == [[0, 1], [1, 2], [2, 4]]
-    assert tree_from_json(json.loads(json.dumps(payload))) == tree
-
-
-def test_tree_from_json_rejects_invalid():
-    with pytest.raises(ValueError):
-        tree_from_json({"host_n": 3, "vertices": [0, 1, 2], "edges": [[0, 1]]})
-
-
-def test_path_round_trip():
-    from kended.graphs import Path
-
-    path = Path((3, 1, 0))
-    assert path_from_json(path_to_json(path)) == path
+    assert Tree(**json.loads(json.dumps(payload))) == tree
 
 
 def test_verdict_serialization_includes_infinity():
     graph, _ = make_family(GraphFamilySpec("complete-bipartite", (2, 1)))
-    verdict = verify_kended_cover(graph, VertexSet.from_vertices(5, [2]), 2)
+    verdict = verify_instance(graph, VertexSet.from_vertices(5, [2]), 2)[0]
     payload = verdict_to_json(verdict)
     assert payload["kappa"] == "infinity"
     assert payload["claim"] == "kended-cover"
@@ -65,6 +48,7 @@ def test_sharpness_serialization_contract():
 
 
 def test_report_schema_validates_outputs():
+    jsonschema = pytest.importorskip("jsonschema")
     report = make_report("analyze", {"n": 3}, {"alpha": 1}, 0.5)
     jsonschema.validate(report, REPORT_SCHEMA)
     report = make_report("verify", {}, {}, None)

@@ -18,6 +18,7 @@ from kended.graphs import Graph, Tree, VertexSet, mask_of
 from kended.report import sweep_report_to_json, verdict_to_json
 from kended.treesearch import DEFAULT_TREE_CAP, minimum_leaf_covering_tree
 from kended.verify import (
+    CLAIMS,
     GraphContext,
     SweepPlan,
     TheoremVerdict,
@@ -26,10 +27,7 @@ from kended.verify import (
     parse_sweep_plan,
     run_sweep,
     sweep_verdicts,
-    verify_branch_cover,
-    verify_hamiltonian_path_condition,
-    verify_kended_cover,
-    verify_residual_bound,
+    verify_instance,
     verify_sharpness,
 )
 from kended.invariants import ConnectivityValue
@@ -52,7 +50,9 @@ def kmm(m, k):
 
 def test_cover_verdict_petersen_spanning():
     graph, _ = make_family(GraphFamilySpec("petersen", ()))
-    v = verify_kended_cover(graph, VertexSet.full(10), 2)
+    verdicts = verify_instance(graph, VertexSet.full(10), 2)
+    assert [v.claim for v in verdicts] == list(CLAIMS)
+    v = verdicts[0]
     assert (v.alpha, v.kappa, v.hypothesis_holds, v.conclusion_holds) == (4, 3, True, True)
     assert v.detail["constructive_covering"]
     assert not v.is_counterexample
@@ -60,7 +60,7 @@ def test_cover_verdict_petersen_spanning():
 
 def test_cover_verdict_hypothesis_false_recorded():
     graph, subset = kmm(2, 2)
-    v = verify_kended_cover(graph, subset, 2)
+    v = verify_instance(graph, subset, 2)[0]
     assert (v.alpha, v.kappa) == (4, 2)
     assert not v.hypothesis_holds
     assert not v.conclusion_holds
@@ -69,14 +69,15 @@ def test_cover_verdict_hypothesis_false_recorded():
 
 def test_cover_verdict_singleton_trivial():
     graph, _ = kmm(2, 2)
-    v = verify_kended_cover(graph, VertexSet.from_vertices(6, [4]), 3)
+    v = verify_instance(graph, VertexSet.from_vertices(6, [4]), 3)[0]
     assert v.kappa.is_infinite
     assert v.hypothesis_holds and v.conclusion_holds
 
 
 def test_branch_verdict_k15():
     g = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    v = verify_branch_cover(g, VertexSet.full(6), 6)
+    v = verify_instance(g, VertexSet.full(6), 6)[1]
+    assert v.claim == "branch-cover"
     assert (v.alpha, v.kappa) == (5, 1)
     assert v.hypothesis_holds and v.conclusion_holds
     assert v.witness.branch_count <= 4
@@ -84,20 +85,22 @@ def test_branch_verdict_k15():
 
 def test_residual_verdict_star_leaves():
     graph, subset = kmm(1, 3)
-    v = verify_residual_bound(graph, subset, 2)
+    v = verify_instance(graph, subset, 2)[2]
+    assert v.claim == "residual-bound"
     assert v.conclusion_holds
     assert v.detail == {"covering": False, "residual_alpha": 2, "bound": 2}
 
 
 def test_residual_verdict_first_disjunct():
     graph, subset = kmm(3, 1)
-    v = verify_residual_bound(graph, subset, 2)
+    v = verify_instance(graph, subset, 2)[2]
     assert v.conclusion_holds and v.detail == {"covering": True}
 
 
 def test_hamiltonian_verdict_petersen():
     graph, _ = make_family(GraphFamilySpec("petersen", ()))
-    v = verify_hamiltonian_path_condition(graph)
+    v = verify_instance(graph, VertexSet.full(10), 2)[3]
+    assert v.claim == "hamiltonian-path"
     assert (v.alpha, v.kappa) == (4, 3)
     assert v.hypothesis_holds and v.conclusion_holds
 
@@ -105,10 +108,10 @@ def test_hamiltonian_verdict_petersen():
 def test_verify_rejects_disconnected_or_bad_k():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        verify_kended_cover(g, VertexSet.full(4), 2)
+        verify_instance(g, VertexSet.full(4), 2)
     graph, subset = kmm(2, 1)
     with pytest.raises(ValueError):
-        verify_residual_bound(graph, subset, 1)
+        verify_instance(graph, subset, 1)
 
 
 # sharpness
@@ -479,6 +482,12 @@ def test_counterexample_aborts_with_reproduction_data(monkeypatch):
     assert verdict.graph_id
     assert verdict.is_counterexample
     assert "counterexample" in str(err.value)
+    # one instance goes through the sweep's graph task, so it aborts the same way
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(CounterexampleError) as err:
+        verify_instance(p3, VertexSet.full(3), 2)
+    assert (err.value.verdict.claim, err.value.verdict.graph_id) == ("kended-cover", emit_graph6(p3))
+    assert str(err.value).startswith(f"counterexample for claim 'kended-cover' on graph {emit_graph6(p3)} ")
 
 
 def rebind_everywhere(monkeypatch, original, replacement):
@@ -556,21 +565,6 @@ def test_all_subsets_sweep_checks_each_tree_against_the_graph_once(monkeypatch, 
     assert {id(v.witness) for v in witnessed} <= set(ids)
     assert {id(tree) for tree in constructed if len(tree.vertices) > 1} <= set(ids)
     assert len(ids) < len(witnessed)
-
-
-def test_the_sweep_reads_the_hypothesis_from_the_least_k_of_each_subset(monkeypatch):
-    # the verdicts compare k with alpha - kappa + 1, read once per S, and the
-    # construction tests its own bound alpha - kappa - k + 1 <= 0
-    calls = []
-    original = invariants.hypothesis_holds
-
-    def counted(alpha, k, kappa):
-        calls.append(k)
-        return original(alpha, k, kappa)
-
-    rebind_everywhere(monkeypatch, original, counted)
-    assert sum(1 for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=4))) == 5462
-    assert calls == []
 
 
 def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
