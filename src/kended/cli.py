@@ -9,7 +9,10 @@ fixed vertex cap treesearch.DEFAULT_TREE_CAP (10); no option changes it, and
 an instance or a sharpness range above it is refused with exit 2.
 
 main(argv) is reentrant and builds its argument parser once per process; each
-call parses into a fresh namespace and looks up its cmd_* handler by name. A
+call parses into a fresh namespace and looks up its cmd_* handler by name.
+analyze and construct keep one Graph, with its memos, per distinct input for
+the 64 inputs used last (_read_graph), keyed on the parsed --family spec or on
+the --format and text of --graph; the file or stdin is read on every call. A
 handler returns (inputs, results, exit code); main times it and writes the one
 report. main returns the exit code, also for --help and for argparse's usage
 errors.
@@ -26,7 +29,7 @@ import time
 from . import report as rpt
 from .constructive import construct_k_ended_tree
 from .errors import CapExceededError, CounterexampleError, FormatError, KendedError, PlanError
-from .families import make_family, parse_family_spec
+from .families import GraphFamilySpec, make_family, parse_family_spec
 from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, VertexSet
 from .invariants import independence_number, set_connectivity_pair
@@ -86,35 +89,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One entry per distinct input: the parsed GraphFamilySpec of --family, or
+# (format, text) of --graph. Each entry's Graph keeps its memos for every later
+# request on it; at the cap n = 10 they hold at most 2**10 alpha, kappa and
+# path-tree entries, 45 pair flows and at most 22 planes of 2**10 bits (0.3 MB
+# after analyze and construct k = 2..5 on all 1,024 subsets, CPython 3.11).
+# A graph above the cap fills none, and emit_graph6 refuses one above n = 62.
+# The tree checks are keyed by tree object, so _load_graph clears them per request.
+@functools.lru_cache(maxsize=64)
+def _read_graph(source: GraphFamilySpec | tuple[str, str]) -> tuple[Graph, VertexSet | None, str]:
+    """(graph, family subset, graph6) of an input source; a usage error is raised, never cached."""
+    if isinstance(source, GraphFamilySpec):
+        graph, family_subset = make_family(source)
+    elif source[0] == "graph6":
+        record = source[1].strip().splitlines()
+        if not record:
+            raise FormatError("empty graph input")
+        graph, family_subset = parse_graph6(record[0]), None
+    else:
+        graph, family_subset = parse_edge_list(source[1]), None
+    return graph, family_subset, emit_graph6(graph)
+
+
 def _load_graph(args) -> tuple[Graph, VertexSet | None, dict]:
     """Read or generate the input graph; returns (graph, family subset, input echo).
 
-    The echo is also kept as args.echo, so an internal error can name its inputs.
+    The file or stdin is read on every call, so a changed file gives a new
+    graph. The echo is also kept as args.echo, so an internal error can name
+    its inputs.
     """
     if args.family and args.graph:
         raise ValueError("--graph and --family are mutually exclusive")
     if args.family:
-        spec = parse_family_spec(args.family)
-        graph, family_subset = make_family(spec)
-        args.echo = {"family": args.family, "graph6": emit_graph6(graph), "n": graph.n}
-        return graph, family_subset, args.echo
-    if not args.graph:
+        source = parse_family_spec(args.family)
+        echo = {"family": args.family}
+    elif not args.graph:
         raise ValueError("one of --graph or --family is required")
-    if args.graph == "-":
-        text = sys.stdin.read()
     else:
-        with open(args.graph, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    if args.format == "graph6":
-        record = text.strip().splitlines()
-        if not record:
-            raise FormatError("empty graph input")
-        graph = parse_graph6(record[0])
-    else:
-        graph = parse_edge_list(text)
-    args.echo = {"graph": args.graph, "format": args.format,
-                 "graph6": emit_graph6(graph), "n": graph.n}
-    return graph, None, args.echo
+        if args.graph == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.graph, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        source = (args.format, text)
+        echo = {"graph": args.graph, "format": args.format}
+    graph, family_subset, graph6 = _read_graph(source)
+    graph._checked.clear()
+    args.echo = {**echo, "graph6": graph6, "n": graph.n}
+    return graph, family_subset, args.echo
 
 
 def _parse_subset(spec: str, graph: Graph, family_subset: VertexSet | None) -> VertexSet:

@@ -3,9 +3,18 @@ import signal
 from contextlib import contextmanager
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
+from kended import cli
 from kended.graphs import Graph
+
+
+@pytest.fixture(autouse=True)
+def no_cli_graphs_kept():
+    """Start every test with an empty CLI graph memo: a test that counts flows
+    or patches in a fault must not meet the memos an earlier test filled."""
+    cli._read_graph.cache_clear()
 
 
 @st.composite

@@ -1,12 +1,14 @@
 import argparse
+import io
 import json
+import sys
 
 import pytest
 
 import kended.cli as cli
 from kended import invariants
 from kended.errors import InternalInvariantError
-from kended.families import GraphFamilySpec, make_family
+from kended.families import GraphFamilySpec, make_family, parse_family_spec
 from kended.formats import emit_edge_list, emit_graph6
 from kended.report import REPORT_SCHEMA
 
@@ -128,8 +130,6 @@ def test_construct_empty_set_trivially_covered(capsys):
 
 
 def test_graph6_stdin(capsys, monkeypatch):
-    import io
-
     graph, _ = make_family(GraphFamilySpec("cycle", (5,)))
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(graph) + "\n"))
     code, out, _ = run_cli(capsys, "analyze", "--graph", "-", "--set", "all")
@@ -260,7 +260,8 @@ def test_seed_override_changes_random_plan(tmp_path, capsys):
     assert json.loads(reseeded)["inputs"]["plan"]["seed"] == 4
 
 
-# main(argv) is reentrant: one parser per process, fresh state per request
+# main(argv) is reentrant: one parser per process, and one Graph per distinct
+# input whose memos every request on that graph shares; nothing else is kept
 
 
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
@@ -301,3 +302,66 @@ def test_main_runs_a_handler_rebound_after_the_first_call(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and report_of(out)["results"] == {}
     assert seen == ["cycle 5"]
+
+
+def test_requests_print_the_same_bytes_cold_warm_and_after_clearing(capsys, monkeypatch, tmp_path):
+    petersen, _ = make_family(GraphFamilySpec("petersen"))
+    g6 = tmp_path / "petersen.g6"
+    g6.write_text(emit_graph6(petersen) + "\n")
+    gnp, _ = make_family(parse_family_spec("gnp 9 0.4 3"))
+    edges = tmp_path / "gnp.txt"
+    edges.write_text(emit_edge_list(gnp))
+    stdin_text = emit_graph6(make_family(GraphFamilySpec("cycle", (7,)))[0]) + "\n"
+    sources = [("--family", "kmm 2 3", "--set", "B"), ("--graph", str(g6), "--set", "0,2,4,6,8"),
+               ("--graph", str(edges), "--format", "edgelist", "--set", "all"), ("--graph", "-", "--set", "1,3,5")]
+    requests = [("analyze", *source, "--no-timing") for source in sources]
+    requests += [("construct", *source, "--k", str(k), "--no-timing") for source in sources for k in range(2, 6)]
+
+    def outputs(order):
+        printed = {}
+        for argv in order:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            printed[argv] = out
+        return printed
+
+    cold = outputs(requests)
+    assert cli._read_graph.cache_info().currsize == len(sources)
+    warm = outputs(requests[::-1])
+    assert cli._read_graph.cache_info().misses == len(sources)
+    cli._read_graph.cache_clear()
+    assert cold == warm == outputs(requests)
+
+
+def test_a_repeated_construct_keeps_the_tree_checks_flat(capsys):
+    # K_{2,4} with S = B at k = 3 attaches a path to its base path, so every
+    # request checks a new tree object
+    checked = []
+    for _ in range(20):
+        assert run_cli(capsys, "construct", "--family", "kmm 2 2", "--set", "B", "--k", "3", "--no-timing")[0] == 0
+        checked.append(len(cli._read_graph(parse_family_spec("kmm 2 2"))[0]._checked))
+    assert checked[0] > 0 and set(checked) == {checked[0]}
+
+
+def test_a_rewritten_file_gives_the_new_graph(capsys, tmp_path):
+    f = tmp_path / "g.g6"
+    for n, alpha in ((5, 2), (7, 3)):
+        graph, _ = make_family(GraphFamilySpec("cycle", (n,)))
+        f.write_text(emit_graph6(graph) + "\n")
+        code, out, _ = run_cli(capsys, "analyze", "--graph", str(f), "--no-timing")
+        assert code == 0
+        doc = report_of(out)
+        assert doc["inputs"]["graph6"] == emit_graph6(graph)
+        assert doc["results"]["alpha"] == alpha
+
+
+def test_a_usage_error_is_raised_on_every_call_and_never_cached(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n")
+    for argv in (("analyze", "--family", "cycle 2"), ("analyze", "--graph", str(empty))):
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("kended: error: ")
+    info = cli._read_graph.cache_info()
+    assert info.currsize == 0 and info.misses == 4

@@ -47,12 +47,16 @@ def test_sharpness_serialization_contract():
     assert payload["matches_expected"] is True
 
 
-def test_report_schema_validates_outputs():
+def test_report_schema_validates_outputs(monkeypatch, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     report = make_report("analyze", {"n": 3}, {"alpha": 1}, 0.5)
     jsonschema.validate(report, REPORT_SCHEMA)
     report = make_report("verify", {}, {}, None)
     jsonschema.validate(report, REPORT_SCHEMA)
+    docs, _ = cli_reports(monkeypatch, tmp_path)
+    assert len(docs) == 14
+    for doc in docs:
+        jsonschema.validate(doc, REPORT_SCHEMA)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"schema_version": "1"}, REPORT_SCHEMA)
     with pytest.raises(jsonschema.ValidationError):
