@@ -32,7 +32,7 @@ from .families import (
     random_gnp,
 )
 from .formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .graphs import Graph, Path, Tree, VertexSet
+from .graphs import Graph, Tree, VertexSet
 from .invariants import (
     ConnectivityValue,
     IndependenceWitness,
@@ -75,7 +75,6 @@ __all__ = [
     "IndependenceWitness",
     "InternalInvariantError",
     "KendedError",
-    "Path",
     "PlanError",
     "SharpnessVerdict",
     "SweepPlan",

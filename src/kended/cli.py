@@ -6,7 +6,8 @@ which means a bug here) is reported on stderr with the graph6, S and, for
 construct, k that reproduce it. Reports are JSON on stdout or a file; pass
 --no-timing for byte-stable output across runs. Every command runs at the
 fixed vertex cap treesearch.DEFAULT_TREE_CAP (10); no option changes it, and
-an instance or a sharpness range above it is refused with exit 2.
+an instance or a sharpness range above it is refused with exit 2, an
+analyze or construct input before its graph is built.
 
 main(argv) is reentrant and builds its argument parser once per process; each
 call parses into a fresh namespace and looks up its cmd_* handler by name.
@@ -30,7 +31,7 @@ from . import report as rpt
 from .constructive import construct_k_ended_tree
 from .errors import CapExceededError, CounterexampleError, FormatError, KendedError, PlanError
 from .families import GraphFamilySpec, make_family, parse_family_spec
-from .formats import emit_graph6, parse_edge_list, parse_graph6
+from .formats import _edge_list_header, emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, VertexSet
 from .invariants import independence_number, set_connectivity_pair
 from .treesearch import DEFAULT_TREE_CAP, _check_cap
@@ -94,19 +95,23 @@ def _build_parser() -> argparse.ArgumentParser:
 # request on it; at the cap n = 10 they hold at most 2**10 alpha, kappa and
 # path-tree entries, 45 pair flows and at most 22 planes of 2**10 bits (0.3 MB
 # after analyze and construct k = 2..5 on all 1,024 subsets, CPython 3.11).
-# A graph above the cap fills none, and emit_graph6 refuses one above n = 62.
+# Above the cap a family is refused by its spec and an edge list by its header,
+# before any graph is built; a short-form graph6 record has at most 62 vertices.
 # The tree checks are keyed by tree object, so _load_graph clears them per request.
 @functools.lru_cache(maxsize=64)
 def _read_graph(source: GraphFamilySpec | tuple[str, str]) -> tuple[Graph, VertexSet | None, str]:
     """(graph, family subset, graph6) of an input source; a usage error is raised, never cached."""
     if isinstance(source, GraphFamilySpec):
+        _check_cap(source.order, DEFAULT_TREE_CAP)
         graph, family_subset = make_family(source)
     elif source[0] == "graph6":
         record = source[1].strip().splitlines()
         if not record:
             raise FormatError("empty graph input")
         graph, family_subset = parse_graph6(record[0]), None
+        _check_cap(graph.n, DEFAULT_TREE_CAP)
     else:
+        _check_cap(_edge_list_header(source[1])[0], DEFAULT_TREE_CAP)
         graph, family_subset = parse_edge_list(source[1]), None
     return graph, family_subset, emit_graph6(graph)
 
@@ -161,7 +166,6 @@ def _parse_subset(spec: str, graph: Graph, family_subset: VertexSet | None) -> V
 
 def cmd_analyze(args) -> tuple[dict, dict, int]:
     graph, family_subset, echo = _load_graph(args)
-    _check_cap(graph, DEFAULT_TREE_CAP)
     subset = _parse_subset(args.subset, graph, family_subset)
     echo["set"] = subset.to_list()
     witness = independence_number(graph, subset)
@@ -202,8 +206,8 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
         "residual_alpha": outcome.residual_alpha,
         "bound": outcome.bound,
         "trace": {
-            "base_path": rpt.path_to_json(outcome.trace[0]) if outcome.trace else None,
-            "attachments": [rpt.path_to_json(p) for p in outcome.trace[1:]],
+            "base_path": list(outcome.trace[0]) if outcome.trace else None,
+            "attachments": [list(p) for p in outcome.trace[1:]],
         },
     }
     return echo, results, EXIT_OK

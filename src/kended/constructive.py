@@ -12,10 +12,12 @@ stop depends on k, so a run can resume from the outcome for a smaller k;
 only the sweep's `GraphContext` does, and it hands a covering at k - 1 on to
 k itself. alpha, kappa and every residual alpha come from the graph's own
 memo (invariants.subset_alpha and subset_kappa), shared with every other
-caller. The base path takes the first path on each path set of a size from
-`Graph.first_paths`, longest sets first; only `graphs` reads the path planes
-behind it. Its tree is the graph's memoized tree of its path set
-(`Graph.path_tree`), the covering search's object where the sets agree.
+caller. Every path here is the tuple of its vertices in order, the only
+thing the construction keeps of it; the outcome's trace holds the base path
+and each attached path. The base path takes the first path on each path set
+of a size from `Graph.first_paths`, longest sets first; only `graphs` reads
+the path planes behind it. Its tree is the graph's memoized tree of its path
+set (`Graph.path_tree`), the covering search's object where the sets agree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .graphs import Graph, Path, Tree, VertexSet, iter_bits, mask_of
+from .graphs import Graph, Tree, VertexSet, iter_bits, mask_of
 from .invariants import maximum_independent_masks, subset_alpha, subset_kappa
 from .treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -37,7 +39,8 @@ class ConstructionOutcome:
 
     `bound` is alpha - kappa - k + 1, or None when kappa is infinite (|S| <= 1),
     in which case the outcome is always a trivial covering. The trace replays
-    the construction: base path first, then each attached path.
+    the construction as vertex tuples: base path first, then each attached
+    path, oriented from its start to its tree endpoint.
 
     Immutable by convention, like `Tree` and `Graph`: the sweep's caches hand
     one outcome to several claims, and its tree and trace to the outcomes of
@@ -50,30 +53,31 @@ class ConstructionOutcome:
     tree: Tree
     residual_alpha: int
     bound: int | None
-    trace: tuple[Path, ...]
+    trace: tuple[tuple[int, ...], ...]
 
 
-def base_path(graph: Graph, subset: VertexSet) -> Path:
-    """A path covering S, or one whose uncovered part has alpha <= alpha - kappa - 1.
+def base_path(graph: Graph, subset: VertexSet) -> tuple[int, ...]:
+    """The vertex tuple of a path covering S, or of one whose uncovered part
+    has alpha <= alpha - kappa - 1.
 
     The longest such path, first in lexicographic order. Qualifying depends
     only on the vertex set, so only the first path on each path set is
     tried, as `Graph.first_paths` yields them, longest sets first: if it
     fails, no other path on its set qualifies either. The reverse of a path
     is a path on the same set, so the first path reads with first < last
-    vertex. It covers S iff `smask & ~path.mask() == 0`. One path always
+    vertex. It covers S iff `smask & ~mask_of(path) == 0`. One path always
     qualifies for a connected graph and nonempty S, so exhaustion is an
     internal invariant failure.
     Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
     """
     smask = graph.subset_mask(subset)
-    _check_cap(graph, DEFAULT_TREE_CAP)
+    _check_cap(graph.n, DEFAULT_TREE_CAP)
     if smask == 0:
         raise ValueError("base path needs a nonempty subset")
     if not graph.is_connected():
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
-        return Path((smask.bit_length() - 1,))
+        return (smask.bit_length() - 1,)
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
@@ -85,17 +89,18 @@ def base_path(graph: Graph, subset: VertexSet) -> Path:
     for length in range(graph.n, 0, -1):
         for seq in graph.first_paths(length):
             if qualifies(mask_of(seq)):
-                return Path(tuple(seq))
+                return tuple(seq)
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
-def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> Path:
-    """The maximum-length path from the union of maximum independent subsets of
-    the uncovered part to the tree, internally disjoint from the tree.
+def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tuple[int, ...]:
+    """The vertex tuple of a maximum-length path from the union of maximum
+    independent subsets of the uncovered part to the tree, internally
+    disjoint from the tree.
 
     Ties are broken lexicographically on vertex sequences. The returned path
-    is oriented from its start s0 = path.vertices[0] (in the union) to its
-    tree endpoint. The postcondition that the path meets every maximum
+    is oriented from its start s0 = path[0] (in the union) to its tree
+    endpoint path[-1]. The postcondition that the path meets every maximum
     independent subset of S - V(tree) is asserted; a failure is a bug
     detector, not an input error.
     """
@@ -143,27 +148,23 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> Path
             raise InternalInvariantError(
                 "maximal attachment path misses a maximum independent subset of the remainder"
             )
-    return Path(best)
+    return best
 
 
-def augment(tree: Tree, path: Path) -> Tree:
-    """Attach a path that meets the tree exactly at its terminal vertex.
-
-    The result is a valid tree with at most one more leaf than before.
+def augment(tree: Tree, path: tuple[int, ...]) -> Tree:
+    """Attach a path, as its vertex tuple, that meets the tree exactly at its
+    terminal vertex. The result is a valid tree with at most one more leaf
+    than before; a path that repeats a vertex fails the tree axioms.
     """
     if len(path) < 2:
         raise ValueError("attachment path needs at least two vertices")
     tmask = tree.vertex_mask
-    last = path.end
+    last = path[-1]
     if not (tmask >> last) & 1:
         raise ValueError("attachment path must end at a tree vertex")
-    if path.mask() & tmask != 1 << last:
+    if mask_of(path) & tmask != 1 << last:
         raise ValueError("attachment path touches the tree before its end")
-    merged = Tree(
-        tree.host_n,
-        tree.vertices + path.vertices,
-        list(tree.edges) + path.edge_pairs(),
-    )
+    merged = Tree(tree.host_n, tree.vertices + path, list(tree.edges) + list(zip(path, path[1:])))
     # a one-vertex tree has zero leaves but any proper extension has two
     if merged.leaf_count > max(2, tree.leaf_count + 1):
         raise InternalInvariantError("augmentation raised the leaf count by more than one")
@@ -192,7 +193,7 @@ def construct_k_ended_tree(
     if k < 2:
         raise ValueError("k must be at least 2")
     smask = graph.subset_mask(subset)
-    _check_cap(graph, DEFAULT_TREE_CAP)
+    _check_cap(graph.n, DEFAULT_TREE_CAP)
     if graph.n == 0:
         raise ValueError("construction needs a nonempty graph")
     if not graph.is_connected():
@@ -206,7 +207,7 @@ def construct_k_ended_tree(
     bound = alpha - kappa.finite - k + 1
     if start is None:
         path0 = base_path(graph, subset)
-        tree = graph.path_tree(path0.mask(), path0.vertices)
+        tree = graph.path_tree(mask_of(path0), path0)
         residual_alpha = subset_alpha(graph, smask & ~tree.vertex_mask)
         trace = [path0]
         if residual_alpha > 0 and residual_alpha > alpha - kappa.finite - 1:

@@ -28,6 +28,13 @@ class GraphFamilySpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
 
+    @property
+    def order(self) -> float:
+        """The vertex count of the graph this spec builds, read from the parameters alone."""
+        if self.family == "complete-bipartite":
+            return 2 * self.params[0] + self.params[1]
+        return self.params[0] if self.params else 10    # petersen takes none
+
 
 def parse_family_spec(text: str) -> GraphFamilySpec:
     """Parse CLI family strings like "kmm 2 3", "cycle 5", "gnp 8 0.5 7", "petersen"."""

@@ -90,7 +90,9 @@ def emit_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
+def _edge_list_header(text: str) -> tuple[int, list[tuple[int, str]]]:
+    """The vertex count on an edge list's header, read without building the
+    graph, and the (line number, stripped line) of each nonblank line after it."""
     lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
     lines = [(no, line) for no, line in lines if line]
     if not lines:
@@ -105,8 +107,13 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(f"line {no}: vertex count {parts[1]!r} is not an integer") from exc
     if n < 0:
         raise EdgeListError(f"line {no}: negative vertex count")
+    return n, lines[1:]
+
+
+def parse_edge_list(text: str) -> Graph:
+    n, lines = _edge_list_header(text)
     rows = [0] * n
-    for no, line in lines[1:]:
+    for no, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListError(f"line {no}: expected 'u v', got {line!r}")

@@ -1,8 +1,10 @@
-"""Bitmask-backed types for simple graphs, vertex subsets, paths and trees.
+"""Bitmask-backed types for simple graphs, vertex subsets and trees.
 
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
-All four types are immutable after construction and safe to share across
+A path is the tuple of its vertices in order; its tree is `Tree.from_path`
+or `Graph.path_tree`, checked against the graph by `Graph.check_tree`. All
+three types are immutable after construction and safe to share across
 concurrent workers. A graph fills these memos lazily, each a pure function of
 the adjacency rows:
 - the connectivity flag;
@@ -194,12 +196,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.rows[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         out = []
@@ -208,10 +204,6 @@ class Graph:
             for v in iter_bits(row):
                 out.append((u, v))
         return out
-
-    @property
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
     def component_mask(self, start: int) -> int:
         """Bitmask of the vertices reachable from start."""
@@ -378,54 +370,12 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.host_n and bool((self.mask >> v) & 1)
-
     def to_list(self) -> list[int]:
         return list(iter_bits(self.mask))
 
 
-@dataclass(frozen=True)
-class Path:
-    """An ordered sequence of distinct vertices; consecutive ones must be adjacent in the host."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 1:
-            raise ValueError("a path has at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("path vertices must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    def mask(self) -> int:
-        return mask_of(self.vertices)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        vs = self.vertices
-        return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-
-    def validate_in(self, graph: Graph) -> None:
-        for v in self.vertices:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"path vertex {v} out of range")
-        for u, v in self.edge_pairs():
-            if not graph.has_edge(u, v):
-                raise ValueError(f"path step ({u}, {v}) is not an edge")
-
-
 class Tree:
-    """An acyclic connected subgraph of a host graph, with leaf and branch queries.
+    """An acyclic connected subgraph of a host graph, with leaf and branch masks.
 
     The constructor enforces the tree axioms (edge count, connectivity, edges
     within the vertex set) and stores the tree as masks: `vertex_mask`, one
@@ -434,8 +384,9 @@ class Tree:
     sorted `vertices` and `edges` tuples are kept for equality, hashing and
     serialization. `from_path` and `single_vertex` build a path's masks
     directly, since a sequence of distinct in-range vertices needs none of
-    those checks. `validate_in` additionally checks that every edge exists
-    in a concrete host graph.
+    those checks; any other sequence, an empty one included, is refused with
+    ValueError. `validate_in` additionally checks that every edge exists in a
+    concrete host graph.
     """
 
     __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "adjacency", "leaf_mask", "branch_mask")
@@ -522,17 +473,6 @@ class Tree:
                             1 << vs[0] | 1 << u if es else 0, 0)
                 return tree
         return cls(host_n, vs, list(zip(vs, vs[1:])))
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count() if 0 <= v < self.host_n else 0
-
-    def leaves(self) -> VertexSet:
-        """Vertices of degree exactly one; a one-vertex tree has none."""
-        return VertexSet(self.host_n, self.leaf_mask)
-
-    def branch_vertices(self) -> VertexSet:
-        """Vertices of degree at least three."""
-        return VertexSet(self.host_n, self.branch_mask)
 
     @property
     def leaf_count(self) -> int:

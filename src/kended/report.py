@@ -18,7 +18,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .graphs import Path, Tree
+from .graphs import Tree
 from .verify import SharpnessVerdict, SweepPlan, SweepReport, TheoremVerdict
 
 SCHEMA_VERSION = "1"
@@ -78,10 +78,6 @@ def tree_to_json(tree: Tree) -> dict:
         "vertices": list(tree.vertices),
         "edges": [list(edge) for edge in tree.edges],
     }
-
-
-def path_to_json(path: Path) -> list[int]:
-    return list(path.vertices)
 
 
 def verdict_to_json(verdict: TheoremVerdict) -> dict:

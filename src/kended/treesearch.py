@@ -51,15 +51,15 @@ per graph and shared by every subset and budget.
 from __future__ import annotations
 
 from .errors import CapExceededError, InternalInvariantError
-from .graphs import Graph, Path, Tree, VertexSet
+from .graphs import Graph, Tree, VertexSet
 from .invariants import subset_alpha
 
 DEFAULT_TREE_CAP = 10
 
 
-def _check_cap(graph: Graph, cap: int) -> None:
-    if graph.n > cap:
-        raise CapExceededError(f"instance has n={graph.n}, above the cap {cap}")
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(f"instance has n={n}, above the cap {cap}")
 
 
 def _forced(rows: tuple[int, ...], smask: int, mask: int, avoid: int) -> tuple[int, int]:
@@ -174,7 +174,7 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
     """The body of both existence searches: trivial and path answers first, then
     the growth search, unless the budget allows only a path (2 leaves or no
     branch vertex) or the minimum-leaf planes exceed a leaf budget."""
-    _check_cap(graph, cap)
+    _check_cap(graph.n, cap)
     smask = graph.subset_mask(subset)
     if graph.n == 0:
         return None
@@ -227,7 +227,7 @@ def covering_tree_with_branch_budget(
 
 
 def _coverable_subset_mask(graph: Graph, subset: VertexSet, cap: int) -> int:
-    _check_cap(graph, cap)
+    _check_cap(graph.n, cap)
     smask = graph.subset_mask(subset)
     if smask == 0:
         raise ValueError("minimum over covering trees needs a nonempty subset")
@@ -277,15 +277,15 @@ def min_branch_covering_tree(
     raise InternalInvariantError("no covering tree found although the subset is coverable")
 
 
-def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> Path | None:
-    """A Hamiltonian path found by plain backtracking, or None.
+def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> tuple[int, ...] | None:
+    """The vertex tuple of a Hamiltonian path found by plain backtracking, or None.
 
     Kept independent of the path planes so the two can be checked against
     each other; it reads only alpha(V), from the alpha memo. A path on n
     vertices has alpha = ceil(n/2), so alpha(V) > ceil(n/2) answers None
     without backtracking (the scattering bound, Jung 1978).
     """
-    _check_cap(graph, cap)
+    _check_cap(graph.n, cap)
     n = graph.n
     if not graph.is_connected() or subset_alpha(graph, graph.full_mask) > (n + 1) // 2:
         return None
@@ -308,5 +308,5 @@ def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> Path |
 
     for start in range(n):
         if extend(start, 1 << start):
-            return Path(tuple(seq))
+            return tuple(seq)
     return None

@@ -268,7 +268,7 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
         )
     witness = None
     if ham is not None:
-        witness = Tree.from_path(ctx.graph.n, ham.vertices)
+        witness = Tree.from_path(ctx.graph.n, ham)
         ctx.graph.check_tree(witness)
     return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
 

@@ -22,7 +22,7 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, Path, VertexSet, _down_closure, _vertex_planes, iter_bits
+from kended.graphs import Graph, VertexSet, _down_closure, _vertex_planes, iter_bits
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -402,9 +402,9 @@ def _paths_with_length(graph: Graph, length: int):
 
 
 def base_path_by_enumeration(graph: Graph, subset: VertexSet,
-                              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> Path:
-    """Reference base path: a path covering S, or one whose uncovered part has
-    alpha <= alpha - kappa - 1.
+                              alpha_kappa: tuple[int, ConnectivityValue] | None = None) -> tuple[int, ...]:
+    """Reference base path: the vertex tuple of a path covering S, or of one
+    whose uncovered part has alpha <= alpha - kappa - 1.
 
     Exhaustive search: paths are enumerated in decreasing length and the first
     one meeting either condition is returned. One of the two always exists for
@@ -413,13 +413,13 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet,
     (alpha_G(S), kappa_G(S)) when the caller knows them; else they are computed.
     """
     smask = graph.subset_mask(subset)
-    _check_cap(graph, DEFAULT_TREE_CAP)
+    _check_cap(graph.n, DEFAULT_TREE_CAP)
     if smask == 0:
         raise ValueError("base path needs a nonempty subset")
     if not graph.is_connected():
         raise ValueError("base path needs a connected graph")
     if smask & (smask - 1) == 0:
-        return Path((smask.bit_length() - 1,))
+        return (smask.bit_length() - 1,)
     if alpha_kappa is None:
         alpha_kappa = alpha_mask(graph, smask)[0], set_connectivity(graph, subset)
     alpha, kappa = alpha_kappa
@@ -433,12 +433,12 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet,
                 pmask |= 1 << v
             remainder = smask & ~pmask
             if remainder == 0:
-                return Path(seq)
+                return seq
             if bound >= 0:
                 if remainder not in residual_cache:
                     residual_cache[remainder] = alpha_mask(graph, remainder)[0]
                 if residual_cache[remainder] <= bound:
-                    return Path(seq)
+                    return seq
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
@@ -504,13 +504,14 @@ def grow_tree_unpruned(graph: Graph, smask: int, budget: int, r0: int, branches:
     return list(edges) if rec(1 << r0, 0, 0) else None
 
 
-def hamiltonian_path_by_backtracking(graph: Graph) -> Path | None:
-    """The first Hamiltonian path of plain backtracking from each start in turn, or None."""
+def hamiltonian_path_by_backtracking(graph: Graph) -> tuple[int, ...] | None:
+    """The vertex tuple of the first Hamiltonian path of plain backtracking
+    from each start in turn, or None."""
     n = graph.n
     if n == 0:
         return None
     if n == 1:
-        return Path((0,))
+        return (0,)
     if not graph.is_connected():
         return None
     rows = graph.rows
@@ -532,7 +533,7 @@ def hamiltonian_path_by_backtracking(graph: Graph) -> Path | None:
 
     for start in range(n):
         if extend(start, 1 << start):
-            return Path(tuple(seq))
+            return tuple(seq)
     return None
 
 

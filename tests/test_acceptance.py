@@ -157,7 +157,7 @@ def test_criterion_4_hamiltonian_path_condition():
             alpha = independence_number(graph, VertexSet.full(n)).size
             if n >= 2:
                 # kappa never exceeds the minimum degree; skip early failures
-                min_deg = min(graph.degree(v) for v in range(n))
+                min_deg = min(row.bit_count() for row in graph.rows)
                 if alpha > min_deg + 1:
                     continue
             kappa = set_connectivity(graph, VertexSet.full(n))
@@ -165,15 +165,15 @@ def test_criterion_4_hamiltonian_path_condition():
                 continue
             path = hamiltonian_path_exists(graph)
             assert path is not None, f"no Hamiltonian path on {emit_graph6(graph)}"
-            path.validate_in(graph)
-            assert sorted(path.vertices) == list(range(n))
+            graph.check_tree(Tree.from_path(n, path))
+            assert sorted(path) == list(range(n))
             checked += 1
     petersen, _ = make_family(GraphFamilySpec("petersen", ()))
     assert independence_number(petersen, VertexSet.full(10)).size == 4
     assert set_connectivity(petersen, VertexSet.full(10)) == 3
     petersen_path = hamiltonian_path_exists(petersen)
     assert petersen_path is not None
-    petersen_path.validate_in(petersen)
+    petersen.check_tree(Tree.from_path(10, petersen_path))
     report_line("4 hamiltonian path condition", True, f"{checked} qualifying graphs + petersen")
 
 

@@ -12,7 +12,7 @@ from kended.constructive import (
 )
 from kended.errors import CapExceededError, InternalInvariantError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
-from kended.graphs import Graph, Path, Tree, VertexSet
+from kended.graphs import Graph, Tree, VertexSet, iter_bits, mask_of
 from kended.invariants import (
     alpha_mask,
     independence_number,
@@ -38,7 +38,7 @@ PATH11 = Graph.from_edges(11, [(i, i + 1) for i in range(10)])    # one vertex a
 def test_base_path_on_path_graph_covers():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     path = base_path(g, VertexSet.full(4))
-    assert path.vertices == (0, 1, 2, 3)
+    assert path == (0, 1, 2, 3)
 
 
 def test_base_path_k23_must_cover():
@@ -46,13 +46,13 @@ def test_base_path_k23_must_cover():
     # remainder, so only a covering path can be returned
     graph, subset = kmm(2, 1)
     path = base_path(graph, subset)
-    assert subset.mask & ~path.mask() == 0
+    assert subset.mask & ~mask_of(path) == 0
 
 
 def test_base_path_star_leaves_residual():
     graph, subset = kmm(1, 3)    # hub 0, leaves 1..4
     path = base_path(graph, subset)
-    remainder = subset.mask & ~path.mask()
+    remainder = subset.mask & ~mask_of(path)
     assert remainder != 0
     assert alpha_mask(graph, remainder)[0] <= 4 - 1 - 1
 
@@ -103,15 +103,15 @@ def test_attachment_star_center():
     graph, subset = kmm(1, 3)
     tree = Tree.single_vertex(5, 0)
     path = maximal_attachment_path(graph, tree, subset)
-    assert len(path) == 2 and path.end == 0
-    assert path.start in subset
+    assert len(path) == 2 and path[-1] == 0
+    assert subset.mask >> path[0] & 1
 
 
 def test_attachment_unique_maximal_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     tree = Tree(5, (0, 1), [(0, 1)])
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(5, [4]))
-    assert path.vertices == (4, 3, 2, 1)
+    assert path == (4, 3, 2, 1)
 
 
 def test_attachment_prefers_longer_arc():
@@ -119,9 +119,9 @@ def test_attachment_prefers_longer_arc():
     g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     tree = Tree(6, (0, 1), [(0, 1)])
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [3]))
-    assert path.vertices == (3, 4, 5, 0)
+    assert path == (3, 4, 5, 0)
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
-    assert path.vertices == (4, 3, 2, 1)
+    assert path == (4, 3, 2, 1)
 
 
 def test_attachment_hits_every_maximum_independent_subset():
@@ -136,8 +136,7 @@ def test_attachment_hits_every_maximum_independent_subset():
             frontier = [
                 (w, u)
                 for w in tree.vertices
-                for u in graph.neighbors(w)
-                if u not in tree.vertices
+                for u in iter_bits(graph.rows[w] & ~tree.vertex_mask)
             ]
             if not frontier:
                 break
@@ -152,10 +151,10 @@ def test_attachment_hits_every_maximum_independent_subset():
         path = maximal_attachment_path(graph, tree, subset)
         union = 0
         for si in maximum_independent_masks(graph, smask & ~tree.vertex_mask):
-            assert path.mask() & si, "attachment path must meet every maximum subset"
+            assert mask_of(path) & si, "attachment path must meet every maximum subset"
             union |= si
-        assert (union >> path.vertices[0]) & 1
-        assert path.mask() & tree.vertex_mask == 1 << path.end
+        assert (union >> path[0]) & 1
+        assert mask_of(path) & tree.vertex_mask == 1 << path[-1]
 
 
 def test_exchange_property_on_random_instances():
@@ -181,32 +180,36 @@ def test_exchange_property_on_random_instances():
 
 def test_augment_extends_path():
     t = Tree(3, (0, 1), [(0, 1)])
-    merged = augment(t, Path((2, 1)))
+    merged = augment(t, (2, 1))
     assert merged.vertices == (0, 1, 2)
     assert merged.leaf_count == 2
 
 
 def test_augment_creates_spider():
     t = Tree.from_path(4, (0, 1, 2))
-    merged = augment(t, Path((3, 1)))
+    merged = augment(t, (3, 1))
     assert merged.leaf_count == 3
-    assert merged.branch_vertices().to_list() == [1]
+    assert merged.branch_mask == 1 << 1
 
 
 def test_augment_from_single_vertex():
     t = Tree.single_vertex(3, 2)
-    merged = augment(t, Path((0, 1, 2)))
+    merged = augment(t, (0, 1, 2))
     assert merged.leaf_count == 2
 
 
 def test_augment_rejects_bad_paths():
     t = Tree.from_path(4, (0, 1, 2))
     with pytest.raises(ValueError):
-        augment(t, Path((3, 0, 1)))    # touches the tree before its end (would cycle)
+        augment(t, (3, 0, 1))    # touches the tree before its end (would cycle)
     with pytest.raises(ValueError):
-        augment(t, Path((3,)))
+        augment(t, (3,))
     with pytest.raises(ValueError):
-        augment(t, Path((0, 3)))       # ends outside the tree
+        augment(t, (0, 3))       # ends outside the tree
+    # a path repeats no vertex, though it meets the tree only at its end
+    for path in ((3, 4, 3), (4, 0, 4, 3), (0, 4, 4, 3)):
+        with pytest.raises(ValueError):
+            augment(Tree.from_path(5, (1, 2, 3)), path)
 
 
 # the full construction
@@ -262,7 +265,7 @@ def test_construct_input_validation():
 def test_construct_trace_replays_to_tree():
     graph, subset = kmm(2, 2)
     outcome = construct_k_ended_tree(graph, subset, 3)
-    tree = Tree.from_path(graph.n, outcome.trace[0].vertices)
+    tree = Tree.from_path(graph.n, outcome.trace[0])
     for p in outcome.trace[1:]:
         tree = augment(tree, p)
     assert tree == outcome.tree

@@ -52,7 +52,7 @@ from kended import cli, constructive, invariants, treesearch, verify
 from kended.constructive import COVERING
 from kended.errors import InternalInvariantError
 from kended.formats import parse_graph6
-from kended.graphs import Graph, Path, Tree, VertexSet, iter_bits
+from kended.graphs import Graph, Tree, VertexSet, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_instance
 
 from conftest import time_limit
@@ -173,14 +173,14 @@ def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypat
 def attached_along_a_non_edge(graph, tree, path):
     """The attachment with its last step moved to the highest tree vertex off
     the vertex before it."""
-    far = tree.vertex_mask & ~graph.rows[path.vertices[-2]]
-    return Path(path.vertices[:-1] + (far.bit_length() - 1,)) if far else path
+    far = tree.vertex_mask & ~graph.rows[path[-2]]
+    return path[:-1] + (far.bit_length() - 1,) if far else path
 
 
 def touching_the_tree_early(graph, tree, path):
     """The attachment started at the highest tree vertex other than its end."""
-    touch = tree.vertex_mask & ~(1 << path.end)
-    return Path((touch.bit_length() - 1,) + path.vertices) if touch else path
+    touch = tree.vertex_mask & ~(1 << path[-1])
+    return (touch.bit_length() - 1,) + path if touch else path
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -234,7 +234,7 @@ def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):
 
     def faulty(graph, cap=treesearch.DEFAULT_TREE_CAP):
         path = exact(graph, cap=cap)
-        return None if path is None else Path(tuple(range(graph.n)))
+        return None if path is None else tuple(range(graph.n))
 
     monkeypatch.setattr(verify, "hamiltonian_path_exists", faulty)
     with pytest.raises(InternalInvariantError) as info:

@@ -10,7 +10,7 @@ from kended import graphs as graphs_module
 from kended.constructive import base_path, construct_k_ended_tree, maximal_attachment_path
 from kended.errors import InternalInvariantError
 from kended.families import random_gnp
-from kended.graphs import Graph, Path, Tree, VertexSet, _vertex_planes, mask_of
+from kended.graphs import Graph, Tree, VertexSet, _vertex_planes, mask_of
 from kended.invariants import independence_number, set_connectivity_pair
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_instance
@@ -47,8 +47,7 @@ def test_from_edges_rejects_self_loop_and_duplicates():
 def test_graph_basic_queries():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert g.edge_count == 3
-    assert g.degree(1) == 2
+    assert g.rows[1].bit_count() == 2
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
     assert g.is_connected()
@@ -194,20 +193,21 @@ def test_vertex_set_semantics():
     s = VertexSet.from_vertices(5, [0, 2, 4])
     assert len(s) == 3
     assert list(s) == [0, 2, 4]
-    assert 2 in s and 1 not in s
+    assert s.mask >> 2 & 1 and not s.mask >> 1 & 1
     with pytest.raises(ValueError):
         VertexSet(3, 0b1000)
 
 
 def test_path_validation():
+    # a path is its vertex tuple: Tree.from_path checks its vertices and
+    # Graph.check_tree its steps
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    Path((0, 1, 2)).validate_in(g)
-    with pytest.raises(ValueError):
-        Path(())
-    with pytest.raises(ValueError):
-        Path((0, 1, 0))
-    with pytest.raises(ValueError):
-        Path((0, 2)).validate_in(g)
+    g.check_tree(Tree.from_path(g.n, (0, 1, 2)))
+    for vs in ((), (0, 1, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            Tree.from_path(g.n, vs)
+    with pytest.raises(InternalInvariantError, match=r"tree edge \(0, 2\) is not a graph edge"):
+        g.check_tree(Tree.from_path(g.n, (0, 2)))
 
 
 def test_tree_axioms_enforced():
@@ -223,21 +223,21 @@ def test_tree_axioms_enforced():
 
 def test_tree_leaves_single_edge():
     t = Tree(2, (0, 1), [(0, 1)])
-    assert t.leaves().to_list() == [0, 1]
+    assert t.leaf_mask == 0b11
     assert t.leaf_count == 2
 
 
 def test_tree_leaves_star():
     t = Tree(4, (0, 1, 2, 3), [(0, 1), (0, 2), (0, 3)])
-    assert t.leaves().to_list() == [1, 2, 3]
-    assert t.branch_vertices().to_list() == [0]
+    assert t.leaf_mask == 0b1110
+    assert t.branch_mask == 0b1
 
 
 def test_tree_leaves_path_endpoints():
     # degree count by hand: only the two endpoints have degree 1
     t = Tree.from_path(5, (0, 1, 2, 3, 4))
-    assert t.leaves().to_list() == [0, 4]
-    assert t.branch_vertices().to_list() == []
+    assert t.leaf_mask == 0b10001
+    assert t.branch_mask == 0
 
 
 def test_one_vertex_tree_has_no_leaves():
@@ -280,7 +280,7 @@ def test_from_path_rejects_what_the_general_constructor_rejects(host_n, vs):
 def test_spider_branch_vertices():
     # hub 0 with four legs: degree count gives exactly one branch vertex
     t = Tree(5, range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert t.branch_vertices().to_list() == [0]
+    assert t.branch_mask == 0b1
     assert t.leaf_count == 4
 
 
@@ -370,11 +370,11 @@ def test_tree_masks_match_dict_degree_oracle(case):
     host_n, vs, edges = case
     tree = Tree(host_n, vs, edges)
     deg = dict_degrees(vs, edges)
-    assert tree.leaves().to_list() == [v for v in vs if deg[v] == 1]
-    assert tree.branch_vertices().to_list() == [v for v in vs if deg[v] >= 3]
+    assert tree.leaf_mask == mask_of(v for v in vs if deg[v] == 1)
+    assert tree.branch_mask == mask_of(v for v in vs if deg[v] >= 3)
     assert tree.leaf_count == sum(1 for d in deg.values() if d == 1)
     assert tree.branch_count == sum(1 for d in deg.values() if d >= 3)
-    assert [tree.degree(v) for v in range(host_n)] == [deg.get(v, 0) for v in range(host_n)]
+    assert [tree.adjacency[v].bit_count() for v in range(host_n)] == [deg.get(v, 0) for v in range(host_n)]
     assert tree.vertex_mask == sum(1 << v for v in vs)
     assert tree.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
 

@@ -371,9 +371,9 @@ def test_each_path_set_has_one_tree_for_the_covering_and_the_base_path():
             if smask.bit_count() < 2:
                 continue
             base = ctx.construct(smask, 2)
-            pmask = base.trace[0].mask()
+            pmask = mask_of(base.trace[0])
             assert base.tree is graph.path_tree(pmask)
-            assert base.tree == Tree.from_path(graph.n, base.trace[0].vertices)
+            assert base.tree == Tree.from_path(graph.n, base.trace[0])
             if seq is not None:
                 assert by_set.setdefault(mask_of(seq), tree) is tree
                 if pmask == mask_of(seq):
