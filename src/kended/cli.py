@@ -10,7 +10,10 @@ an instance or a sharpness range above it is refused with exit 2, an
 analyze or construct input before its graph is built.
 
 main(argv) is reentrant and builds its argument parser once per process; each
-call parses into a fresh namespace and looks up its cmd_* handler by name.
+call parses argv once, into a fresh namespace, with its command's parser
+(_parse_args), and looks up its cmd_* handler by name. An argv that does not
+start with a command, or has arguments its command does not take, goes whole
+to the kended parser, so help and usage errors read as before.
 analyze and construct keep one Graph, with its memos, per distinct input for
 the 64 inputs used last (_read_graph), keyed on the parsed --family spec or on
 the --format and text of --graph; the file or stdin is read on every call. A
@@ -43,7 +46,8 @@ EXIT_USAGE = 2
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """(the kended parser, its subparser per command)."""
     parser = argparse.ArgumentParser(
         prog="kended",
         description="Exact analysis, construction and verification of k-ended covering trees.",
@@ -87,7 +91,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--m-range", default="1..3", metavar="A..B")
     p_sharp.add_argument("--k-range", default="1..3", metavar="A..B")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once. An argv that starts with a command goes to that
+    command's parser, which gets the tokens the kended parser would hand it;
+    any other argv, or one with arguments left over, goes whole to the kended
+    parser, so help and usage errors read as before."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 # One entry per distinct input: the parsed GraphFamilySpec of --family, or
@@ -233,17 +251,17 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     return inputs, results, code
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(option: str, text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return value, value
-    return int(lo), int(hi)
+    try:
+        return (int(lo), int(hi)) if sep else (int(text), int(text))
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r} is not A..B with integers A and B") from exc
 
 
 def cmd_sharpness(args) -> tuple[dict, dict, int]:
-    m_lo, m_hi = _parse_range(args.m_range)
-    k_lo, k_hi = _parse_range(args.k_range)
+    m_lo, m_hi = _parse_range("--m-range", args.m_range)
+    k_lo, k_hi = _parse_range("--k-range", args.k_range)
     if m_lo < 1 or k_lo < 1 or m_hi < m_lo or k_hi < k_lo:
         raise ValueError("ranges must be A..B with 1 <= A <= B")
     if max(m_hi, k_hi) > DEFAULT_TREE_CAP:
@@ -272,7 +290,7 @@ def cmd_sharpness(args) -> tuple[dict, dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:    # argparse printed the help (0) or a usage error (2)
         return exc.code
     start = time.perf_counter()

