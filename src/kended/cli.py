@@ -10,10 +10,10 @@ an instance or a sharpness range above it is refused with exit 2, an
 analyze or construct input before its graph is built.
 
 main(argv) is reentrant and builds its argument parser once per process; each
-call parses argv once, into a fresh namespace, with its command's parser
-(_parse_args), and looks up its cmd_* handler by name. An argv that does not
-start with a command, or has arguments its command does not take, goes whole
-to the kended parser, so help and usage errors read as before.
+call reads argv into a fresh namespace (_parse_args) and looks up its cmd_*
+handler by name. A plain argv (a command, then distinct exact options with
+valid values) is read in one pass over the command's argparse actions; any
+other goes whole to the kended parser, so help and usage errors are argparse's.
 analyze and construct keep one Graph, with its memos, per distinct input for
 the 64 inputs used last (_read_graph), keyed on the parsed --family spec or on
 the --format and text of --graph; the file or stdin is read on every call. A
@@ -46,8 +46,8 @@ EXIT_USAGE = 2
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """(the kended parser, its subparser per command)."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """(the kended parser, per command a table from each option string to its action)."""
     parser = argparse.ArgumentParser(
         prog="kended",
         description="Exact analysis, construction and verification of k-ended covering trees.",
@@ -55,56 +55,84 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     graph_in = argparse.ArgumentParser(add_help=False)
-    graph_in.add_argument("--graph", metavar="FILE", help="graph file, or - for stdin")
-    graph_in.add_argument(
-        "--format", choices=("graph6", "edgelist"), default="graph6",
-        help="input format for --graph (default graph6)",
-    )
-    graph_in.add_argument(
-        "--family", metavar="SPEC",
-        help="generate the graph instead: 'kmm M K', 'cycle N', 'path N', "
-             "'complete N', 'petersen', 'gnp N P SEED'",
-    )
-    graph_in.add_argument(
-        "--set", dest="subset", default="all", metavar="SPEC",
-        help="vertex subset S: comma list, 'all', 'none', or 'B' (family-provided part)",
-    )
+    graph_options = [
+        graph_in.add_argument("--graph", metavar="FILE", help="graph file, or - for stdin"),
+        graph_in.add_argument(
+            "--format", choices=("graph6", "edgelist"), default="graph6",
+            help="input format for --graph (default graph6)",
+        ),
+        graph_in.add_argument(
+            "--family", metavar="SPEC",
+            help="generate the graph instead: 'kmm M K', 'cycle N', 'path N', "
+                 "'complete N', 'petersen', 'gnp N P SEED'",
+        ),
+        graph_in.add_argument(
+            "--set", dest="subset", default="all", metavar="SPEC",
+            help="vertex subset S: comma list, 'all', 'none', or 'B' (family-provided part)",
+        ),
+    ]
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="-", metavar="FILE", help="report destination (default stdout)")
-    common.add_argument("--no-timing", action="store_true", help="null out durations for byte-stable output")
+    common_options = [
+        common.add_argument("--out", default="-", metavar="FILE", help="report destination (default stdout)"),
+        common.add_argument("--no-timing", action="store_true", help="null out durations for byte-stable output"),
+    ]
 
     sub.add_parser("analyze", parents=[graph_in, common],
                    help="alpha, kappa and the budget threshold for one instance")
 
     p_construct = sub.add_parser("construct", parents=[graph_in, common],
                                  help="run the augmentation construction for a leaf budget k")
-    p_construct.add_argument("--k", type=int, required=True, help="leaf budget (>= 2)")
+    construct_options = [p_construct.add_argument("--k", type=int, required=True, help="leaf budget (>= 2)")]
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification sweep from a plan file")
-    p_verify.add_argument("--plan", metavar="FILE", help="plan file (default: exhaustive n <= 5)")
-    p_verify.add_argument("--seed", type=int, default=None, help="override the plan seed")
+    verify_options = [
+        p_verify.add_argument("--plan", metavar="FILE", help="plan file (default: exhaustive n <= 5)"),
+        p_verify.add_argument("--seed", type=int, default=None, help="override the plan seed"),
+    ]
 
     p_sharp = sub.add_parser("sharpness", parents=[common],
                              help="exact invariants of the complete-bipartite grid")
-    p_sharp.add_argument("--m-range", default="1..3", metavar="A..B")
-    p_sharp.add_argument("--k-range", default="1..3", metavar="A..B")
+    sharp_options = [p_sharp.add_argument("--m-range", default="1..3", metavar="A..B"),
+                     p_sharp.add_argument("--k-range", default="1..3", metavar="A..B")]
 
-    return parser, sub.choices
+    graph = graph_options + common_options
+    options = {"analyze": graph, "construct": graph + construct_options,
+               "verify": common_options + verify_options, "sharpness": common_options + sharp_options}
+    return parser, {command: {flag: action for action in actions for flag in action.option_strings}
+                    for command, actions in options.items()}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once. An argv that starts with a command goes to that
-    command's parser, which gets the tokens the kended parser would hand it;
-    any other argv, or one with arguments left over, goes whole to the kended
-    parser, so help and usage errors read as before."""
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
+    """Read a plain argv in one pass over its command's option table: distinct
+    exact options, a store option's one value not starting with '-', converted
+    and in its choices, and the required options given. Any other argv goes
+    whole to the kended parser, so help and usage errors are argparse's."""
+    parser, tables = _build_parser()
+    table = tables.get(argv[0]) if argv else None
+    given: dict = {}
+    rest = iter(argv[1:])
+    try:
+        for token in rest if table else ():
+            action = table[token]
+            if action.nargs == 0:    # store_true
+                value = action.const
+            elif (value := next(rest)).startswith("-"):
+                break
+            else:
+                value = action.type(value) if action.type else value
+            if action.dest in given or action.choices is not None and value not in action.choices:
+                break
+            given[action.dest] = value
+        else:
+            if table and all(action.dest in given for action in table.values() if action.required):
+                values = {action.dest: action.type(action.default) if action.type and isinstance(action.default, str)
+                          else action.default for action in table.values()}    # argparse converts a str default
+                values.update(given)
+                return argparse.Namespace(**values, command=argv[0])
+    except (KeyError, StopIteration, TypeError, ValueError, argparse.ArgumentTypeError):
+        pass
     return parser.parse_args(argv)
 
 
@@ -123,10 +151,12 @@ def _read_graph(source: GraphFamilySpec | tuple[str, str]) -> tuple[Graph, Verte
         _check_cap(source.order, DEFAULT_TREE_CAP)
         graph, family_subset = make_family(source)
     elif source[0] == "graph6":
-        record = source[1].strip().splitlines()
-        if not record:
+        records = [line for line in source[1].strip().splitlines() if line.strip()]
+        if not records:
             raise FormatError("empty graph input")
-        graph, family_subset = parse_graph6(record[0]), None
+        if len(records) > 1:    # analyze and construct take one graph
+            raise FormatError(f"graph6 input has {len(records)} records; one graph is expected")
+        graph, family_subset = parse_graph6(records[0]), None
         _check_cap(graph.n, DEFAULT_TREE_CAP)
     else:
         _check_cap(_edge_list_header(source[1])[0], DEFAULT_TREE_CAP)

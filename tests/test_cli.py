@@ -4,6 +4,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kended.cli as cli
 from kended import invariants
@@ -277,8 +279,8 @@ def test_a_malformed_range_or_family_parameter_is_named(capsys, argv, message):
     assert run_cli(capsys, *argv, "--no-timing") == (2, "", f"kended: error: {message}\n")
 
 
-# a request is parsed once, by its command's parser; every other argv, and one
-# that leaves arguments over, goes to the kended parser as a whole
+# a plain request is read in one pass over its command's option table; every
+# other argv goes to the kended parser as a whole
 PARSE_CORPUS = [
     (), ("--help",), ("-h",), ("bogus",), ("--no-timing", "analyze"), ("analyze", "-h"), ("analyze",),
     ("analyze", "--fam", "petersen"), ("analyze", "--family=petersen", "--no-t"),
@@ -295,6 +297,17 @@ PARSE_CORPUS = [
     ("verify", "--plan", "p.plan", "--out", "r.json"),
     ("sharpness",), ("sharpness", "extra"), ("sharpness", "--m-range", "1..2", "--k-range", "1..2"),
     ("sharpness", "--m-range", "1..x"), ("sharpness", "--family", "petersen"),
+    ("analyze", "--family", "petersen", "--no-timing", "--no-timing"), ("analyze", "--graph", "-"),
+    ("construct", "--family", "petersen", "--k", "-1"), ("construct", "--family", "petersen", "--k", " 3"),
+    ("analyze", "--family", "petersen", "--set", ""), ("construct", "--family", "petersen", "--set", "--k", "2"),
+    ("construct", "--graph", "g.txt", "--format", "edgelist", "--k", "2"), ("verify", "--seed", "4"),
+    ("sharpness", "--k-range", "2"),
+    ("analyze", "--graph", "g.g6", "--format", "graph6", "--family", "petersen", "--set", "B", "--out", "r.json",
+     "--no-timing"),
+    ("construct", "--no-timing", "--out", "r.json", "--set", "0,2", "--family", "kmm 2 1", "--format", "edgelist",
+     "--graph", "g.txt", "--k", "3"),
+    ("verify", "--out", "r.json", "--seed", "4", "--no-timing", "--plan", "p.plan"),
+    ("sharpness", "--no-timing", "--k-range", "1..2", "--m-range", "2..2", "--out", "r.json"),
 ]
 
 
@@ -312,23 +325,62 @@ def test_parse_args_matches_the_kended_parser(capsys, argv):
     assert parse_outcome(capsys, cli._parse_args, argv) == parse_outcome(capsys, kended_parser.parse_args, argv)
 
 
+# option strings and values at the table pass's edges: values that start with
+# '-', are empty, padded, malformed or out of choices, abbreviations and '='
+OPTIONS = ["--graph", "--format", "--family", "--set", "--out", "--no-timing", "--k", "--plan", "--seed", "--m-range",
+           "--k-range"]
+TOKENS = OPTIONS + ["-h", "--fam", "--k=2", "--", "-", "-1", "", " 3", "x", "2", "graph6", "edgelist", "petersen",
+                    "1..2", "B", "1_0", "analyze"]
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["analyze", "construct", "verify", "sharpness"]),
+       st.lists(st.one_of(st.tuples(st.sampled_from(OPTIONS), st.sampled_from(TOKENS)), st.sampled_from(TOKENS)),
+                max_size=6))
+def test_parse_args_matches_the_kended_parser_on_drawn_argvs(capsys, command, parts):
+    argv = [command] + [token for part in parts for token in (part if isinstance(part, tuple) else (part,))]
+    kended_parser, _ = cli._build_parser()
+    assert parse_outcome(capsys, cli._parse_args, argv) == parse_outcome(capsys, kended_parser.parse_args, argv)
+
+
 def test_a_well_formed_request_is_parsed_once(capsys, monkeypatch, tmp_path):
+    # a plain request calls no argparse parse method; an irregular one (here
+    # an abbreviated option) calls the kended parser's parse_args once
     plan = tmp_path / "p.plan"
     plan.write_text("mode = exhaustive\nn = 2\n")
     calls = []
-    original = argparse.ArgumentParser.parse_known_args
+    for name in ("parse_args", "parse_known_args"):
+        original = getattr(argparse.ArgumentParser, name)
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.prog)
-        return original(self, *args, **kwargs)
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls.append((self.prog, _name))
+            return _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, name, counted)
     for argv in (PETERSEN_K2, ("analyze", "--family", "kmm 2 1", "--set", "B", "--no-timing"),
                  ("verify", "--plan", str(plan), "--no-timing"),
                  ("sharpness", "--m-range", "1..1", "--k-range", "2", "--no-timing")):
         calls.clear()
         assert run_cli(capsys, *argv)[0] == 0
-        assert calls == [f"kended {argv[0]}"], argv
+        assert calls == [], argv
+    calls.clear()
+    assert run_cli(capsys, "analyze", "--fam", "petersen", "--no-timing")[0] == 0
+    assert calls[0] == ("kended", "parse_args") and calls.count(("kended", "parse_args")) == 1
+
+
+def test_every_option_is_a_plain_store_or_store_true(capsys):
+    # the table pass reads a store option's one value and a store_true
+    # option alone; an option of any other kind must fail here, not be misread
+    kended_parser, tables = cli._build_parser()
+    commands = next(a for a in kended_parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(tables)
+    for name, command in commands.items():
+        for action in command._actions:
+            assert (type(action), action.nargs) in ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0),
+                                                    (argparse._HelpAction, 0)), (name, action)
+        options = {flag: action for action in command._actions if not isinstance(action, argparse._HelpAction)
+                   for flag in action.option_strings}
+        assert tables[name] == options, name
 
 
 # main(argv) is reentrant: one parser per process, and one Graph per distinct
@@ -436,6 +488,24 @@ def test_a_usage_error_is_raised_on_every_call_and_never_cached(capsys, tmp_path
             assert code == 2 and out == "" and err.startswith("kended: error: ")
     info = cli._read_graph.cache_info()
     assert info.currsize == 0 and info.misses == 4
+
+
+def test_a_graph6_input_of_two_records_is_refused(capsys, tmp_path):
+    # analyze and construct take one graph; the second record was dropped
+    f = tmp_path / "two.g6"
+    for text in ("Dhc\nC~\n", "Dhc\n\nC~"):
+        f.write_text(text)
+        for argv in (("analyze", "--graph", str(f)), ("construct", "--graph", str(f), "--k", "2")):
+            assert run_cli(capsys, *argv, "--no-timing") == (
+                2, "", "kended: error: graph6 input has 2 records; one graph is expected\n"), (text, argv)
+
+
+def test_a_graph6_record_with_a_trailing_newline_or_blank_lines_is_read(capsys, tmp_path):
+    f = tmp_path / "one.g6"
+    for text in ("Dhc\n", "\n Dhc \n\n"):
+        f.write_text(text)
+        code, out, _ = run_cli(capsys, "analyze", "--graph", str(f), "--no-timing")
+        assert code == 0 and report_of(out)["inputs"]["graph6"] == "Dhc", text
 
 
 def test_an_input_above_the_cap_is_refused_before_its_graph_is_built(capsys, tmp_path):

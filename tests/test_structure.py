@@ -1,0 +1,126 @@
+"""Structural rules of src/kended, checked over its source text with re and ast.
+
+Each rule keeps one decision in one place; a change that breaks one fails
+here. The line rules match as grep does: one match per source line.
+"""
+
+import ast
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "kended"
+
+
+def sources(exclude: str = ""):
+    return [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != exclude]
+
+
+def matching_lines(pattern: str, exclude: str = "") -> list[str]:
+    return [f"{path.name}:{number}: {line}" for path in sources(exclude)
+            for number, line in enumerate(path.read_text().splitlines(), 1) if re.search(pattern, line)]
+
+
+def top_level_owners(pattern: str) -> list[str]:
+    """file:name of the top-level statement around each line that matches:
+    a line that starts with none of ']', ' ', tab, '#', ')' or '}' opens a
+    statement, named by its def's name or its first word, cut at '('."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        owner = ""
+        for line in path.read_text().splitlines():
+            if re.match(r"[^\] \t#)}]", line):
+                words = line.split()
+                owner = re.sub(r"\(.*", "", words[1] if words[0] == "def" else words[0])
+            if re.search(pattern, line):
+                found.add(f"{path.name}:{owner}")
+    return sorted(found)
+
+
+# (pattern, the only file where it may occur): bit m of a plane stands for the
+# vertex mask m, and only graphs.py may know it or call the plane kernel _close;
+# Graph.check_tree checks each tree object once per graph, for the
+# construction, the verdicts and the sharpness cells alike; every pair value
+# goes through subset_kappa's flow memo
+CONFINED = [
+    pytest.param(r"_vertex_planes|_down_closure|_min_leaf_planes|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
+                 "graphs.py", id="plane"),
+    pytest.param(r"validate_in\(", "graphs.py", id="tree check"),
+    pytest.param(r"local_connectivity\(", "invariants.py", id="pair connectivity"),
+]
+
+
+@pytest.mark.parametrize("pattern, home", CONFINED)
+def test_a_confined_name_occurs_only_in_its_module(pattern, home):
+    assert matching_lines(pattern, exclude=home) == []
+
+
+def test_one_place_builds_a_theorem_verdict():
+    # verify._verdict reads alpha, kappa and the least k of the hypothesis for every claim
+    assert len(matching_lines(r"TheoremVerdict\(")) == 1
+
+
+def test_only_the_sweeps_graph_task_raises_counterexample_error():
+    # one instance (verify_instance) and every sweep run through _graph_task,
+    # so every counterexample aborts with the same reproduction data
+    assert len(matching_lines(r"CounterexampleError\(", exclude="errors.py")) == 1
+
+
+def test_only_the_sweep_context_resumes_a_construction():
+    # reuse of a construction across k lives in GraphContext; every other
+    # caller constructs from scratch: no call outside verify.py passes
+    # construct_k_ended_tree a start, by keyword, by ** or as its 4th argument
+    bad = []
+    for path in sources(exclude="verify.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "construct_k_ended_tree"
+                    and (len(node.args) > 3 or any(kw.arg in ("start", None) for kw in node.keywords))):
+                bad.append(f"{path.name}:{node.lineno}: construct_k_ended_tree resumes from a start")
+    assert bad == []
+
+
+def test_only_the_sweeps_graph_task_and_the_clis_main_read_the_clock():
+    # time is measured per graph of a sweep and per CLI command, nowhere else
+    assert top_level_owners(r"perf_counter") == ["cli.py:main", "verify.py:_graph_task"]
+
+
+def test_only_cli_parse_args_parses_an_argv():
+    # a request is read by _parse_args alone: by its table pass over the
+    # command's actions, or whole by the kended parser; a call of the
+    # function _parse_args itself is not a match
+    assert top_level_owners(r"(^|[^_A-Za-z0-9])parse(_known)?_args\(") == ["cli.py:_parse_args"]
+
+
+def test_only_the_clis_parser_and_graph_memo_and_the_vertex_planes_are_functools_caches():
+    # state kept across calls: the CLI's parser, its memo of one Graph per
+    # distinct input and the vertex planes of each n; every other memo lives
+    # on a Graph or a sweep's GraphContext and goes with it
+    caches = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(sub): node.name for node in ast.walk(tree)
+                 for dec in getattr(node, "decorator_list", ()) for sub in ast.walk(dec)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno}: from functools import {a.name}"
+                          for a in node.names if a.name in caches]
+            elif (isinstance(node, ast.Attribute) and node.attr in caches
+                  and getattr(node.value, "id", None) == "functools"):
+                found.append(f"{path.name}:{owner.get(id(node), node.lineno)}")
+    assert sorted(found) == ["cli.py:_build_parser", "cli.py:_read_graph", "graphs.py:_vertex_planes"]
+
+
+def test_the_runtime_loads_no_test_dependency():
+    # a fresh interpreter, since this one has loaded the test extra
+    code = ('import sys, kended; bad = sorted({"networkx", "hypothesis", "jsonschema"} & set(sys.modules)); '
+            'sys.exit(f"import kended loaded {bad}" if bad else 0)')
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
