@@ -16,10 +16,11 @@ valid values) is read in one pass over the command's argparse actions; any
 other goes whole to the kended parser, so help and usage errors are argparse's.
 analyze and construct keep one Graph, with its memos, per distinct input for
 the 64 inputs used last (_read_graph), keyed on the parsed --family spec or on
-the --format and text of --graph; the file or stdin is read on every call. A
-handler returns (inputs, results, exit code); main times it and writes the one
-report. main returns the exit code, also for --help and for argparse's usage
-errors.
+the --format and text of --graph; the file or stdin is read on every call.
+Each memo of a Graph is a function of its rows, so a request leaves nothing
+in it that a later request could read differently. A handler returns
+(inputs, results, exit code); main times it and writes the one report. main
+returns the exit code, also for --help and for argparse's usage errors.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 # after analyze and construct k = 2..5 on all 1,024 subsets, CPython 3.11).
 # Above the cap a family is refused by its spec and an edge list by its header,
 # before any graph is built; a short-form graph6 record has at most 62 vertices.
-# The tree checks are keyed by tree object, so _load_graph clears them per request.
 @functools.lru_cache(maxsize=64)
 def _read_graph(source: GraphFamilySpec | tuple[str, str]) -> tuple[Graph, VertexSet | None, str]:
     """(graph, family subset, graph6) of an input source; a usage error is raised, never cached."""
@@ -187,7 +187,6 @@ def _load_graph(args) -> tuple[Graph, VertexSet | None, dict]:
         source = (args.format, text)
         echo = {"graph": args.graph, "format": args.format}
     graph, family_subset, graph6 = _read_graph(source)
-    graph._checked.clear()
     args.echo = {**echo, "graph6": graph6, "n": graph.n}
     return graph, family_subset, args.echo
 

@@ -103,8 +103,10 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
     endpoint path[-1]. The postcondition that the path meets every maximum
     independent subset of S - V(tree) is asserted; a failure is a bug
     detector, not an input error.
+    Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
     """
     smask = graph.subset_mask(subset)
+    _check_cap(graph.n, DEFAULT_TREE_CAP)
     if tree.host_n != graph.n:
         raise ValueError("tree belongs to a different host graph")
     tmask = tree.vertex_mask

@@ -46,30 +46,6 @@ REPORT_SCHEMA: dict[str, Any] = {
             ]
         },
     },
-    "definitions": {
-        "kappa": {
-            "oneOf": [{"type": "integer", "minimum": 0}, {"const": "infinity"}]
-        },
-        "tree": {
-            "type": "object",
-            "required": ["host_n", "vertices", "edges"],
-            "additionalProperties": False,
-            "properties": {
-                "host_n": {"type": "integer", "minimum": 0},
-                "vertices": {"type": "array", "items": {"type": "integer"}},
-                "edges": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-        "path": {"type": "array", "items": {"type": "integer"}},
-    },
 }
 
 

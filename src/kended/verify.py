@@ -20,9 +20,13 @@ One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
 kappa and the least k the hypothesis admits once per S of a graph; each claim
 function brings only its own witness, audit, conclusion and detail, taken from
 the GraphContext caches of the tree searches and constructions. The caches
-hand one tree to several k and claims, and `Graph.check_tree` checks a tree
-object once per graph for the construction, the verdicts and the sharpness
-cells, while each verdict checks that its witness covers S within its budgets.
+hand one tree to several k and claims, so `Graph.check_tree` checks each tree
+against the graph where it enters a cache: a search's tree when the search
+finds it, and the outcome of each `construct_k_ended_tree` call. A tree that
+stands for the next budget, or a covering handed on to the next k, is an
+entry already checked. Each verdict checks that its witness covers S within
+its budgets; the Hamiltonian witness and the sharpness cells' trees are
+checked where they are built.
 
 Verdicts are plain dataclasses, immutable by convention like `Tree` and
 `Graph`; a frozen one sets each of its ten fields through object.__setattr__,
@@ -132,12 +136,13 @@ class GraphContext:
     subsets, budgets and claims.
 
     Everything cached here is a pure function of the graph, so contexts can be
-    used by one worker without coordination. alpha and kappa delegate to the
-    graph's own memo (invariants.subset_alpha and subset_kappa), which the
-    construction reads too. construct hands a covering at k - 1 on to k, with
-    its tree and trace and a bound one lower: the tree's leaves were checked
-    against k - 1. Any other k resumes the construction from the outcome at
-    k - 1, and only this class resumes one.
+    used by one worker without coordination. Each tree is checked against the
+    graph as it is stored, so a read needs no check. alpha and kappa delegate
+    to the graph's own memo (invariants.subset_alpha and subset_kappa), which
+    the construction reads too. construct hands a covering at k - 1 on to k,
+    with its tree and trace and a bound one lower: the tree's leaves were
+    checked against k - 1. Any other k resumes the construction from the
+    outcome at k - 1, and only this class resumes one.
     `_facts` holds, per S, its tuple, alpha, kappa and the least k for which
     alpha <= k + kappa - 1: alpha - kappa + 1, or 0 when kappa is infinite.
     """
@@ -166,11 +171,14 @@ class GraphContext:
         return self._budgeted(self._branch, covering_tree_with_branch_budget, smask, budget)
 
     def _budgeted(self, cache: dict, search, smask: int, budget: int) -> Tree | None:
-        """search's tree at this budget; a tree found at budget - 1 stands."""
+        """search's tree at this budget, checked against the graph when the search
+        finds it; a tree found at budget - 1 stands, checked when it was stored."""
         key = (smask, budget)
         if key not in cache:
-            cache[key] = cache.get((smask, budget - 1)) or search(
-                self.graph, VertexSet(self.graph.n, smask), budget)
+            tree = cache.get((smask, budget - 1))
+            if tree is None and (tree := search(self.graph, VertexSet(self.graph.n, smask), budget)):
+                self.graph.check_tree(tree)
+            cache[key] = tree
         return cache[key]
 
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
@@ -182,8 +190,9 @@ class GraphContext:
                 bound = None if start.bound is None else start.bound - 1
                 self._construct[key] = ConstructionOutcome(COVERING, start.tree, 0, bound, start.trace)
             else:
-                self._construct[key] = construct_k_ended_tree(
-                    self.graph, VertexSet(self.graph.n, smask), k, start=start)
+                outcome = construct_k_ended_tree(self.graph, VertexSet(self.graph.n, smask), k, start=start)
+                self.graph.check_tree(outcome.tree)
+                self._construct[key] = outcome
         return self._construct[key]
 
     def _subset_facts(self, smask: int) -> tuple[tuple[int, ...], int, ConnectivityValue, int]:
@@ -192,9 +201,7 @@ class GraphContext:
         return self._facts.setdefault(smask, (tuple(iter_bits(smask)), alpha, kappa, least_k))
 
 
-def _audit_cover_witness(ctx: GraphContext, tree: Tree, smask: int, leaf_budget: int | None,
-                         branch_budget: int | None) -> None:
-    ctx.graph.check_tree(tree)
+def _audit_cover_witness(tree: Tree, smask: int, leaf_budget: int | None, branch_budget: int | None) -> None:
     if smask & ~tree.vertex_mask:
         raise InternalInvariantError("witness tree does not cover the subset")
     if leaf_budget is not None and tree.leaf_count > leaf_budget:
@@ -217,7 +224,7 @@ def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, witness: Tree | 
 def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     witness = ctx.cover_tree(smask, k)
     if witness is not None:
-        _audit_cover_witness(ctx, witness, smask, k, None)
+        _audit_cover_witness(witness, smask, k, None)
     outcome = ctx.construct(smask, k)
     constructive_covering = outcome.kind == COVERING
     verdict = _verdict(ctx, "kended-cover", smask, k, witness, witness is not None,
@@ -235,7 +242,7 @@ def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
 def _verdict_branch(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     witness = ctx.branch_tree(smask, k - 2)
     if witness is not None:
-        _audit_cover_witness(ctx, witness, smask, None, k - 2)
+        _audit_cover_witness(witness, smask, None, k - 2)
     return _verdict(ctx, "branch-cover", smask, k, witness, witness is not None)
 
 
@@ -252,7 +259,6 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     assert not kappa.is_infinite    # infinite kappa always yields a covering
     bound = ctx.alpha(smask) - kappa.finite - k + 1
     residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
-    ctx.graph.check_tree(outcome.tree)
     conclusion = residual <= bound and outcome.tree.leaf_count <= k
     return _verdict(ctx, "residual-bound", smask, k, outcome.tree, conclusion,
                     {"covering": False, "residual_alpha": residual, "bound": bound})

@@ -457,14 +457,19 @@ def test_requests_print_the_same_bytes_cold_warm_and_after_clearing(capsys, monk
     assert cold == warm == outputs(requests)
 
 
-def test_a_repeated_construct_keeps_the_tree_checks_flat(capsys):
+def test_a_repeated_construct_keeps_every_graph_memo_flat(capsys):
     # K_{2,4} with S = B at k = 3 attaches a path to its base path, so every
-    # request checks a new tree object
-    checked = []
-    for _ in range(20):
-        assert run_cli(capsys, "construct", "--family", "kmm 2 2", "--set", "B", "--k", "3", "--no-timing")[0] == 0
-        checked.append(len(cli._read_graph(parse_family_spec("kmm 2 2"))[0]._checked))
-    assert checked[0] > 0 and set(checked) == {checked[0]}
+    # request builds a new tree; each memo of the cached Graph is a function of
+    # its rows, so after the first request none grows
+    argv = ("construct", "--family", "kmm 2 2", "--set", "B", "--k", "3", "--no-timing")
+    sizes = []
+    for _ in range(21):
+        assert run_cli(capsys, *argv)[0] == 0
+        graph = cli._read_graph(parse_family_spec("kmm 2 2"))[0]
+        sizes.append({name: len(value) if isinstance(value, (dict, tuple)) else value
+                      for name, value in ((name, getattr(graph, name)) for name in graph.__slots__)})
+    assert cli._read_graph.cache_info().misses == 1
+    assert sizes[0]["_path_trees"] > 0 and all(size == sizes[0] for size in sizes)
 
 
 def test_a_rewritten_file_gives_the_new_graph(capsys, tmp_path):

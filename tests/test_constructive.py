@@ -22,6 +22,7 @@ from kended.invariants import (
 from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import GraphContext
 
+from conftest import time_limit
 from oracles import base_path_by_enumeration, hypothesis_holds, random_connected_graph
 
 
@@ -122,6 +123,14 @@ def test_attachment_prefers_longer_arc():
     assert path == (3, 4, 5, 0)
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
     assert path == (4, 3, 2, 1)
+
+
+def test_attachment_search_is_refused_above_the_cap():
+    # uncapped, the path search takes seconds on K_11 and minutes on K_12;
+    # above the cap it is refused before it starts
+    k11 = Graph.from_edges(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
+    with time_limit(2), pytest.raises(CapExceededError):
+        maximal_attachment_path(k11, Tree.single_vertex(11, 0), VertexSet.from_vertices(11, range(1, 11)))
 
 
 def test_attachment_hits_every_maximum_independent_subset():

@@ -33,12 +33,13 @@ The sweep context hands a covering at k - 1 on to k with a bound one lower.
 A covering handed on with the bound of k - 1 runs quiet on exhaustive n <= 4
 and aborts on n <= 5, where the bound first disagrees with the hypothesis flag.
 
-A witness that uses a non-edge fails the host check of the witness audit,
-which the sweep reports like every other internal failure, with the claim,
-graph6, S and k, in serial and in pool mode. The Hamiltonian witness, the
-construction's tree and the sharpness cells' trees get the same check, from
-`Graph.check_tree`. An attachment that `augment` refuses is a failed step of
-the construction, not bad input, so it ends the sweep and the CLI the same way.
+A witness that uses a non-edge fails the host check that the sweep context
+makes where the tree enters its cache, which the sweep reports like every
+other internal failure, with the claim, graph6, S and k, in serial and in
+pool mode. The Hamiltonian witness, the construction's tree and the sharpness
+cells' trees get the same check, from `Graph.check_tree`. An attachment that
+`augment` refuses is a failed step of the construction, not bad input, so it
+ends the sweep and the CLI the same way.
 """
 
 import functools
@@ -148,7 +149,7 @@ def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypatch, tmp_path, capsys, workers):
     # the path through every vertex in label order, handed out as the k = 3
-    # leaf-budget witness; the audit's ValueError from validate_in must reach
+    # leaf-budget witness; the host check's ValueError from validate_in must reach
     # the sweep as an internal failure that names the instance, also from a
     # pool worker (the pool forks after the patch), and the CLI must report an
     # internal error (exit 1), not a usage error (exit 2)

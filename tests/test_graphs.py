@@ -1,4 +1,3 @@
-import pickle
 import random
 from itertools import combinations, permutations
 
@@ -311,9 +310,9 @@ def test_tree_validate_in_host():
         bad.validate_in(g)
 
 
-def test_check_tree_checks_each_tree_object_once_and_trusts_no_bare_id(monkeypatch):
-    # the memo keeps each tree under its id, so an id that another object has
-    # taken, or one from before a pickle, checks its tree anew
+def test_check_tree_validates_on_every_call(monkeypatch):
+    # no memo: the same object is checked again on each call, and the graph
+    # keeps nothing of the trees it checked
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     good, bad = Tree.from_path(3, (0, 1, 2)), Tree.from_path(3, (1, 0, 2))
     checked = []
@@ -324,14 +323,15 @@ def test_check_tree_checks_each_tree_object_once_and_trusts_no_bare_id(monkeypat
         original(tree, graph)
 
     monkeypatch.setattr(Tree, "validate_in", counted)
+    state = {name: repr(getattr(g, name)) for name in Graph.__slots__}
     g.check_tree(good)
     g.check_tree(good)
-    assert checked == [good]
-    g._checked[id(bad)] = good    # as if bad had taken the id of a dropped tree
     with pytest.raises(InternalInvariantError, match=r"^tree edge \(0, 2\) is not a graph edge$"):
         g.check_tree(bad)
-    pickle.loads(pickle.dumps(g)).check_tree(good)
-    assert checked == [good, bad, good]
+    with pytest.raises(InternalInvariantError, match=r"^tree edge \(0, 2\) is not a graph edge$"):
+        g.check_tree(bad)
+    assert checked == [good, good, bad, bad]
+    assert {name: repr(getattr(g, name)) for name in Graph.__slots__} == state
 
 
 @given(graphs(min_n=2, max_n=8, connected=True))

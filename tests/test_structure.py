@@ -1,10 +1,12 @@
 """Structural rules of src/kended, checked over its source text with re and ast.
 
 Each rule keeps one decision in one place; a change that breaks one fails
-here. The line rules match as grep does: one match per source line.
+here. The line rules match as grep does: one match per source line. One more
+test reads the benchmark's tracer, which reaches kended by name.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -13,16 +15,17 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "kended"
 
 
-def sources(exclude: str = ""):
-    return [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != exclude]
+def sources(*exclude: str):
+    return [path for path in sorted(PACKAGE.rglob("*.py")) if path.name not in exclude]
 
 
-def matching_lines(pattern: str, exclude: str = "") -> list[str]:
-    return [f"{path.name}:{number}: {line}" for path in sources(exclude)
+def matching_lines(pattern: str, *exclude: str) -> list[str]:
+    return [f"{path.name}:{number}: {line}" for path in sources(*exclude)
             for number, line in enumerate(path.read_text().splitlines(), 1) if re.search(pattern, line)]
 
 
@@ -42,22 +45,26 @@ def top_level_owners(pattern: str) -> list[str]:
     return sorted(found)
 
 
-# (pattern, the only file where it may occur): bit m of a plane stands for the
+# (pattern, the only files where it may occur): bit m of a plane stands for the
 # vertex mask m, and only graphs.py may know it or call the plane kernel _close;
-# Graph.check_tree checks each tree object once per graph, for the
-# construction, the verdicts and the sharpness cells alike; every pair value
-# goes through subset_kappa's flow memo
+# only Graph.check_tree checks a tree against its graph, and it keeps no memo:
+# a tree is checked where it is built or where it enters a sweep's cache; every
+# pair value goes through subset_kappa's flow memo; every Graph memo is a
+# function of the rows, filled and read by graphs.py and, for the subset
+# invariants, invariants.py, and no caller clears or reads one directly
 CONFINED = [
     pytest.param(r"_vertex_planes|_down_closure|_min_leaf_planes|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
-                 "graphs.py", id="plane"),
-    pytest.param(r"validate_in\(", "graphs.py", id="tree check"),
-    pytest.param(r"local_connectivity\(", "invariants.py", id="pair connectivity"),
+                 ("graphs.py",), id="plane"),
+    pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
+    pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
+    pytest.param(r"\._(connected|paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",
+                 ("graphs.py", "invariants.py"), id="graph memo"),
 ]
 
 
-@pytest.mark.parametrize("pattern, home", CONFINED)
-def test_a_confined_name_occurs_only_in_its_module(pattern, home):
-    assert matching_lines(pattern, exclude=home) == []
+@pytest.mark.parametrize("pattern, homes", CONFINED)
+def test_a_confined_name_occurs_only_in_its_module(pattern, homes):
+    assert matching_lines(pattern, *homes) == []
 
 
 def test_one_place_builds_a_theorem_verdict():
@@ -68,7 +75,7 @@ def test_one_place_builds_a_theorem_verdict():
 def test_only_the_sweeps_graph_task_raises_counterexample_error():
     # one instance (verify_instance) and every sweep run through _graph_task,
     # so every counterexample aborts with the same reproduction data
-    assert len(matching_lines(r"CounterexampleError\(", exclude="errors.py")) == 1
+    assert len(matching_lines(r"CounterexampleError\(", "errors.py")) == 1
 
 
 def test_only_the_sweep_context_resumes_a_construction():
@@ -76,7 +83,7 @@ def test_only_the_sweep_context_resumes_a_construction():
     # caller constructs from scratch: no call outside verify.py passes
     # construct_k_ended_tree a start, by keyword, by ** or as its 4th argument
     bad = []
-    for path in sources(exclude="verify.py"):
+    for path in sources("verify.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "construct_k_ended_tree"
@@ -124,3 +131,22 @@ def test_the_runtime_loads_no_test_dependency():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_every_target_of_the_benchmark_tracer_resolves_in_kended():
+    # bench/tracer.py wraps each module.qualname of its TARGETS literal when a
+    # benchmark run traces; no test runs a trace, so a renamed or removed target
+    # would break it unseen. A method must be in its class's own namespace,
+    # where the tracer swaps it
+    path = ROOT / "bench" / "tracer.py"
+    targets = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text(), str(path)).body
+                   if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    missing = []
+    for short, names in targets.items():
+        module = importlib.import_module(f"kended.{short}")
+        for qualname in names:
+            owner, _, attr = qualname.rpartition(".")
+            namespace = getattr(getattr(module, owner, None), "__dict__", {}) if owner else vars(module)
+            if not callable(namespace.get(attr)):
+                missing.append(f"{short}.{qualname}")
+    assert targets and missing == []

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from kended import cli, constructive, graphs, invariants, treesearch
+from kended import cli, constructive, graphs, invariants, treesearch, verify
 from kended.constructive import RESIDUAL_BOUND
 from kended.errors import CapExceededError, CounterexampleError, InternalInvariantError, PlanError
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
@@ -539,32 +539,47 @@ def test_all_subsets_sweep_runs_alpha_once_per_mask(monkeypatch, edges):
     [(0, 1), (0, 2), (0, 3), (0, 4)],    # the star K_{1,4}
     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)],    # C5 plus chords (0, 2), (1, 3)
 ])
-def test_all_subsets_sweep_checks_each_tree_against_the_graph_once(monkeypatch, edges):
-    # the caches hand one tree to several k and claims, and the construction's
-    # trees to the verdicts: the graph checks each tree object once, across the
-    # construction and the verdicts together, and every witness of a subset
-    # claim and every constructed tree with an edge is among them
-    checked, constructed = [], []
-    original, construct = graphs.Tree.validate_in, constructive.construct_k_ended_tree
+def test_all_subsets_sweep_checks_every_tree_where_it_enters_a_cache(monkeypatch, edges):
+    # the sweep context checks each tree a search finds and each outcome of the
+    # construction, one-vertex trees included, as it stores them; every witness
+    # of a subset claim is such a tree. A search that hands back a tree on a
+    # non-edge then aborts at its first tree with an edge, S = [0, 1] and k = 2,
+    # with the claim, graph6, S and k
+    checked, stored = [], []
+    validate_in = graphs.Tree.validate_in
 
     def counted(tree, graph):
         checked.append(tree)
-        original(tree, graph)
+        validate_in(tree, graph)
 
-    def recorded(graph, subset, k, start=None):
-        outcome = construct(graph, subset, k, start=start)
-        constructed.append(outcome.tree)
-        return outcome
+    def recorded(original, tree_of=lambda result: result):
+        def call(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if result is not None:
+                stored.append(tree_of(result))
+            return result
+        return call
 
     monkeypatch.setattr(graphs.Tree, "validate_in", counted)
-    rebind_everywhere(monkeypatch, construct, recorded)
-    verdicts = _graph_verdicts(Graph.from_edges(5, edges), list(range(1, 32)), (2, 3, 4))
-    ids = [id(tree) for tree in checked]
-    assert len(ids) == len(set(ids))
-    witnessed = [v for v in verdicts if v.witness is not None and v.claim != "hamiltonian-path"]
-    assert {id(v.witness) for v in witnessed} <= set(ids)
-    assert {id(tree) for tree in constructed if len(tree.vertices) > 1} <= set(ids)
-    assert len(ids) < len(witnessed)
+    for search in (treesearch.find_k_ended_covering_tree, treesearch.covering_tree_with_branch_budget):
+        rebind_everywhere(monkeypatch, search, recorded(search))
+    construct = constructive.construct_k_ended_tree
+    rebind_everywhere(monkeypatch, construct, recorded(construct, lambda outcome: outcome.tree))
+    graph = Graph.from_edges(5, edges)
+    verdicts = _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
+    ids = {id(tree) for tree in checked}
+    assert stored and {id(tree) for tree in stored} <= ids
+    assert {id(v.witness) for v in verdicts if v.witness is not None and v.claim != "hamiltonian-path"} <= ids
+
+    monkeypatch.undo()
+    non_edge = next((u, v) for u in range(5) for v in range(u + 1, 5) if not graph.has_edge(u, v))
+    exact = verify.find_k_ended_covering_tree
+    monkeypatch.setattr(verify, "find_k_ended_covering_tree", lambda graph, subset, k: (
+        exact(graph, subset, k) if subset.mask & (subset.mask - 1) == 0 else Tree.from_path(5, non_edge)))
+    with pytest.raises(InternalInvariantError) as info:
+        _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
+    assert str(info.value) == (f"tree edge {non_edge} is not a graph edge "
+                               f"(claim 'kended-cover' on graph {emit_graph6(graph)} with S=[0, 1], k=2)")
 
 
 def test_sweep_builds_each_base_path_once_and_reads_branch_zero_from_leaf_two(monkeypatch):
