@@ -156,7 +156,7 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
 def augment(tree: Tree, path: tuple[int, ...]) -> Tree:
     """Attach a path, as its vertex tuple, that meets the tree exactly at its
     terminal vertex. The result is a valid tree with at most one more leaf
-    than before; a path that repeats a vertex fails the tree axioms.
+    than before; a repeated vertex fails a step check of `Tree.grow`.
     """
     if len(path) < 2:
         raise ValueError("attachment path needs at least two vertices")
@@ -166,7 +166,7 @@ def augment(tree: Tree, path: tuple[int, ...]) -> Tree:
         raise ValueError("attachment path must end at a tree vertex")
     if mask_of(path) & tmask != 1 << last:
         raise ValueError("attachment path touches the tree before its end")
-    merged = Tree(tree.host_n, tree.vertices + path, list(tree.edges) + list(zip(path, path[1:])))
+    merged = tree.grow(zip(path[::-1], path[-2::-1]))
     # a one-vertex tree has zero leaves but any proper extension has two
     if merged.leaf_count > max(2, tree.leaf_count + 1):
         raise InternalInvariantError("augmentation raised the leaf count by more than one")

@@ -12,15 +12,15 @@ the adjacency rows:
 - the path trees, one `Tree` per path set, of the first path on it
   (`path_tree`), shared by the covering search and the construction's base
   path;
-- the minimum-leaf planes (`min_leaves`);
+- the minimum-leaf levels (`min_leaves`), grown only as far as a query reads;
 - the subset invariants: alpha by mask, pair flows and kappa by mask, read
   and written only by `invariants`.
 
 Both tables are bit planes, ints in which bit m stands for the vertex mask m,
 so one int operation acts on all 2**n masks: a plane per path end and one per
 leaf count, built by one fixpoint kernel (`_close`), the vertex and size
-planes (`_vertex_planes`) and the down-closure (`_down_closure`). Only this
-module reads a plane; callers ask by size or vertex mask: `first_paths`,
+planes (`_vertex_planes`) and the superset planes (`Graph._supersets`). Only
+this module reads a plane; callers ask by size or vertex mask: `first_paths`,
 `covering_set`, `path_tree` and `min_leaves`.
 """
 
@@ -50,10 +50,11 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(without, within, sizes) over the 2**n masks on n vertices: bit m of
-    without[v] is set iff m lacks v, within[v] is its complement, and bit m of
-    sizes[j] is set iff m has j bits."""
+def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(without, within, sizes, members) over the 2**n masks on n vertices:
+    bit m of without[v] is set iff m lacks v, within[v] is its complement,
+    bit m of sizes[j] is set iff m has j bits, and members[m] lists the
+    vertices of m in ascending order."""
     every = (1 << (1 << n)) - 1
     # without[v] repeats 2**v ones then 2**v zeros; the quotient puts a one at
     # the start of each period of 2**(v + 1) bits
@@ -62,18 +63,11 @@ def _vertex_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     sizes = [1]
     for v in range(n):
         sizes = [low | high << (1 << v) for low, high in zip(sizes + [0], [0] + sizes)]
-    return without, tuple(every ^ plane for plane in without), tuple(sizes)
+    members = tuple(tuple(iter_bits(m)) for m in range(1 << n))
+    return without, tuple(every ^ plane for plane in without), tuple(sizes), members
 
 
-def _down_closure(plane: int, within: tuple[int, ...]) -> int:
-    """The plane closed under removing vertices: every submask of its masks."""
-    for v, inside in enumerate(within):
-        plane |= (plane & inside) >> (1 << v)
-    return plane
-
-
-def _close(planes: list[int], rows: tuple[int, ...], nbrs: list[list[int]], without: tuple[int, ...],
-           unseen: int) -> list[int]:
+def _close(planes: list[int], rows: tuple[int, ...], without: tuple[int, ...], unseen: int) -> list[int]:
     """Grow the seed planes in place to their least fixpoint, where planes[v]
     holds the masks of paths that end at v and gains ((OR of planes[u],
     u ~ v) & without[v]) << 2**v & unseen: a path ending at a neighbour of v,
@@ -84,6 +78,8 @@ def _close(planes: list[int], rows: tuple[int, ...], nbrs: list[list[int]], with
     monotone run of its vertices; `stale` holds the vertices with a neighbour
     changed since their last update. Update order cannot change a least
     fixpoint, so the planes are those of one step per path length."""
+    members = _vertex_planes(len(rows))[3]
+    nbrs = [members[row] for row in rows]
     order = list(range(len(planes)))
     stale = (1 << len(planes)) - 1
     while stale:
@@ -106,36 +102,22 @@ def _path_planes(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     (ends, spans) described at `Graph.path_planes`, closed by `_close` from
     the one-vertex paths."""
     n = len(rows)
-    nbrs = [list(iter_bits(row)) for row in rows]
-    ends = _close([1 << (1 << v) for v in range(n)], rows, nbrs, _vertex_planes(n)[0], -1)
+    ends = _close([1 << (1 << v) for v in range(n)], rows, _vertex_planes(n)[0], -1)
     return tuple(ends), functools.reduce(operator.or_, ends, 0)
 
 
-def _min_leaf_planes(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
-    """Plane j holds the masks that some tree with at most j leaves covers,
-    from j = 0 up to the least j whose plane holds every mask a tree covers.
-
-    `trees` holds the vertex sets of the trees with at most j leaves, the
-    path sets for j = 2. Cutting a pendant path off a tree with 3 or more
-    leaves removes one leaf, so the sets new at level j grow a pendant path
-    from each vertex with `_close`, whose plane v starts as the sets new at
-    level j - 1 that hold v. A mask already in `trees` is left out of the
-    growth: it grows from its own level. Each plane is closed under removing
-    vertices, a superset minimum (Bjorklund, Husfeldt, Kaski & Koivisto 2007).
-    """
+def _min_leaf_level(rows: tuple[int, ...], levels: list[int]) -> int:
+    """The next minimum-leaf level, empty where none follows: levels[i] holds
+    the vertex sets of the trees with i + 2 leaves and none with fewer, the
+    path sets at i = 0. Cutting a pendant path off a tree with 3 or more
+    leaves removes one leaf, so `_close` grows a pendant path from each
+    vertex, its plane v starting as the sets of the last level that hold v,
+    and leaves out the sets of every level so far."""
     n = len(rows)
     without, within = _vertex_planes(n)[:2]
-    nbrs = [list(iter_bits(row)) for row in rows]
-    planes = [_down_closure(sum(1 << (1 << v) for v in range(n)), within)] * 2 + [_down_closure(spans, within)]
-    trees = fresh = spans
-    while fresh:
-        unseen = ~trees
-        grown = _close([fresh & plane for plane in within], rows, nbrs, without, unseen)
-        fresh = functools.reduce(operator.or_, grown, 0) & unseen
-        if fresh:
-            trees |= fresh
-            planes.append(planes[-1] | _down_closure(fresh, within))
-    return tuple(planes)
+    unseen = ~functools.reduce(operator.or_, levels)
+    grown = _close([levels[-1] & plane for plane in within], rows, without, unseen)
+    return functools.reduce(operator.or_, grown, 0) & unseen
 
 
 class Graph:
@@ -167,7 +149,7 @@ class Graph:
         self._connected: bool | None = None
         self._paths: tuple[tuple[int, ...], int] | None = None
         self._path_trees: dict[int, Tree] = {}
-        self._min_leaves: tuple[int, ...] | None = None
+        self._min_leaves: list[int] | None = None
         self._alpha: dict[int, int] = {}
         self._flows: dict[tuple[int, int], int] = {}
         self._kappa: dict[int, tuple] = {}
@@ -242,6 +224,8 @@ class Graph:
         never holds a visited vertex, so visited neighbours fail the test by
         themselves.
         """
+        if not 0 < size <= self.n:
+            return
         ends, spans = self.path_planes()
         goals = spans & _vertex_planes(self.n)[2][size]
         while goals:
@@ -266,15 +250,21 @@ class Graph:
             cand = self.rows[u]
         return seq
 
+    def _supersets(self, smask: int) -> int:
+        """The plane of the masks that contain smask: its within planes ANDed."""
+        plane = -1
+        planes = _vertex_planes(self.n)
+        for v in planes[3][smask]:
+            plane &= planes[1][v]
+        return plane
+
     def covering_set(self, smask: int) -> int | None:
         """The least path set containing smask, the lowest bit of the spans
-        plane ANDed with the within planes of smask, or None if none does."""
+        plane ANDed with its supersets, or None if none does."""
         spans = self.path_planes()[1]
         if spans >> smask & 1:
             return smask
-        within = _vertex_planes(self.n)[1]
-        for v in iter_bits(smask):
-            spans &= within[v]
+        spans &= self._supersets(smask)
         return (spans & -spans).bit_length() - 1 if spans else None
 
     def path_tree(self, pmask: int, seq: Iterable[int] | None = None) -> Tree:
@@ -300,18 +290,20 @@ class Graph:
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),
-        or n + 1 where no tree covers it.
-
-        Reads the minimum-leaf planes, built on first use: plane j holds the
-        masks that some tree with at most j leaves covers, 2**n bits each, so
-        callers cap n first.
-        """
-        if self._min_leaves is None:
-            self._min_leaves = _min_leaf_planes(self.rows, self.path_planes()[1])
-        for j, plane in enumerate(self._min_leaves):
-            if plane >> smask & 1:
-                return j
-        return self.n + 1
+        or n + 1 where no tree covers it: the least level j >= 2 (2**n bits
+        each, so callers cap n first) that holds a superset of smask. A level
+        is grown only when no level built so far holds one."""
+        if smask & (smask - 1) == 0 and self.n:
+            return 0
+        supersets = self._supersets(smask)
+        levels = self._min_leaves = self._min_leaves or [self.path_planes()[1]]
+        while True:
+            for j, plane in enumerate(levels, 2):
+                if plane & supersets:
+                    return j
+            if not levels[-1]:
+                return self.n + 1
+            levels.append(_min_leaf_level(self.rows, levels))
 
     def subset_mask(self, subset: "VertexSet") -> int:
         """The mask of a subset, after checking that it indexes this graph's vertices."""
@@ -377,11 +369,10 @@ class Tree:
     tree-adjacency mask per host vertex, and the leaf (degree one) and branch
     (degree at least three) masks, so every degree query is a popcount. The
     sorted `vertices` and `edges` tuples are kept for equality, hashing and
-    serialization. `from_path` and `single_vertex` build a path's masks
-    directly, since a sequence of distinct in-range vertices needs none of
-    those checks; any other sequence, an empty one included, is refused with
-    ValueError. `validate_in` additionally checks that every edge exists in a
-    concrete host graph.
+    serialization. A tree built edge by edge is grown instead (`grow`, and
+    `from_root`, `from_path` and `single_vertex` from one vertex), which
+    needs none of those checks. `validate_in` additionally checks that every
+    edge exists in a concrete host graph.
     """
 
     __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "adjacency", "leaf_mask", "branch_mask")
@@ -443,31 +434,29 @@ class Tree:
 
     @classmethod
     def from_path(cls, host_n: int, vertices: Iterable[int]) -> "Tree":
-        """The path through `vertices` in order, as a tree.
-
-        Distinct in-range vertices, at least one, always make a tree, so the
-        masks are built in one pass along the path; any other sequence goes
-        through the general constructor, which raises its usual ValueError.
-        """
+        """The path through `vertices` in order, grown from its first vertex;
+        any other sequence, an empty one included, goes through the general
+        constructor, which raises its usual ValueError."""
         vs = tuple(vertices)
-        if vs and min(vs) >= 0 and max(vs) < host_n:
-            adj = [0] * host_n
-            es = []
-            u = vs[0]
-            vmask = 1 << u
-            for v in vs[1:]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                vmask |= 1 << v
-                es.append((u, v) if u < v else (v, u))
-                u = v
-            if vmask.bit_count() == len(vs):    # no repeated vertex
-                es.sort()
-                tree = cls.__new__(cls)
-                tree._store(host_n, tuple(sorted(vs)), tuple(es), vmask, adj,
-                            1 << vs[0] | 1 << u if es else 0, 0)
-                return tree
-        return cls(host_n, vs, list(zip(vs, vs[1:])))
+        try:
+            return cls.from_root(host_n, vs[0], zip(vs, vs[1:]))
+        except (IndexError, ValueError):    # vs[0] of no vertex, or a step check
+            return cls(host_n, vs, list(zip(vs, vs[1:])))
+
+    @classmethod
+    def from_root(cls, host_n: int, root: int, steps: Iterable[tuple[int, int]]) -> "Tree":
+        """The one-vertex tree on root, grown by `grow`'s steps."""
+        if not 0 <= root < host_n:
+            raise ValueError("tree vertex out of host range")
+        return _grown(host_n, [root], [], 1 << root, [0] * host_n, 0, 0, steps)
+
+    def grow(self, steps: Iterable[tuple[int, int]]) -> "Tree":
+        """This tree with one edge per step (anchor, new) added in order: the
+        anchor in the tree so far and the new vertex a host vertex outside it,
+        else ValueError. So the result is a tree, and each step moves the leaf
+        and branch bits of its two vertices only."""
+        return _grown(self.host_n, list(self.vertices), list(self.edges), self.vertex_mask, list(self.adjacency),
+                      self.leaf_mask, self.branch_mask, steps)
 
     @property
     def leaf_count(self) -> int:
@@ -503,3 +492,30 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(vertices={list(self.vertices)}, edges={list(self.edges)})"
+
+
+def _grown(host_n: int, vs: list[int], es: list[tuple[int, int]], vmask: int, adj: list[int], leaf: int,
+           branch: int, steps: Iterable[tuple[int, int]]) -> Tree:
+    """`Tree.grow` from the lists, taken over, and masks of a tree on vs."""
+    for a, u in steps:
+        anchor = 1 << a
+        bit = 1 << u
+        if not vmask & anchor or vmask & bit or u >= host_n:
+            raise ValueError(f"step ({a}, {u}) does not go from the tree to a new host vertex")
+        if leaf & anchor:    # degree 1 to 2
+            leaf ^= anchor
+        elif adj[a]:         # degree 2 or more to 3 or more
+            branch |= anchor
+        else:                # the one-vertex tree's vertex becomes a leaf
+            leaf |= anchor
+        leaf |= bit
+        vmask |= bit
+        adj[a] |= bit
+        adj[u] = anchor
+        vs.append(u)
+        es.append((a, u) if a < u else (u, a))
+    vs.sort()
+    es.sort()
+    tree = Tree.__new__(Tree)
+    tree._store(host_n, tuple(vs), tuple(es), vmask, adj, leaf, branch)
+    return tree

@@ -40,12 +40,12 @@ tree of the least path set containing S (`Graph.covering_set`,
 with that set. hamiltonian_path_exists reads no plane, so the two routes are
 cross-checked: it backtracks unless alpha(V), from the alpha memo, exceeds
 ceil(n/2), which rules out a Hamiltonian path (Jung 1978). Leaf budgets read
-the graph's minimum-leaf planes (`Graph.min_leaves`), which answer "no"
+the graph's minimum-leaf levels (`Graph.min_leaves`), which answer "no"
 without a search and are cross-checked by each growth search. A branch-budget
-"no" is checked against the same planes: a tree with L >= 2 leaves has at
+"no" is checked against the same levels: a tree with L >= 2 leaves has at
 most L - 2 branch vertices, so no tree within budget b is a contradiction
-where a tree with at most b + 2 leaves covers S. Both tables are built once
-per graph and shared by every subset and budget.
+where a tree with at most b + 2 leaves covers S. Both tables are shared by
+every subset and budget; the levels grow only as far as a query reads.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
     r0 = (smask & -smask).bit_length() - 1
     edges = _grow_tree(graph, smask, budget, r0, branches)
     if edges is not None:
-        return Tree(graph.n, [r0] + [v for edge in edges for v in edge], edges)
+        return Tree.from_root(graph.n, r0, edges)
     if branches:
         # a tree with L >= 2 leaves has at most L - 2 branch vertices
         minimum = graph.min_leaves(smask)

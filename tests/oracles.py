@@ -22,7 +22,7 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, VertexSet, _down_closure, _vertex_planes, iter_bits
+from kended.graphs import Graph, VertexSet, _vertex_planes, iter_bits
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -285,11 +285,21 @@ def path_planes_by_length_steps(rows: tuple[int, ...]) -> tuple[tuple[int, ...],
     return tuple(ends), spans
 
 
+def _down_closure(plane: int, within: tuple[int, ...]) -> int:
+    """The plane closed under removing vertices: every submask of its masks
+    (the library's down-closure before its levels took a superset test)."""
+    for v, inside in enumerate(within):
+        plane |= (plane & inside) >> (1 << v)
+    return plane
+
+
 def min_leaf_planes_by_length_steps(rows: tuple[int, ...], spans: int) -> tuple[int, ...]:
-    """The minimum-leaf planes of `Graph.min_leaves`: the sets new at level j
-    grow a pendant path one `_grow` step per length from each vertex of the
-    sets new at level j - 1, front[v] holding the masks whose path ends at v,
-    and a mask with a tree of at most j - 1 leaves leaves the front."""
+    """The minimum-leaf planes, every level built: plane j holds the masks
+    that some tree with at most j leaves covers, closed under removing
+    vertices. The sets new at level j grow a pendant path one `_grow` step
+    per length from each vertex of the sets new at level j - 1, front[v]
+    holding the masks whose path ends at v, and a mask with a tree of at most
+    j - 1 leaves leaves the front."""
     n = len(rows)
     without, within = _vertex_planes(n)[:2]
     nbrs = [list(iter_bits(row)) for row in rows]

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations
+import operator
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import verify_instance
 
 from conftest import graphs, seeded_rng
-from oracles import (_min_leaf_table, _path_endpoint_table, _paths_with_length, min_leaf_planes_by_length_steps,
-                     path_planes_by_length_steps, random_connected_graph, random_spanning_tree)
+from oracles import (_down_closure, _min_leaf_table, _path_endpoint_table, _paths_with_length,
+                     min_leaf_planes_by_length_steps, path_planes_by_length_steps, random_connected_graph,
+                     random_spanning_tree)
 
 
 def test_graph_construction_validates_symmetry():
@@ -145,8 +147,16 @@ def test_plane_kernel_matches_length_steps():
     for graph in hosts:
         ends, spans = graphs_module._path_planes(graph.rows)
         assert (ends, spans) == path_planes_by_length_steps(graph.rows), graph
-        assert graphs_module._min_leaf_planes(graph.rows, spans) == min_leaf_planes_by_length_steps(
-            graph.rows, spans), graph
+        # every level forced: the sets new at each level from 2 up, then the
+        # empty one that ends the growth, whose closed plane repeats the top
+        # one (unless it is level 2 itself, on the empty graph)
+        levels = [spans]
+        while levels[-1]:
+            levels.append(graphs_module._min_leaf_level(graph.rows, levels))
+        within = _vertex_planes(graph.n)[1]
+        closed = tuple(accumulate((_down_closure(level, within) for level in levels), operator.or_))
+        planes = min_leaf_planes_by_length_steps(graph.rows, spans)
+        assert closed == planes[2:] + planes[-1:] * (len(levels) > 1), graph
 
 
 def assert_first_paths_are_least_paths(graph):
@@ -178,6 +188,14 @@ def test_first_paths_yield_nothing_for_a_size_without_a_path_set():
     assert list(graph.first_paths(2)) == [[0, 1]]
     assert list(graph.first_paths(3)) == []
     assert list(graph.first_paths(0)) == []
+
+
+def test_first_paths_yield_nothing_for_a_size_outside_one_to_n():
+    # a negative size once read the size planes from the end, and n + 1 past them
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert list(p4.first_paths(4)) == [[0, 1, 2, 3]]
+    for size in (-1, -4, -5, 0, 5, 9):
+        assert list(p4.first_paths(size)) == [], size
 
 
 def test_first_paths_abort_on_a_table_that_loses_a_path():
@@ -274,6 +292,48 @@ def test_from_path_rejects_what_the_general_constructor_rejects(host_n, vs):
         with pytest.raises(ValueError) as single:
             Tree.single_vertex(host_n, vs[0])
         assert str(single.value) == str(general.value)
+
+
+def random_growth(rng, host_n):
+    """A random root and growth steps (anchor in the tree so far, new vertex
+    outside it) over a random subset of the host's vertices."""
+    order = rng.sample(range(host_n), rng.randint(1, host_n))
+    return order[0], [(rng.choice(order[:i]), u) for i, u in enumerate(order[1:], 1)]
+
+
+def test_grown_trees_equal_the_general_constructors_in_every_slot():
+    rng = random.Random(3333)
+    for _ in range(600):
+        host_n = rng.randint(1, 10)
+        root, steps = random_growth(rng, host_n)
+        cut = rng.randint(0, len(steps))
+        part = Tree.from_root(host_n, root, steps[:cut])
+        before = tree_state(part)
+        grown = part.grow(steps[cut:])
+        assert tree_state(part) == before == tree_state(Tree(host_n, [root] + [u for _, u in steps[:cut]],
+                                                             steps[:cut]))
+        general = tree_state(Tree(host_n, [root] + [u for _, u in steps], steps))
+        assert tree_state(grown) == tree_state(Tree.from_root(host_n, root, steps)) == general, (root, steps)
+
+
+def test_a_growth_step_must_go_from_the_tree_to_a_new_host_vertex():
+    rng = random.Random(3434)
+    for _ in range(300):
+        host_n = rng.randint(1, 10)
+        root, steps = random_growth(rng, host_n)
+        tree = Tree.from_root(host_n, root, steps)
+        inside = list(tree.vertices)
+        outside = [v for v in range(host_n) if v not in inside] + [host_n]
+        bad = [(rng.choice(inside), rng.choice(inside)),      # the new vertex is in the tree
+               (rng.choice(outside), rng.choice(outside)),    # the anchor is not
+               (rng.choice(inside), host_n)]                  # the new vertex is not a host vertex
+        for step in bad:
+            with pytest.raises(ValueError):
+                tree.grow([step])
+            with pytest.raises(ValueError):
+                Tree.from_root(host_n, root, steps + [step])
+    with pytest.raises(ValueError, match="tree vertex out of host range"):
+        Tree.from_root(3, 3, [])
 
 
 def test_spider_branch_vertices():

@@ -47,14 +47,17 @@ def top_level_owners(pattern: str) -> list[str]:
 
 # (pattern, the only files where it may occur): bit m of a plane stands for the
 # vertex mask m, and only graphs.py may know it or call the plane kernel _close;
+# a Tree's slots are filled only in graphs.py, by its general constructor or
+# by a growth whose every step is checked;
 # only Graph.check_tree checks a tree against its graph, and it keeps no memo:
 # a tree is checked where it is built or where it enters a sweep's cache; every
 # pair value goes through subset_kappa's flow memo; every Graph memo is a
 # function of the rows, filled and read by graphs.py and, for the subset
 # invariants, invariants.py, and no caller clears or reads one directly
 CONFINED = [
-    pytest.param(r"_vertex_planes|_down_closure|_min_leaf_planes|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
+    pytest.param(r"_vertex_planes|_min_leaf_level|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
                  ("graphs.py",), id="plane"),
+    pytest.param(r"_store\(|__new__\(", ("graphs.py",), id="tree internals"),
     pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
     pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
     pytest.param(r"\._(connected|paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",

@@ -660,37 +660,65 @@ def test_faulty_path_table_is_caught_by_the_backtracking_check(monkeypatch):
         _graph_verdicts(graph, list(range(1, 32)), (2, 3, 4))
 
 
-def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatch):
-    original = graphs._min_leaf_planes
+def counted_levels(monkeypatch):
+    """Patch the minimum-leaf level builder to record (rows, level) per build."""
+    original = graphs._min_leaf_level
     builds = []
 
-    def counted(rows, spans):
-        builds.append(rows)
-        return original(rows, spans)
+    def counted(rows, levels):
+        builds.append((rows, len(levels) + 2))
+        return original(rows, levels)
 
     rebind_everywhere(monkeypatch, original, counted)
+    return builds
+
+
+def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatch):
+    builds = counted_levels(monkeypatch)
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     _graph_verdicts(c5, list(range(1, 32)), (2, 3, 4))
     assert builds == []    # every subset of C5 has a covering path
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     _graph_verdicts(star, list(range(1, 32)), (2, 3, 4))
-    assert builds == [star.rows]
+    # each level once, up to the 4 leaves of the whole star: no query reads past it
+    assert builds == [(star.rows, 3), (star.rows, 4)]
 
 
-# each fault moves every minimum by one leaf count, by shifting the planes
-TABLE_FAULTS = {
-    "one-too-high": lambda planes: (0,) + planes,
-    "one-too-low": lambda planes: planes[:2] + planes[3:] + planes[-1:],    # floored at 2
-}
+def test_min_leaf_levels_grow_only_as_far_as_a_query_reads(monkeypatch):
+    # a tree covering K_{3,7} keeps at least 5 of the 7 vertices of the large
+    # part as leaves, and S = V reads no level past that one
+    builds = counted_levels(monkeypatch)
+    k37 = Graph.from_edges(10, [(a, b) for a in range(3) for b in range(3, 10)])
+    verdicts = _graph_verdicts(k37, [k37.full_mask], (2, 3, 4, 5, 6))
+    assert [v.conclusion_holds for v in verdicts if v.claim == "kended-cover"] == [False, False, False, True, True]
+    assert k37.min_leaves(k37.full_mask) == 5
+    assert builds == [(k37.rows, 3), (k37.rows, 4), (k37.rows, 5)]
+
+
+def a_level_too_many(grow, rows, levels):
+    """Level 3 repeats the path sets, so every minimum from 3 up reads one higher."""
+    return levels[-1] if len(levels) == 1 else grow(rows, levels)
+
+
+def level_3_in_the_path_level(grow, rows, levels):
+    """Level 3 joins the path sets, so every minimum from 3 up reads one lower
+    (floored at 2)."""
+    if len(levels) == 1:
+        levels[0] |= grow(rows, levels)
+    return grow(rows, levels)
+
+
+# each fault moves every minimum from 3 leaves up by one leaf count, at the level builder
+TABLE_FAULTS = {"one-too-high": a_level_too_many, "one-too-low": level_3_in_the_path_level}
 
 REPRODUCTION = re.compile(r"claim '([a-z-]+)' on graph (\S+) with S=\[([0-9, ]*)\], k=(\d+)\)?$")
 
 
 @pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
 def test_faulty_min_leaf_table_aborts_the_sweep(monkeypatch, fault):
-    original = graphs._min_leaf_planes
-    shift = TABLE_FAULTS[fault]
-    rebind_everywhere(monkeypatch, original, lambda rows, spans: shift(original(rows, spans)))
+    original = graphs._min_leaf_level
+    faulty = TABLE_FAULTS[fault]
+    rebind_everywhere(monkeypatch, original, lambda rows, levels: faulty(original, rows, levels))
     with pytest.raises((InternalInvariantError, CounterexampleError)) as err:
         run_sweep(SweepPlan(mode="exhaustive", n=5))
     match = REPRODUCTION.search(str(err.value))
