@@ -139,9 +139,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 # One entry per distinct input: the parsed GraphFamilySpec of --family, or
 # (format, text) of --graph. Each entry's Graph keeps its memos for every later
-# request on it; at the cap n = 10 they hold at most 2**10 alpha, kappa and
-# path-tree entries, 45 pair flows and at most 22 planes of 2**10 bits (0.3 MB
-# after analyze and construct k = 2..5 on all 1,024 subsets, CPython 3.11).
+# request on it; at the cap n = 10 they hold at most 2**10 alpha, kappa,
+# path-tree and first-path entries, 45 pair flows and at most 22 planes of
+# 2**10 bits (0.4 MB after analyze and construct k = 2..5 on all 1,024 subsets
+# of K_{3,7}, CPython 3.11).
 # Above the cap a family is refused by its spec and an edge list by its header,
 # before any graph is built; a short-form graph6 record has at most 62 vertices.
 @functools.lru_cache(maxsize=64)

@@ -14,10 +14,12 @@ k itself. alpha, kappa and every residual alpha come from the graph's own
 memo (invariants.subset_alpha and subset_kappa), shared with every other
 caller. Every path here is the tuple of its vertices in order, the only
 thing the construction keeps of it; the outcome's trace holds the base path
-and each attached path. The base path takes the first path on each path set
-of a size from `Graph.first_paths`, longest sets first; only `graphs` reads
-the path planes behind it. Its tree is the graph's memoized tree of its path
-set (`Graph.path_tree`), the covering search's object where the sets agree.
+and each attached path. The base path reads the first path on each path set
+of a size, with its mask, from the graph's memo (`Graph.first_paths`),
+longest sets first, so all subsets of a graph share one walk per path set;
+only `graphs` reads the path planes behind it. Its tree is the graph's
+memoized tree of its path set (`Graph.path_tree`), the covering search's
+object where the sets agree.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def base_path(graph: Graph, subset: VertexSet) -> tuple[int, ...]:
     tried, as `Graph.first_paths` yields them, longest sets first: if it
     fails, no other path on its set qualifies either. The reverse of a path
     is a path on the same set, so the first path reads with first < last
-    vertex. It covers S iff `smask & ~mask_of(path) == 0`. One path always
+    vertex. It covers S iff `smask & ~pmask == 0`, with pmask the mask the
+    memo keeps beside it, so no candidate is masked again. One path always
     qualifies for a connected graph and nonempty S, so exhaustion is an
     internal invariant failure.
     Graphs above DEFAULT_TREE_CAP vertices raise CapExceededError.
@@ -81,15 +84,11 @@ def base_path(graph: Graph, subset: VertexSet) -> tuple[int, ...]:
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite
     bound = subset_alpha(graph, smask) - kappa.finite - 1
-
-    def qualifies(m: int) -> bool:
-        remainder = smask & ~m
-        return remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound)
-
     for length in range(graph.n, 0, -1):
-        for seq in graph.first_paths(length):
-            if qualifies(mask_of(seq)):
-                return tuple(seq)
+        for seq, pmask in graph.first_paths(length):
+            remainder = smask & ~pmask
+            if remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound):
+                return seq
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
@@ -140,8 +139,11 @@ def maximal_attachment_path(graph: Graph, tree: Tree, subset: VertexSet) -> tupl
             cand ^= low
             rec(prefix + (low.bit_length() - 1,), visited | low)
 
-    for s in iter_bits(union):
-        rec((s,), 1 << s)
+    try:
+        for s in iter_bits(union):
+            rec((s,), 1 << s)
+    finally:
+        del rec    # a nested search that names itself is a cycle only the collector frees
     if best is None:
         raise InternalInvariantError("no attachment path found in a connected graph")
     pmask = mask_of(best)

@@ -9,6 +9,7 @@ concurrent workers. A graph fills these memos lazily, each a pure function of
 the adjacency rows:
 - the connectivity flag;
 - the path planes (`path_planes`);
+- the first paths (`first_paths`), walked once per path set for every reader;
 - the path trees, one `Tree` per path set, of the first path on it
   (`path_tree`), shared by the covering search and the construction's base
   path;
@@ -127,7 +128,8 @@ class Graph:
     no vertex is self-adjacent, and no row has bits at or beyond index n.
     """
 
-    __slots__ = ("n", "rows", "_connected", "_paths", "_path_trees", "_min_leaves", "_alpha", "_flows", "_kappa")
+    __slots__ = ("n", "rows", "_connected", "_paths", "_first_paths", "_path_trees", "_min_leaves", "_alpha",
+                 "_flows", "_kappa")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
         rows = tuple(rows)
@@ -148,6 +150,7 @@ class Graph:
         self.rows = rows
         self._connected: bool | None = None
         self._paths: tuple[tuple[int, ...], int] | None = None
+        self._first_paths: dict[int, list] = {}
         self._path_trees: dict[int, Tree] = {}
         self._min_leaves: list[int] | None = None
         self._alpha: dict[int, int] = {}
@@ -208,47 +211,53 @@ class Graph:
             self._paths = _path_planes(self.rows)
         return self._paths
 
-    def first_paths(self, size: int) -> Iterator[list[int]]:
+    def first_paths(self, size: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """The lexicographically first path on each vertex set of a path on
-        `size` vertices, in lexicographic order; nothing where no such set
-        exists.
+        `size` vertices, as (vertex tuple, mask), in lexicographic order;
+        nothing where no such set exists.
 
-        Each path is one walk over the goal plane, bit m for each path set m
-        of that size not yet yielded, and its set is cleared from the plane
-        after it is yielded. The walk never backtracks. With P the set
-        visited so far, `rest` is the plane of the remainders g - P of the
-        goals g that P can still reach. The walk takes the lowest candidate
-        u (any vertex first, then a neighbour of the last vertex) for which
-        some remainder is the set of a path that ends at u, `rest & ends[u]`,
-        and keeps those remainders, minus u: a shift by 2**u. A remainder
-        never holds a visited vertex, so visited neighbours fail the test by
-        themselves.
+        The memo of a size is [goal plane, paths walked so far], bit m of the
+        plane for each path set m not yet walked; a reader past its end walks
+        one more path, which the memo takes once the walk returns. The walk
+        never backtracks. With P the set visited so far, `rest` is the plane
+        of the remainders g - P of the goals g that P can still reach. The
+        walk takes the lowest candidate u (any vertex first, then a neighbour
+        of the last vertex) for which some remainder is the set of a path
+        that ends at u, `rest & ends[u]`, and keeps those remainders, minus
+        u: a shift by 2**u. A remainder never holds a visited vertex, so
+        visited neighbours fail the test by themselves.
         """
         if not 0 < size <= self.n:
             return
-        ends, spans = self.path_planes()
-        goals = spans & _vertex_planes(self.n)[2][size]
-        while goals:
-            seq = self._walk(ends, goals)
-            yield seq
-            goals ^= 1 << mask_of(seq)
+        memo = self._first_paths.get(size) or [self.path_planes()[1] & _vertex_planes(self.n)[2][size], []]
+        found = memo[1]
+        i = 0
+        while True:
+            if i == len(found):
+                if not memo[0]:
+                    return
+                found.append(self._walk(self._paths[0], memo[0]))
+                memo[0] ^= 1 << found[i][1]
+                self._first_paths[size] = memo
+            yield found[i]
+            i += 1
 
-    def _walk(self, ends: tuple[int, ...], rest: int) -> list[int]:
-        """The `first_paths` walk from a nonzero goal plane `rest`."""
+    def _walk(self, ends: tuple[int, ...], rest: int) -> tuple[tuple[int, ...], int]:
+        """The `first_paths` walk from a nonzero goal plane `rest`: the path and its mask."""
+        members = _vertex_planes(self.n)[3]
         seq: list[int] = []
-        cand = self.full_mask
+        cand = members[-1]    # the full mask's: every vertex
         while not rest & 1:
-            kept = 0
-            while cand and not kept:
-                u = (cand & -cand).bit_length() - 1
+            for u in cand:
                 kept = rest & ends[u]
-                cand &= cand - 1
-            if not kept:
+                if kept:
+                    break
+            else:
                 raise InternalInvariantError("the path planes lost the path to a goal")
             rest = kept >> (1 << u)
             seq.append(u)
-            cand = self.rows[u]
-        return seq
+            cand = members[self.rows[u]]
+        return tuple(seq), mask_of(seq)
 
     def _supersets(self, smask: int) -> int:
         """The plane of the masks that contain smask: its within planes ANDed."""
@@ -275,7 +284,7 @@ class Graph:
         tree = self._path_trees.get(pmask)
         if tree is None:
             if seq is None:
-                seq = self._walk(self.path_planes()[0], 1 << pmask)
+                seq = self._walk(self.path_planes()[0], 1 << pmask)[0]
             tree = self._path_trees[pmask] = Tree.from_path(self.n, seq)
         return tree
 

@@ -131,7 +131,10 @@ def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
         grow(cand & ~closed[pivot], size + 1, chosen | (1 << pivot))
         grow(cand & ~(1 << pivot), size, chosen)
 
-    grow(smask, 0, 0)
+    try:
+        grow(smask, 0, 0)
+    finally:
+        del grow    # a nested search that names itself is a cycle only the collector frees
     return best_size, best_mask
 
 
@@ -176,7 +179,10 @@ def maximum_independent_masks(graph: Graph, smask: int, cap: int = DEFAULT_ENUME
         rec(cand & ~closed[v], chosen | low, size + 1)
         rec(cand ^ low, chosen, size)
 
-    rec(smask, 0, 0)
+    try:
+        rec(smask, 0, 0)
+    finally:
+        del rec    # a nested search that names itself is a cycle only the collector frees
     out.sort()
     return out
 

@@ -162,7 +162,10 @@ def _grow_tree(graph: Graph, smask: int, budget: int, r0: int, branches: bool) -
                 edges.pop()
         return False
 
-    return list(edges) if rec(1 << r0, 0, 0) else None
+    try:
+        return list(edges) if rec(1 << r0, 0, 0) else None
+    finally:
+        del rec    # a nested search that names itself is a cycle only the collector frees
 
 
 def _coverable(graph: Graph, smask: int) -> bool:
@@ -306,7 +309,10 @@ def hamiltonian_path_exists(graph: Graph, cap: int = DEFAULT_TREE_CAP) -> tuple[
         seq.pop()
         return False
 
-    for start in range(n):
-        if extend(start, 1 << start):
-            return tuple(seq)
-    return None
+    try:
+        for start in range(n):
+            if extend(start, 1 << start):
+                return tuple(seq)
+        return None
+    finally:
+        del extend    # a nested search that names itself is a cycle only the collector frees

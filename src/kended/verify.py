@@ -198,7 +198,8 @@ class GraphContext:
     def _subset_facts(self, smask: int) -> tuple[tuple[int, ...], int, ConnectivityValue, int]:
         alpha, kappa = self.alpha(smask), self.kappa(smask)
         least_k = 0 if kappa.is_infinite else alpha - kappa.finite + 1
-        return self._facts.setdefault(smask, (tuple(iter_bits(smask)), alpha, kappa, least_k))
+        # via a list: a tuple of a generator shrinks from a guessed size, a count the collector never gets back
+        return self._facts.setdefault(smask, (tuple([*iter_bits(smask)]), alpha, kappa, least_k))
 
 
 def _audit_cover_witness(tree: Tree, smask: int, leaf_budget: int | None, branch_budget: int | None) -> None:
@@ -489,6 +490,7 @@ def sweep_verdicts(plan: SweepPlan) -> Iterator[TheoremVerdict]:
     for result in _graph_results(plan):
         if result is not None:
             yield from result[1]
+            del result    # so this graph's verdicts do not live on, counted toward a collection, while the next runs
 
 
 @dataclass

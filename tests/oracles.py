@@ -13,7 +13,9 @@ for its fixpoint kernel;
 was before the independence-number bound, `grow_tree_unpruned` its
 growth search as it was before the forced-leaf bounds, and
 `covering_set_by_and_loop` its covering-set lookup as it was before the
-path-set shortcut, each kept as the reference for its witnesses.
+path-set shortcut, each kept as the reference for its witnesses;
+`base_path_by_first_path_walks` is the base path as it was before the
+first-path memo, the reference for the memo's order and masks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, VertexSet, _vertex_planes, iter_bits
-from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity
+from kended.graphs import Graph, VertexSet, _vertex_planes, iter_bits, mask_of
+from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity, subset_alpha, subset_kappa
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
 
@@ -451,6 +453,26 @@ def base_path_by_enumeration(graph: Graph, subset: VertexSet,
                     return seq
     raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
+
+def base_path_by_first_path_walks(graph: Graph, subset: VertexSet) -> tuple[int, ...]:
+    """`constructive.base_path` as it was before the first-path memo: per size,
+    longest first, one `Graph._walk` per path set from the goal plane of the
+    sets not yet walked, and a `mask_of` per candidate path."""
+    smask = graph.subset_mask(subset)
+    if smask & (smask - 1) == 0:
+        return (smask.bit_length() - 1,)
+    kappa = subset_kappa(graph, smask)[0]
+    bound = subset_alpha(graph, smask) - kappa.finite - 1
+    ends, spans = graph.path_planes()
+    for length in range(graph.n, 0, -1):
+        goals = spans & _vertex_planes(graph.n)[2][length]
+        while goals:
+            seq = graph._walk(ends, goals)[0]
+            goals ^= 1 << mask_of(seq)
+            remainder = smask & ~mask_of(seq)
+            if remainder == 0 or (bound >= 0 and subset_alpha(graph, remainder) <= bound):
+                return tuple(seq)
+    raise InternalInvariantError("path search exhausted; this contradicts the base-path guarantee")
 
 
 def grow_tree_unpruned(graph: Graph, smask: int, budget: int, r0: int, branches: bool) -> list[tuple[int, int]] | None:

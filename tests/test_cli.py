@@ -457,19 +457,29 @@ def test_requests_print_the_same_bytes_cold_warm_and_after_clearing(capsys, monk
     assert cold == warm == outputs(requests)
 
 
+def container_sizes(value):
+    """The size of every container in value, inner ones included, as fresh
+    tuples; any other value as it is."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return len(value), tuple(container_sizes(item) for item in value)
+    return value
+
+
 def test_a_repeated_construct_keeps_every_graph_memo_flat(capsys):
     # K_{2,4} with S = B at k = 3 attaches a path to its base path, so every
     # request builds a new tree; each memo of the cached Graph is a function of
-    # its rows, so after the first request none grows
+    # its rows, so after the first request none grows, at any depth
     argv = ("construct", "--family", "kmm 2 2", "--set", "B", "--k", "3", "--no-timing")
     sizes = []
     for _ in range(21):
         assert run_cli(capsys, *argv)[0] == 0
         graph = cli._read_graph(parse_family_spec("kmm 2 2"))[0]
-        sizes.append({name: len(value) if isinstance(value, (dict, tuple)) else value
-                      for name, value in ((name, getattr(graph, name)) for name in graph.__slots__)})
+        sizes.append({name: container_sizes(getattr(graph, name)) for name in graph.__slots__})
     assert cli._read_graph.cache_info().misses == 1
-    assert sizes[0]["_path_trees"] > 0 and all(size == sizes[0] for size in sizes)
+    assert sizes[0]["_path_trees"][0] > 0 and sizes[0]["_first_paths"][0] > 0
+    assert all(size == sizes[0] for size in sizes)
 
 
 def test_a_rewritten_file_gives_the_new_graph(capsys, tmp_path):

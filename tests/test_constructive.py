@@ -23,7 +23,8 @@ from kended.treesearch import find_k_ended_covering_tree
 from kended.verify import GraphContext
 
 from conftest import time_limit
-from oracles import base_path_by_enumeration, hypothesis_holds, random_connected_graph
+from oracles import (base_path_by_enumeration, base_path_by_first_path_walks, hypothesis_holds,
+                     random_connected_graph)
 
 
 def kmm(m, k):
@@ -84,6 +85,28 @@ def test_base_path_matches_enumeration_on_random_graphs():
         for smask in [graph.full_mask] + [rng.randrange(1, 1 << n) for _ in range(2)]:
             subset = VertexSet(n, smask)
             assert base_path(graph, subset) == base_path_by_enumeration(graph, subset), (graph, smask)
+
+
+def test_base_path_matches_the_uncached_walks_every_labelled_graph_n_le_5():
+    # one Graph per side: the memo fills across the subsets of one, never the other
+    for n in range(1, 6):
+        for graph in enumerate_connected_labeled_graphs(n):
+            fresh = Graph(n, graph.rows)
+            for smask in range(1, 1 << n):
+                subset = VertexSet(n, smask)
+                assert base_path(graph, subset) == base_path_by_first_path_walks(fresh, subset), (graph, smask)
+
+
+def test_base_path_matches_the_uncached_walks_on_random_graphs():
+    rng = random.Random(3131)
+    for n in range(2, 11):
+        for _ in range(8):
+            graph = random_connected_bipartite(rng, n) if n > 4 and rng.random() < 0.5 else \
+                random_connected_graph(rng, n, rng.choice((0.3, 0.5)))
+            fresh = Graph(n, graph.rows)
+            for smask in rng.sample(range(1, 1 << n), min(60, (1 << n) - 1)):
+                subset = VertexSet(n, smask)
+                assert base_path(graph, subset) == base_path_by_first_path_walks(fresh, subset), (graph, smask)
 
 
 def test_base_path_input_validation():

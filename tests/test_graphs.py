@@ -1,6 +1,8 @@
-import random
+import copy
 import operator
-from itertools import accumulate, combinations, permutations
+import pickle
+import random
+from itertools import accumulate, combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -160,12 +162,18 @@ def test_plane_kernel_matches_length_steps():
 
 
 def assert_first_paths_are_least_paths(graph):
-    # per size, the least path on each path set, in lexicographic order, against enumeration
+    # per size, the least path on each path set, with its mask, in lexicographic
+    # order, against enumeration: half read cold, then whole past the memo's
+    # end, then whole from the memo alone
     for size in range(1, graph.n + 1):
         least = {}
         for seq in _paths_with_length(graph, size):
             least.setdefault(mask_of(seq), seq)
-        assert [tuple(seq) for seq in graph.first_paths(size)] == sorted(least.values()), (graph, size)
+        expected = [(seq, mask_of(seq)) for seq in sorted(least.values())]
+        half = len(expected) // 2
+        assert list(islice(graph.first_paths(size), half)) == expected[:half], (graph, size)
+        assert list(graph.first_paths(size)) == expected, (graph, size)
+        assert list(graph.first_paths(size)) == expected, (graph, size)
 
 
 def test_first_paths_match_enumeration_on_every_labelled_graph_n_le_5():
@@ -185,7 +193,7 @@ def test_first_paths_match_enumeration_on_random_connected_graphs():
 
 def test_first_paths_yield_nothing_for_a_size_without_a_path_set():
     graph = Graph.from_edges(3, [(0, 1)])
-    assert list(graph.first_paths(2)) == [[0, 1]]
+    assert list(graph.first_paths(2)) == [((0, 1), 0b11)]
     assert list(graph.first_paths(3)) == []
     assert list(graph.first_paths(0)) == []
 
@@ -193,7 +201,7 @@ def test_first_paths_yield_nothing_for_a_size_without_a_path_set():
 def test_first_paths_yield_nothing_for_a_size_outside_one_to_n():
     # a negative size once read the size planes from the end, and n + 1 past them
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert list(p4.first_paths(4)) == [[0, 1, 2, 3]]
+    assert list(p4.first_paths(4)) == [((0, 1, 2, 3), 0b1111)]
     for size in (-1, -4, -5, 0, 5, 9):
         assert list(p4.first_paths(size)) == [], size
 
@@ -204,6 +212,55 @@ def test_first_paths_abort_on_a_table_that_loses_a_path():
     graph._paths = (ends[0], ends[1] & ~(1 << 0b10)), spans    # the path on {1} no longer ends at 1
     with pytest.raises(InternalInvariantError):
         next(graph.first_paths(2))
+    assert graph._first_paths == {}
+    # the memo keeps the walk to {0}, and the lost walk to {1} leaves it as it was
+    paths = graph.first_paths(1)
+    assert next(paths) == ((0,), 0b01)
+    kept = copy.deepcopy(graph._first_paths)
+    with pytest.raises(InternalInvariantError):
+        next(paths)
+    assert graph._first_paths == kept and kept[1][1] == [((0,), 0b01)]
+
+
+def count_walks(monkeypatch):
+    walks = []
+    walk = Graph._walk
+
+    def counted(graph, ends, rest):
+        walks.append(rest)
+        return walk(graph, ends, rest)
+
+    monkeypatch.setattr(Graph, "_walk", counted)
+    return walks
+
+
+def test_a_second_base_path_on_a_graph_walks_no_path(monkeypatch):
+    walks = count_walks(monkeypatch)
+    for graph in (random_connected_graph(random.Random(n), n, 0.4) for n in range(3, 11)):
+        for subset in (VertexSet.full(graph.n), VertexSet(graph.n, 0b101)):
+            first = base_path(graph, subset)
+            cold = len(walks)
+            assert base_path(graph, subset) == first and len(walks) == cold, (graph, subset)
+    assert walks
+
+
+def test_every_subset_of_a_graph_shares_one_walk_per_path_set(monkeypatch):
+    # K_{2,5} has no Hamiltonian path, so base paths of many sizes are read; every
+    # subset reads the same memo, so each walk is of a path set not walked before
+    graph = Graph.from_edges(7, [(a, b) for a in range(2) for b in range(2, 7)])
+    walks = count_walks(monkeypatch)
+    for smask in range(1, 1 << 7):
+        base_path(graph, VertexSet(7, smask))
+    sets = [mask for _, found in graph._first_paths.values() for _, mask in found]
+    assert len(walks) == len(sets) == len(set(sets))
+
+
+def test_a_graph_pickles_with_its_first_path_memo():
+    graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+    path = base_path(graph, VertexSet(6, 0b100101))
+    copied = pickle.loads(pickle.dumps(graph))
+    assert copied == graph and copied._first_paths == graph._first_paths != {}
+    assert base_path(copied, VertexSet(6, 0b100101)) == path
 
 
 def test_vertex_set_semantics():

@@ -60,7 +60,7 @@ CONFINED = [
     pytest.param(r"_store\(|__new__\(", ("graphs.py",), id="tree internals"),
     pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
     pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
-    pytest.param(r"\._(connected|paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",
+    pytest.param(r"\._(connected|paths|first_paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",
                  ("graphs.py", "invariants.py"), id="graph memo"),
 ]
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import marshal
 import pickle
 import random
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -260,6 +262,19 @@ LARGER_STREAM_SHA256 = {
     "gnp-8-0.5": "e431edfdac4e14d57a93b05e185e4535d5a2a6ffc505ff7f439c445b575a8799",
 }
 
+# Recorded on CPython 3.11 before the first-path memo: every S and k = 2..5 of
+# the 853 connected graphs on 7 vertices in networkx's atlas, 1,300,825
+# verdicts. Their verdict_stream_sha256 was
+# bfc359dfe71d506463286a84ba1f0f0e1468074338e6e62f8a7b094aa97485d0; the
+# cheaper encoding of `atlas7_digest_and_tallies` pins the same fields.
+ATLAS7_SHA256 = "88ad7ba8a770965bab0b68ba1d248df9833923ea485f3c1f912959e973a89fa8"
+ATLAS7_TALLIES = {    # claim: (instances, hypothesis true, conclusion true)
+    "kended-cover": (433324, 414785, 429112),
+    "branch-cover": (433324, 414785, 429462),
+    "residual-bound": (433324, 414785, 433324),
+    "hamiltonian-path": (853, 432, 734),
+}
+
 
 def verdict_stream_sha256(verdicts):
     stream = hashlib.sha256()
@@ -345,6 +360,33 @@ def test_larger_streams_are_pinned(tmp_path):
         assert verdict_stream_sha256(sweep_verdicts(plan)) == LARGER_STREAM_SHA256[name], name
 
 
+def atlas7_digest_and_tallies(graphs):
+    """The sha256 of the verdicts of every S and k = 2..5 of each graph, one
+    marshal record per graph (format 2 has no back-references, so equal
+    values give equal bytes), and the claim tallies."""
+    digest = hashlib.sha256()
+    counts = Counter()
+    for graph in graphs:
+        verdicts = verify._graph_task((graph, list(range(1, 1 << graph.n)), (2, 3, 4, 5)))[1]
+        rows = [(v.claim, v.subset, v.k, v.alpha, v.kappa.finite, v.hypothesis_holds, v.conclusion_holds,
+                 v.witness and v.witness.edges, v.detail) for v in verdicts]
+        digest.update(marshal.dumps((verdicts[0].graph_id, rows), 2))
+        counts.update((v.claim, v.hypothesis_holds, v.conclusion_holds) for v in verdicts)
+    tallies = {claim: [0, 0, 0] for claim in CLAIMS}
+    for (claim, hypothesis, conclusion), count in counts.items():
+        tallies[claim] = [a + b for a, b in zip(tallies[claim], (count, hypothesis * count, conclusion * count))]
+    return digest.hexdigest(), {claim: tuple(tally) for claim, tally in tallies.items()}
+
+
+def test_every_connected_graph_on_7_vertices_is_pinned():
+    # the widest regression anchor: all unlabelled connected graphs with n = 7
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph.from_edges(7, g.edges()) for g in nx.graph_atlas_g()
+              if g.number_of_nodes() == 7 and nx.is_connected(g)]
+    assert len(graphs) == 853
+    assert atlas7_digest_and_tallies(graphs) == (ATLAS7_SHA256, ATLAS7_TALLIES)
+
+
 def memo_hosts():
     """Every connected labelled graph with n <= 5, and two random connected
     graphs for each n = 6..10."""
@@ -398,10 +440,11 @@ def test_the_hamiltonian_witness_stays_off_the_path_tree_memo():
 
 
 def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(exhaustive_n5_sweep):
-    # 46,415 trees and 39,687 walks when every (S, k) built its own path tree
+    # 46,415 trees and 39,687 walks when every (S, k) built its own path tree,
+    # and 32,214 walks when every S walked its base path's first paths again
     calls = exhaustive_n5_sweep[1]
     assert calls["verdicts"] == 209302
-    assert (calls["trees"], calls["walks"]) == (20394, 32214)
+    assert (calls["trees"], calls["walks"]) == (20394, 12444)
 
 
 def test_sweep_random_n9_clean_and_reproducible():
