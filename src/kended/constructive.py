@@ -188,7 +188,8 @@ def construct_k_ended_tree(
     k, so its tree, residual and trace are this run's prefix and the
     attachment loop goes on from there; a covering start has residual 0, so
     the loop adds nothing and its tree meets every check below at this k.
-    |S| <= 1 gives the one-vertex covering, start or not. When alpha <= k +
+    |S| <= 1 gives the one-vertex covering, start or not. Every tree returned,
+    that one included, is checked against the graph. When alpha <= k +
     kappa - 1 the outcome is always a covering (asserted); otherwise a
     residual-bound outcome satisfies residual <= alpha - kappa - k + 1
     (asserted). An attachment that `augment` refuses is a failed step, not bad
@@ -204,7 +205,9 @@ def construct_k_ended_tree(
         raise ValueError("construction needs a connected graph")
     if smask.bit_count() <= 1:
         v = smask.bit_length() - 1 if smask else 0
-        return ConstructionOutcome(COVERING, Tree.single_vertex(graph.n, v), 0, None, ())
+        tree = Tree.single_vertex(graph.n, v)
+        graph.check_tree(tree)
+        return ConstructionOutcome(COVERING, tree, 0, None, ())
     alpha = subset_alpha(graph, smask)
     kappa = subset_kappa(graph, smask)[0]
     assert not kappa.is_infinite

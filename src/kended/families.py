@@ -125,9 +125,19 @@ def _nat(x: float, name: str) -> int:
 
 
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """G(n, p) with one rng draw per vertex pair, pairs in lexicographic order."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    """G(n, p) with one rng draw per vertex pair, pairs in lexicographic order,
+    each edge set in both rows as it is drawn."""
+    draw = rng.random
+    rows = [0] * n
+    for u in range(n):
+        bit = 1 << u
+        row = 0
+        for v in range(u + 1, n):
+            if draw() < p:
+                row |= 1 << v
+                rows[v] |= bit
+        rows[u] |= row
+    return Graph(n, rows)
 
 
 def enumerate_connected_labeled_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Graph]:

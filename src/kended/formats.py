@@ -15,26 +15,28 @@ from .graphs import Graph
 
 _HEADER = ">>graph6<<"
 _MAX_SHORT_N = 62
+# a 6-bit value with its bits in reverse order, and its graph6 byte
+_REVERSED_6 = tuple(int(f"{b:06b}"[::-1], 2) for b in range(64))
+_GROUP_CHARS = tuple(chr(63 + r) for r in _REVERSED_6)
 
 
 def emit_graph6(graph: Graph) -> str:
-    """Encode a graph as a short-form graph6 record (bit-exact)."""
+    """Encode a graph as a short-form graph6 record (bit-exact).
+
+    Column j of the upper triangle is the low j bits of row j, so the rows
+    pack into one int with bit t the t-th matrix bit; each 6-bit group of it
+    is written MSB-first, its bits reversed, by one table lookup."""
     n = graph.n
     if n > _MAX_SHORT_N:
         raise Graph6Error(f"short-form graph6 supports n <= {_MAX_SHORT_N}, got {n}")
+    rows = graph.rows
+    bits = 0
+    for j in range(n - 1, 0, -1):
+        bits = bits << j | rows[j] & ((1 << j) - 1)
     out = [chr(63 + n)]
-    buf = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            buf = (buf << 1) | graph.has_edge(i, j)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
+    for _ in range((n * (n - 1) // 2 + 5) // 6):
+        out.append(_GROUP_CHARS[bits & 63])
+        bits >>= 6
     return "".join(out)
 
 
@@ -64,24 +66,25 @@ def parse_graph6(record: str | bytes) -> Graph:
         raise Graph6Error(f"truncated record: need {need} body bytes, got {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"trailing data after record: expected {need} body bytes, got {len(body)}")
-    values = []
-    for ch in body:
+    bits = 0
+    for t, ch in enumerate(body):
         b = ord(ch)
         if not 63 <= b <= 126:
             raise Graph6Error(f"body byte {b} out of range")
-        values.append(b - 63)
-    edges = []
-    idx = 0
+        bits |= _REVERSED_6[b - 63] << 6 * t
+    m = n * (n - 1) // 2
+    if bits >> m:
+        raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if (values[idx // 6] >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
-    while idx < 6 * need:
-        if (values[idx // 6] >> (5 - idx % 6)) & 1:
-            raise Graph6Error("nonzero padding bits")
-        idx += 1
-    return Graph.from_edges(n, edges)
+        column = bits & ((1 << j) - 1)
+        bits >>= j
+        rows[j] |= column
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return Graph(n, rows)
 
 
 def emit_edge_list(graph: Graph) -> str:

@@ -143,9 +143,12 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond vertex {n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"vertex {v} is self-adjacent")
-            for u in iter_bits(row):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric on ({v}, {u})")
+                row ^= low
         self.n = n
         self.rows = rows
         self._connected: bool | None = None
@@ -189,12 +192,15 @@ class Graph:
 
     def component_mask(self, start: int) -> int:
         """Bitmask of the vertices reachable from start."""
+        rows = self.rows
         comp = 1 << start
         frontier = comp
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= self.rows[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= rows[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & ~comp
             comp |= frontier
         return comp

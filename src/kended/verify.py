@@ -22,11 +22,12 @@ function brings only its own witness, audit, conclusion and detail, taken from
 the GraphContext caches of the tree searches and constructions. The caches
 hand one tree to several k and claims, so `Graph.check_tree` checks each tree
 against the graph where it enters a cache: a search's tree when the search
-finds it, and the outcome of each `construct_k_ended_tree` call. A tree that
+finds it, and `construct_k_ended_tree` each tree it returns. A tree that
 stands for the next budget, or a covering handed on to the next k, is an
 entry already checked. Each verdict checks that its witness covers S within
-its budgets; the Hamiltonian witness and the sharpness cells' trees are
-checked where they are built.
+its budgets. The Hamiltonian witness is the covering tree of V at k = 2, and
+the backtracking path must be the first path on V; the sharpness cells'
+trees are checked where they are built.
 
 Verdicts are plain dataclasses, immutable by convention like `Tree` and
 `Graph`; a frozen one sets each of its ten fields through object.__setattr__,
@@ -190,9 +191,9 @@ class GraphContext:
                 bound = None if start.bound is None else start.bound - 1
                 self._construct[key] = ConstructionOutcome(COVERING, start.tree, 0, bound, start.trace)
             else:
-                outcome = construct_k_ended_tree(self.graph, VertexSet(self.graph.n, smask), k, start=start)
-                self.graph.check_tree(outcome.tree)
-                self._construct[key] = outcome
+                # construct_k_ended_tree checks every tree it returns
+                self._construct[key] = construct_k_ended_tree(self.graph, VertexSet(self.graph.n, smask), k,
+                                                              start=start)
         return self._construct[key]
 
     def _subset_facts(self, smask: int) -> tuple[tuple[int, ...], int, ConnectivityValue, int]:
@@ -266,18 +267,24 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
 
 
 def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
-    """S = V and k = 2, so the hypothesis reads alpha <= kappa + 1."""
-    full = ctx.graph.full_mask
-    ham = hamiltonian_path_exists(ctx.graph)
-    if (ham is None) != (ctx.cover_tree(full, 2) is None):
+    """S = V and k = 2, so the hypothesis reads alpha <= kappa + 1. The witness
+    is the covering tree of V at k = 2, checked where it entered the cache.
+    Backtracking tries starts and neighbours in ascending order, so its path
+    is the lexicographically first Hamiltonian path, the first path that the
+    planes give on V: the two routes must agree on the exact path."""
+    graph = ctx.graph
+    full = graph.full_mask
+    ham = hamiltonian_path_exists(graph)
+    witness = ctx.cover_tree(full, 2)
+    first = None if witness is None else next(graph.first_paths(graph.n), (None,))[0]
+    if ham != first:
         raise InternalInvariantError(
-            "backtracking Hamiltonian search disagrees with the covering-path oracle"
+            "backtracking Hamiltonian search disagrees with the covering-path oracle: "
+            f"backtracking found {ham}, the first path on V is {first}"
         )
-    witness = None
-    if ham is not None:
-        witness = Tree.from_path(ctx.graph.n, ham)
-        ctx.graph.check_tree(witness)
-    return _verdict(ctx, "hamiltonian-path", full, 2, witness, ham is not None)
+    if witness is not None:
+        _audit_cover_witness(witness, full, 2, None)
+    return _verdict(ctx, "hamiltonian-path", full, 2, witness, witness is not None)
 
 
 def verify_instance(graph: Graph, subset: VertexSet, k: int) -> list[TheoremVerdict]:

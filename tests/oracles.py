@@ -16,6 +16,9 @@ growth search as it was before the forced-leaf bounds, and
 path-set shortcut, each kept as the reference for its witnesses;
 `base_path_by_first_path_walks` is the base path as it was before the
 first-path memo, the reference for the memo's order and masks.
+`emit_graph6_by_pairs` and `random_gnp_by_edge_list` are the graph6 encoder
+and the G(n, p) draw as they were before both read and filled the adjacency
+rows directly, kept as the reference for their records and graphs.
 """
 
 from __future__ import annotations
@@ -606,6 +609,33 @@ def count_connected_graphs_by_bitmask(n: int) -> int:
         if components == 1:
             count += 1
     return count
+
+
+def emit_graph6_by_pairs(graph: Graph) -> str:
+    """The short-form graph6 record of a graph, one edge test per vertex pair
+    in column-major order, 6 bits per byte MSB-first."""
+    n = graph.n
+    out = [chr(63 + n)]
+    buf = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            buf = (buf << 1) | graph.has_edge(i, j)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + buf))
+                buf = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (buf << (6 - nbits))))
+    return "".join(out)
+
+
+def random_gnp_by_edge_list(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p) from the list of its drawn edges, one rng draw per vertex pair,
+    pairs in lexicographic order."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kended.errors import CapExceededError
@@ -6,9 +8,10 @@ from kended.families import (
     enumerate_connected_labeled_graphs,
     make_family,
     parse_family_spec,
+    random_gnp,
 )
 
-from oracles import count_connected_graphs_by_bitmask
+from oracles import count_connected_graphs_by_bitmask, random_gnp_by_edge_list
 
 
 def test_parse_family_spec_aliases():
@@ -54,6 +57,16 @@ def test_gnp_reproducible_and_validated():
     assert g1 != g3
     with pytest.raises(ValueError):
         make_family(GraphFamilySpec("random-gnp", (5, 1.5, 0)))
+
+
+def test_random_gnp_matches_the_edge_list_draw():
+    # the same graph from the same draws: the generators end in the same state
+    for n in range(12):
+        for p in (0.0, 0.5, 1.0):
+            for seed in range(5):
+                rng, reference = random.Random(seed), random.Random(seed)
+                assert random_gnp(n, p, rng) == random_gnp_by_edge_list(n, p, reference)
+                assert rng.getstate() == reference.getstate()
 
 
 def test_family_parameter_validation():

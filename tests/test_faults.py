@@ -36,8 +36,11 @@ and aborts on n <= 5, where the bound first disagrees with the hypothesis flag.
 A witness that uses a non-edge fails the host check that the sweep context
 makes where the tree enters its cache, which the sweep reports like every
 other internal failure, with the claim, graph6, S and k, in serial and in
-pool mode. The Hamiltonian witness, the construction's tree and the sharpness
-cells' trees get the same check, from `Graph.check_tree`. An attachment that
+pool mode. The construction's tree and the sharpness cells' trees get the
+same check, from `Graph.check_tree`. The Hamiltonian witness is the covering
+tree of V, checked as it enters the cache, and the backtracking path must be
+the first path on V, so a wrong path aborts even where it is a valid one, as
+its reverse is. An attachment that
 `augment` refuses is a failed step of the construction, not bad input, so it
 ends the sweep and the CLI the same way.
 """
@@ -229,8 +232,8 @@ def test_a_sharpness_leaf_tree_on_a_non_edge_is_an_internal_error(monkeypatch, c
 
 def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):
     # the vertices in label order whenever a Hamiltonian path exists: the
-    # covering-path oracle agrees that one exists, so only the host check of
-    # the witness can tell; on the path 1-0-2 the order 0, 1, 2 uses 12
+    # covering-path oracle agrees that one exists, so only the exact path can
+    # tell; on the path 1-0-2 the order 0, 1, 2 uses the non-edge 12
     exact = verify.hamiltonian_path_exists
 
     def faulty(graph, cap=treesearch.DEFAULT_TREE_CAP):
@@ -241,8 +244,27 @@ def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):
     with pytest.raises(InternalInvariantError) as info:
         for _ in sweep_verdicts(N4):
             pass
-    assert str(info.value) == ("tree edge (1, 2) is not a graph edge "
+    assert str(info.value) == ("backtracking Hamiltonian search disagrees with the covering-path oracle: "
+                               "backtracking found (0, 1, 2), the first path on V is (1, 0, 2) "
                                "(claim 'hamiltonian-path' on graph Bo with S=[0, 1, 2], k=2)")
+
+
+def test_a_reversed_hamiltonian_path_aborts_a_sweep(monkeypatch):
+    # the reverse of a Hamiltonian path is a valid one on the same edges, so
+    # only the exact path tells it from the first: on K_2 it reads (1, 0)
+    exact = verify.hamiltonian_path_exists
+
+    def faulty(graph, cap=treesearch.DEFAULT_TREE_CAP):
+        path = exact(graph, cap=cap)
+        return None if path is None else path[::-1]
+
+    monkeypatch.setattr(verify, "hamiltonian_path_exists", faulty)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value) == ("backtracking Hamiltonian search disagrees with the covering-path oracle: "
+                               "backtracking found (1, 0), the first path on V is (0, 1) "
+                               "(claim 'hamiltonian-path' on graph A_ with S=[0, 1], k=2)")
 
 
 def test_kappa_one_too_high_aborts_a_sweep_with_reproduction_data(monkeypatch):

@@ -10,6 +10,7 @@ from kended.formats import emit_edge_list, emit_graph6, parse_edge_list, parse_g
 from kended.graphs import Graph
 
 from conftest import graphs
+from oracles import emit_graph6_by_pairs, random_gnp_by_edge_list
 
 
 def all_graphs(n):
@@ -66,6 +67,40 @@ def test_graph6_accepts_bytes_and_header():
 def test_graph6_malformed_records(record):
     with pytest.raises(Graph6Error):
         parse_graph6(record)
+
+
+def test_graph6_malformed_records_keep_their_messages():
+    messages = {
+        "": "empty graph6 record",
+        "~??": "long-form graph6 (n >= 63) is not supported",
+        "=": "malformed size header byte 61",
+        "\x80": "malformed size header byte 128",
+        "B": "truncated record: need 1 body bytes, got 0",
+        "A__": "trailing data after record: expected 1 body bytes, got 2",
+        ">>graph6<<A_A": "trailing data after record: expected 1 body bytes, got 2",
+        "A\x1f": "body byte 31 out of range",
+        "D?\x7f": "body byte 127 out of range",
+        "D\x1f\x7f": "body byte 31 out of range",     # the first byte out of range is named
+        "D@\x7f": "body byte 127 out of range",        # and named before the padding is read
+        "A@": "nonzero padding bits",
+        "DQ@": "nonzero padding bits",
+        b"A\xff": "graph6 record is not ASCII",
+    }
+    for record, message in messages.items():
+        with pytest.raises(Graph6Error) as info:
+            parse_graph6(record)
+        assert str(info.value) == message, record
+
+
+def test_graph6_emit_matches_the_per_pair_encoder_and_round_trips_to_n62():
+    rng = random.Random(62)
+    for n in range(63):
+        full = (1 << n) - 1
+        for graph in (Graph(n, [0] * n), Graph(n, [full ^ 1 << v for v in range(n)]),
+                      random_gnp_by_edge_list(n, 0.5, rng)):
+            record = emit_graph6(graph)
+            assert record == emit_graph6_by_pairs(graph)
+            assert parse_graph6(record) == graph
 
 
 def test_graph6_emit_rejects_large_n():

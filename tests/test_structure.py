@@ -48,7 +48,8 @@ def top_level_owners(pattern: str) -> list[str]:
 # (pattern, the only files where it may occur): bit m of a plane stands for the
 # vertex mask m, and only graphs.py may know it or call the plane kernel _close;
 # a Tree's slots are filled only in graphs.py, by its general constructor or
-# by a growth whose every step is checked;
+# by a growth whose every step is checked; only Graph.path_tree builds the tree
+# of a path, one per path set of a graph, so every other caller shares it;
 # only Graph.check_tree checks a tree against its graph, and it keeps no memo:
 # a tree is checked where it is built or where it enters a sweep's cache; every
 # pair value goes through subset_kappa's flow memo; every Graph memo is a
@@ -58,6 +59,7 @@ CONFINED = [
     pytest.param(r"_vertex_planes|_min_leaf_level|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
                  ("graphs.py",), id="plane"),
     pytest.param(r"_store\(|__new__\(", ("graphs.py",), id="tree internals"),
+    pytest.param(r"Tree\.from_path\(", ("graphs.py",), id="path tree"),
     pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
     pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
     pytest.param(r"\._(connected|paths|first_paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",

@@ -424,27 +424,30 @@ def test_each_path_set_has_one_tree_for_the_covering_and_the_base_path():
     assert shared > 0
 
 
-def test_the_hamiltonian_witness_stays_off_the_path_tree_memo():
-    # the backtracking path is the independent route, so its tree equals the
-    # covering tree of V but is built apart from it
+def test_the_hamiltonian_witness_is_the_covering_tree_of_v():
+    # the witness is the cached covering tree of V at k = 2, and the
+    # backtracking path, the independent route, is the planes' first path on V
     found = 0
     for graph in memo_hosts():
         ctx = GraphContext(graph)
         witness = _verdict_hamiltonian(ctx).witness
-        cover = ctx.cover_tree(graph.full_mask, 2)
-        assert (witness is None) == (cover is None)
+        assert witness is ctx.cover_tree(graph.full_mask, 2)
+        ham = treesearch.hamiltonian_path_exists(graph)
+        assert ham == next(graph.first_paths(graph.n), (None,))[0]
         if witness is not None:
-            assert witness == cover and witness is not cover
+            assert witness == Tree.from_path(graph.n, ham)
             found += 1
     assert found > 0
 
 
 def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(exhaustive_n5_sweep):
     # 46,415 trees and 39,687 walks when every (S, k) built its own path tree,
-    # and 32,214 walks when every S walked its base path's first paths again
+    # 32,214 walks when every S walked its base path's first paths again, and
+    # 20,394 trees and 12,444 walks when the Hamiltonian claim built its own
+    # tree from the backtracking path (its check walks the n = 1 graph's path)
     calls = exhaustive_n5_sweep[1]
     assert calls["verdicts"] == 209302
-    assert (calls["trees"], calls["walks"]) == (20394, 12444)
+    assert (calls["trees"], calls["walks"]) == (19721, 12445)
 
 
 def test_sweep_random_n9_clean_and_reproducible():
