@@ -12,7 +12,8 @@ from .graphs import Graph, VertexSet
 
 DEFAULT_ENUM_CAP = 6
 
-FAMILIES = ("complete", "cycle", "path", "complete-bipartite", "petersen", "random-gnp")
+# each family and the number of parameters it takes
+FAMILIES = {"complete": 1, "cycle": 1, "path": 1, "complete-bipartite": 2, "petersen": 0, "random-gnp": 3}
 
 _ALIASES = {"kmm": "complete-bipartite", "gnp": "random-gnp"}
 
@@ -26,7 +27,7 @@ class GraphFamilySpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
 
     @property
     def order(self) -> float:
@@ -43,18 +44,10 @@ def parse_family_spec(text: str) -> GraphFamilySpec:
         raise ValueError("empty family spec")
     name = _ALIASES.get(tokens[0].lower(), tokens[0].lower())
     args = tokens[1:]
-    arity = {
-        "complete": 1,
-        "cycle": 1,
-        "path": 1,
-        "complete-bipartite": 2,
-        "petersen": 0,
-        "random-gnp": 3,
-    }
-    if name not in arity:
+    if name not in FAMILIES:
         raise ValueError(f"unknown family {tokens[0]!r}")
-    if len(args) != arity[name]:
-        raise ValueError(f"family {name!r} takes {arity[name]} parameter(s), got {len(args)}")
+    if len(args) != FAMILIES[name]:
+        raise ValueError(f"family {name!r} takes {FAMILIES[name]} parameter(s), got {len(args)}")
     params: list[float] = []
     for i, a in enumerate(args):
         # only the gnp probability is real-valued

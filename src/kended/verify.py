@@ -18,16 +18,18 @@ reproduction data on an internal error and the same promotion.
 
 One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
 kappa and the least k the hypothesis admits once per S of a graph; each claim
-function brings only its own witness, audit, conclusion and detail, taken from
-the GraphContext caches of the tree searches and constructions. The caches
-hand one tree to several k and claims, so `Graph.check_tree` checks each tree
-against the graph where it enters a cache: a search's tree when the search
-finds it, and `construct_k_ended_tree` each tree it returns. A tree that
-stands for the next budget, or a covering handed on to the next k, is an
-entry already checked. Each verdict checks that its witness covers S within
-its budgets. The Hamiltonian witness is the covering tree of V at k = 2, and
-the backtracking path must be the first path on V; the sharpness cells'
-trees are checked where they are built.
+function brings only its own witness, conclusion and detail, taken from the
+GraphContext caches of the tree searches and constructions. The caches hand
+one tree to several k and claims, so each tree is checked where it enters a
+cache: a search's tree, when the search finds it, by `Graph.check_tree`
+against the graph and by `_audit_cover_witness` to cover S within the
+search's budget of leaves or branch vertices; and `construct_k_ended_tree`
+checks each tree it returns. A tree that stands for the next budget, the
+covering path that stands for branch budget 0, or a covering handed on to
+the next k, is an entry already checked, within a budget as tight. The
+verdicts only read. The Hamiltonian witness is the covering tree of V at
+k = 2, and the backtracking path must be the first path on V; the sharpness
+cells' trees are checked where they are built.
 
 Verdicts are plain dataclasses, immutable by convention like `Tree` and
 `Graph`; a frozen one sets each of its ten fields through object.__setattr__,
@@ -137,10 +139,11 @@ class GraphContext:
     subsets, budgets and claims.
 
     Everything cached here is a pure function of the graph, so contexts can be
-    used by one worker without coordination. Each tree is checked against the
-    graph as it is stored, so a read needs no check. alpha and kappa delegate
-    to the graph's own memo (invariants.subset_alpha and subset_kappa), which
-    the construction reads too. construct hands a covering at k - 1 on to k,
+    used by one worker without coordination. Each tree a search finds is
+    checked against the graph and audited within its budget as it is stored,
+    so a read needs neither. alpha and kappa delegate to the graph's own memo
+    (invariants.subset_alpha and subset_kappa), which the construction reads
+    too. construct hands a covering at k - 1 on to k,
     with its tree and trace and a bound one lower: the tree's leaves were
     checked against k - 1. Any other k resumes the construction from the
     outcome at k - 1, and only this class resumes one.
@@ -163,22 +166,26 @@ class GraphContext:
         return subset_kappa(self.graph, smask)[0]
 
     def cover_tree(self, smask: int, k: int) -> Tree | None:
-        return self._budgeted(self._cover, find_k_ended_covering_tree, smask, k)
+        return self._budgeted(self._cover, find_k_ended_covering_tree, smask, k, True)
 
     def branch_tree(self, smask: int, budget: int) -> Tree | None:
         if budget == 0 and (smask, 0) not in self._branch:
-            # no branch vertex means a covering path, the leaf-budget-2 answer
+            # no branch vertex means a covering path, the leaf-budget-2 answer,
+            # audited within 2 leaves and so within 0 branch vertices
             self._branch[(smask, 0)] = self.cover_tree(smask, 2)
-        return self._budgeted(self._branch, covering_tree_with_branch_budget, smask, budget)
+        return self._budgeted(self._branch, covering_tree_with_branch_budget, smask, budget, False)
 
-    def _budgeted(self, cache: dict, search, smask: int, budget: int) -> Tree | None:
-        """search's tree at this budget, checked against the graph when the search
-        finds it; a tree found at budget - 1 stands, checked when it was stored."""
+    def _budgeted(self, cache: dict, search, smask: int, budget: int, leaves: bool) -> Tree | None:
+        """search's tree at this budget of leaves (or of branch vertices), checked
+        against the graph and audited to cover S within the budget when the search
+        finds it; a tree found at budget - 1 stands, audited within that tighter
+        budget when it was stored."""
         key = (smask, budget)
         if key not in cache:
             tree = cache.get((smask, budget - 1))
             if tree is None and (tree := search(self.graph, VertexSet(self.graph.n, smask), budget)):
                 self.graph.check_tree(tree)
+                _audit_cover_witness(tree, smask, *((budget, None) if leaves else (None, budget)))
             cache[key] = tree
         return cache[key]
 
@@ -225,8 +232,6 @@ def _verdict(ctx: GraphContext, claim: str, smask: int, k: int, witness: Tree | 
 
 def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     witness = ctx.cover_tree(smask, k)
-    if witness is not None:
-        _audit_cover_witness(witness, smask, k, None)
     outcome = ctx.construct(smask, k)
     constructive_covering = outcome.kind == COVERING
     verdict = _verdict(ctx, "kended-cover", smask, k, witness, witness is not None,
@@ -243,8 +248,6 @@ def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
 
 def _verdict_branch(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     witness = ctx.branch_tree(smask, k - 2)
-    if witness is not None:
-        _audit_cover_witness(witness, smask, None, k - 2)
     return _verdict(ctx, "branch-cover", smask, k, witness, witness is not None)
 
 
@@ -252,11 +255,8 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     cover = ctx.cover_tree(smask, k)
     if cover is not None:
         return _verdict(ctx, "residual-bound", smask, k, cover, True, {"covering": True})
+    # _verdict_cover, run just before on the same (S, k), refused a covering construction here
     outcome = ctx.construct(smask, k)
-    if outcome.kind == COVERING:
-        raise InternalInvariantError(
-            "construction covered but the exhaustive oracle says no k-ended covering tree exists"
-        )
     kappa = ctx.kappa(smask)
     assert not kappa.is_infinite    # infinite kappa always yields a covering
     bound = ctx.alpha(smask) - kappa.finite - k + 1
@@ -268,7 +268,8 @@ def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
 
 def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
     """S = V and k = 2, so the hypothesis reads alpha <= kappa + 1. The witness
-    is the covering tree of V at k = 2, checked where it entered the cache.
+    is the covering tree of V at k = 2, checked and audited to span V within 2
+    leaves where it entered the cache.
     Backtracking tries starts and neighbours in ascending order, so its path
     is the lexicographically first Hamiltonian path, the first path that the
     planes give on V: the two routes must agree on the exact path."""
@@ -282,8 +283,6 @@ def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
             "backtracking Hamiltonian search disagrees with the covering-path oracle: "
             f"backtracking found {ham}, the first path on V is {first}"
         )
-    if witness is not None:
-        _audit_cover_witness(witness, full, 2, None)
     return _verdict(ctx, "hamiltonian-path", full, 2, witness, witness is not None)
 
 

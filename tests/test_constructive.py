@@ -146,6 +146,10 @@ def test_attachment_prefers_longer_arc():
     assert path == (3, 4, 5, 0)
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
     assert path == (4, 3, 2, 1)
+    # the cycle 0-3-2-1-4-0: the longer arc from 1, by 2 and 3, is found first
+    # and must stand against the shorter one by 4 found after it
+    c5 = Graph.from_edges(5, [(0, 3), (3, 2), (2, 1), (1, 4), (4, 0)])
+    assert maximal_attachment_path(c5, Tree.single_vertex(5, 0), VertexSet.from_vertices(5, [1])) == (1, 2, 3, 0)
 
 
 def test_attachment_search_is_refused_above_the_cap():

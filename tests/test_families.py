@@ -27,6 +27,25 @@ def test_parse_family_spec_rejects(text):
         parse_family_spec(text)
 
 
+def test_family_spec_errors_keep_their_messages():
+    # the family table lists each family and its parameter count once; the
+    # messages that read it are the ones printed when the two were apart
+    messages = {
+        "star 3": "unknown family 'star'",
+        "kmm 2": "family 'complete-bipartite' takes 2 parameter(s), got 1",
+        "petersen 1": "family 'petersen' takes 0 parameter(s), got 1",
+        "gnp 8 0.5": "family 'random-gnp' takes 3 parameter(s), got 2",
+    }
+    for text, message in messages.items():
+        with pytest.raises(ValueError) as info:
+            parse_family_spec(text)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        GraphFamilySpec("star", (3,))
+    assert str(info.value) == ("unknown family 'star'; expected one of "
+                               "('complete', 'cycle', 'path', 'complete-bipartite', 'petersen', 'random-gnp')")
+
+
 def test_complete_bipartite_returns_larger_part():
     graph, subset = make_family(parse_family_spec("kmm 1 1"))
     assert graph.n == 3

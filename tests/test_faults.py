@@ -36,7 +36,7 @@ and aborts on n <= 5, where the bound first disagrees with the hypothesis flag.
 A witness that uses a non-edge fails the host check that the sweep context
 makes where the tree enters its cache, which the sweep reports like every
 other internal failure, with the claim, graph6, S and k, in serial and in
-pool mode. The construction's tree and the sharpness cells' trees get the
+pool mode. A witness over its leaf budget fails the audit made there too. The construction's tree and the sharpness cells' trees get the
 same check, from `Graph.check_tree`. The Hamiltonian witness is the covering
 tree of V, checked as it enters the cache, and the backtracking path must be
 the first path on V, so a wrong path aborts even where it is a valid one, as
@@ -228,6 +228,23 @@ def test_a_sharpness_leaf_tree_on_a_non_edge_is_an_internal_error(monkeypatch, c
     assert str(info.value) == message
     assert cli.main(["sharpness", "--m-range", "1..1", "--k-range", "1..1", "--no-timing"]) == 1
     assert capsys.readouterr() == ("", f"kended: internal error: {message}\n")
+
+
+def test_a_witness_over_its_leaf_budget_aborts_a_sweep(monkeypatch):
+    # the leaf search asked at k + 1 for k >= 3 (k = 2 is left alone, so the
+    # Hamiltonian check does not see it first): its tree enters the cache
+    # audited within k leaves, and the first tree with k + 1 leaves aborts
+    exact = verify.find_k_ended_covering_tree
+
+    def faulty(graph, subset, k, cap=treesearch.DEFAULT_TREE_CAP):
+        return exact(graph, subset, k + 1 if k >= 3 else k, cap=cap)
+
+    monkeypatch.setattr(verify, "find_k_ended_covering_tree", faulty)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=5)):
+            pass
+    assert str(info.value) == ("witness tree exceeds the leaf budget "
+                               "(claim 'kended-cover' on graph Ds_ with S=[1, 2, 3, 4], k=3)")
 
 
 def test_a_hamiltonian_witness_on_a_non_edge_aborts_a_sweep(monkeypatch):

@@ -1,8 +1,8 @@
 """Structural rules of src/kended, checked over its source text with re and ast.
 
 Each rule keeps one decision in one place; a change that breaks one fails
-here. The line rules match as grep does: one match per source line. One more
-test reads the benchmark's tracer, which reaches kended by name.
+here. The line rules match as grep does: one match per source line. Two more
+tests read the benchmark's tracer and selftest, which reach kended by name.
 """
 
 import ast
@@ -32,14 +32,15 @@ def matching_lines(pattern: str, *exclude: str) -> list[str]:
 def top_level_owners(pattern: str) -> list[str]:
     """file:name of the top-level statement around each line that matches:
     a line that starts with none of ']', ' ', tab, '#', ')' or '}' opens a
-    statement, named by its def's name or its first word, cut at '('."""
+    statement, named by its def's or class's name or else its first word, cut
+    at '(' or ':'."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         owner = ""
         for line in path.read_text().splitlines():
             if re.match(r"[^\] \t#)}]", line):
                 words = line.split()
-                owner = re.sub(r"\(.*", "", words[1] if words[0] == "def" else words[0])
+                owner = re.sub(r"[(:].*", "", words[1] if words[0] in ("def", "class") else words[0])
             if re.search(pattern, line):
                 found.add(f"{path.name}:{owner}")
     return sorted(found)
@@ -70,6 +71,12 @@ CONFINED = [
 @pytest.mark.parametrize("pattern, homes", CONFINED)
 def test_a_confined_name_occurs_only_in_its_module(pattern, homes):
     assert matching_lines(pattern, *homes) == []
+
+
+def test_only_the_sweep_context_audits_a_witness():
+    # a search's tree is audited within its budget once, where it enters one of
+    # GraphContext's caches; every verdict that hands it on only reads
+    assert top_level_owners(r"(?<!def )_audit_cover_witness\(") == ["verify.py:GraphContext"]
 
 
 def test_one_place_builds_a_theorem_verdict():
@@ -155,3 +162,64 @@ def test_every_target_of_the_benchmark_tracer_resolves_in_kended():
             if not callable(namespace.get(attr)):
                 missing.append(f"{short}.{qualname}")
     assert targets and missing == []
+
+
+def kended_chain(node) -> list[str] | None:
+    """["kended", "verify", "GraphContext"] for the expression kended.verify.GraphContext."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_every_kended_name_the_benchmark_selftest_reaches_resolves():
+    # bench/selftest.py seeds its faults through kended names: attribute chains
+    # from the package (kended.verify._verdict_cover) or from a local name bound
+    # to one (invariants = kended.invariants), patch targets (owner, "name",
+    # value), which it swaps in the owner's own namespace, and reads of the
+    # sweep context (ctx._construct). Only a selftest run reaches them, so a
+    # renamed or removed name would break it unseen
+    import kended
+    from kended.graphs import Graph
+    from kended.verify import GraphContext
+
+    path = ROOT / "bench" / "selftest.py"
+    missing, reached, targets = [], set(), 0
+
+    def resolve(parts, names):
+        if parts is None or parts[0] not in names:
+            return None
+        value = names[parts[0]]
+        for depth, attr in enumerate(parts[1:], 2):
+            if not hasattr(value, attr):
+                missing.append(".".join(parts[:depth]))
+                return None
+            value = getattr(value, attr)
+        reached.add(".".join(parts))
+        return value
+
+    for function in ast.parse(path.read_text(), str(path)).body:
+        names = {"kended": kended, "ctx": GraphContext(Graph(1, [0]))}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                (target,), value = node.targets, node.value
+                pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple) else [(target, value)])
+                for name, expression in pairs:
+                    bound = resolve(kended_chain(expression), names)
+                    if isinstance(name, ast.Name) and bound is not None:
+                        names[name.id] = bound
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute):
+                resolve(kended_chain(node), names)
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
+                owner, attr = kended_chain(node.elts[0]), node.elts[1]
+                if owner and owner[0] in names and isinstance(attr, ast.Constant):
+                    targets += 1
+                    value = resolve(owner, names)
+                    if value is not None and attr.value not in vars(value):
+                        missing.append(f"{'.'.join(owner)}.{attr.value}")
+    assert missing == []
+    assert targets == 2 and {"kended.verify._verdict_cover", "invariants.local_connectivity",
+                             "ctx._construct", "ctx.cover_tree"} <= reached

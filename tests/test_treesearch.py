@@ -86,6 +86,20 @@ def test_uncoverable_subset_returns_none():
     assert find_k_ended_covering_tree(g, VertexSet.full(4), 4) is None
 
 
+def test_a_disconnected_host_covers_s_only_inside_one_component():
+    # S inside one component is covered by that component's edge tree; S
+    # across both components has no covering tree, and the minimum is refused
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    inside, across = VertexSet.from_vertices(4, [0, 1]), VertexSet.from_vertices(4, [0, 2])
+    edge = Tree(4, (0, 1), [(0, 1)])
+    assert find_k_ended_covering_tree(g, inside, 2) == edge
+    assert covering_tree_with_branch_budget(g, inside, 0) == edge
+    assert find_k_ended_covering_tree(g, across, 4) is None
+    assert covering_tree_with_branch_budget(g, across, 2) is None
+    with pytest.raises(ValueError, match="subset spans more than one component"):
+        minimum_leaf_covering_tree(g, across)
+
+
 def test_existence_cap():
     g = Graph.from_edges(11, [(i, i + 1) for i in range(10)])
     with pytest.raises(CapExceededError):

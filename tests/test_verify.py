@@ -294,10 +294,11 @@ def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def exhaustive_n5_sweep():
     """One default exhaustive n <= 5 sweep, counted: its verdict stream digest,
-    and the number of verdicts, constructions, path trees and path walks."""
-    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0}
+    and the number of verdicts, constructions, path trees, path walks and
+    witness audits."""
+    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0, "audits": 0}
     construct = constructive.construct_k_ended_tree
-    from_path, walk = Tree.from_path.__func__, Graph._walk
+    from_path, walk, audit = Tree.from_path.__func__, Graph._walk, verify._audit_cover_witness
 
     def counted_construct(graph, subset, k, start=None):
         calls["constructions"] += 1
@@ -311,6 +312,10 @@ def exhaustive_n5_sweep():
         calls["walks"] += 1
         return walk(graph, ends, rest)
 
+    def counted_audit(tree, smask, leaf_budget, branch_budget):
+        calls["audits"] += 1
+        return audit(tree, smask, leaf_budget, branch_budget)
+
     def counted_verdicts(plan):
         for verdict in sweep_verdicts(plan):
             calls["verdicts"] += 1
@@ -320,6 +325,7 @@ def exhaustive_n5_sweep():
         rebind_everywhere(patch, construct, counted_construct)
         patch.setattr(Tree, "from_path", classmethod(counted_tree))
         patch.setattr(Graph, "_walk", counted_walk)
+        patch.setattr(verify, "_audit_cover_witness", counted_audit)
         digest = verdict_stream_sha256(counted_verdicts(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)))
     return digest, calls
 
@@ -330,6 +336,25 @@ def test_exhaustive_n5_stream_is_pinned_and_constructs_only_past_a_covering(exha
     digest, calls = exhaustive_n5_sweep
     assert digest == N5_STREAM_SHA256
     assert calls["constructions"] == 23778
+
+
+def test_exhaustive_n5_sweep_audits_each_search_tree_once(exhaustive_n5_sweep):
+    # each tree a search finds is audited where it enters the context's caches;
+    # 138,487 audits ran when every verdict audited the witness it read
+    assert exhaustive_n5_sweep[1]["audits"] == 23768
+
+
+def test_the_branch_cache_refuses_a_tree_over_its_branch_budget(monkeypatch):
+    # the double star has 2 branch vertices, 0 and 3, and 4 leaves, so only the
+    # branch budget of 1 refuses it as it enters the cache
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]
+    graph = Graph.from_edges(6, edges)
+    monkeypatch.setattr(verify, "covering_tree_with_branch_budget",
+                        lambda host, subset, budget: Tree(6, range(6), edges))
+    ctx = GraphContext(graph)
+    with pytest.raises(InternalInvariantError, match="^witness tree exceeds the branch budget$"):
+        ctx.branch_tree(mask_of([1, 2, 4, 5]), 1)
+    assert ctx._branch == {}
 
 
 def larger_plans(folder):
