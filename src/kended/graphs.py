@@ -14,6 +14,8 @@ the adjacency rows:
   (`path_tree`), shared by the covering search and the construction's base
   path;
 - the minimum-leaf levels (`min_leaves`), grown only as far as a query reads;
+  the existence searches query them only where a leaf budget lies above the
+  alpha bound 2 alpha(S) - n + 1 or a growth search fails;
 - the subset invariants: alpha by mask, pair flows and kappa by mask, read
   and written only by `invariants`.
 

@@ -39,13 +39,21 @@ tree of the least path set containing S (`Graph.covering_set`,
 `Graph.path_tree`; only `graphs` reads a plane), one object for every subset
 with that set. hamiltonian_path_exists reads no plane, so the two routes are
 cross-checked: it backtracks unless alpha(V), from the alpha memo, exceeds
-ceil(n/2), which rules out a Hamiltonian path (Jung 1978). Leaf budgets read
-the graph's minimum-leaf levels (`Graph.min_leaves`), which answer "no"
-without a search and are cross-checked by each growth search. A branch-budget
-"no" is checked against the same levels: a tree with L >= 2 leaves has at
-most L - 2 branch vertices, so no tree within budget b is a contradiction
-where a tree with at most b + 2 leaves covers S. Both tables are shared by
-every subset and budget; the levels grow only as far as a query reads.
+ceil(n/2), which rules out a Hamiltonian path (Jung 1978).
+
+Past the covering path, a leaf budget first meets the bound behind Jung's:
+every tree covering S has at least 2 alpha(S) - n + 1 leaves
+(`_leaf_lower_bound`; Jung's test is its case S = V at 2 leaves). A budget
+below the bound is "no" without a search, and a budget at the bound goes
+straight to the growth search, which decides it exactly. Above the bound, a
+leaf budget reads the graph's minimum-leaf levels (`Graph.min_leaves`),
+which answer "no" without a search. Each growth search's "no" is checked
+against the levels. A branch-budget "no" is checked against them too: a
+tree with L >= 2 leaves has at most L - 2 branch vertices, so no tree within
+budget b is a contradiction where a tree with at most b + 2 leaves covers S.
+Every read of the levels here must give at least 3, since S has no covering
+path, and at least the bound. Both tables are shared by every subset and
+budget; the levels grow only as far as a query reads.
 """
 
 from __future__ import annotations
@@ -173,10 +181,30 @@ def _coverable(graph: Graph, smask: int) -> bool:
     return graph.is_connected() or graph.component_mask(r0) & smask == smask
 
 
+def _leaf_lower_bound(graph: Graph, smask: int) -> int:
+    """2 alpha(S) - n + 1, at most the leaf count L of every tree T covering S.
+    A tree with L leaves falls into at most |X| + L - 1 components when a
+    vertex set X is removed. With I a maximum independent subset of S and
+    X = V(T) - I, what is left is I, so alpha(S) <= |V(T)| - alpha(S) + L - 1."""
+    return 2 * subset_alpha(graph, smask) - graph.n + 1
+
+
+def _table_minimum(graph: Graph, smask: int, lower: int) -> int:
+    """The minimum-leaf table's answer for an S with no covering path, which
+    must be at least 3 and at least the alpha bound `lower`."""
+    minimum = graph.min_leaves(smask)
+    if minimum < max(lower, 3):
+        raise InternalInvariantError(f"the minimum-leaf table gives {minimum} leaves, below 3 or the alpha bound "
+                                     f"{lower}, for a subset with no covering path")
+    return minimum
+
+
 def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branches: bool) -> Tree | None:
     """The body of both existence searches: trivial and path answers first, then
     the growth search, unless the budget allows only a path (2 leaves or no
-    branch vertex) or the minimum-leaf planes exceed a leaf budget."""
+    branch vertex) or a leaf budget lies below the alpha bound, or above it
+    and below the minimum-leaf table's answer. At the bound the growth search
+    decides alone; the table is read only where it fails."""
     _check_cap(graph.n, cap)
     smask = graph.subset_mask(subset)
     if graph.n == 0:
@@ -190,18 +218,22 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
         return graph.path_tree(pset)
     if budget == (0 if branches else 2):
         return None
-    minimum = 0 if branches else graph.min_leaves(smask)
-    if minimum > budget:
-        return None
+    lower = _leaf_lower_bound(graph, smask)
+    if not branches:
+        if lower > budget:
+            return None
+        # at the bound the table could only confirm what the growth search decides
+        if lower < budget and _table_minimum(graph, smask, lower) > budget:
+            return None
     r0 = (smask & -smask).bit_length() - 1
     edges = _grow_tree(graph, smask, budget, r0, branches)
     if edges is not None:
         return Tree.from_root(graph.n, r0, edges)
+    minimum = _table_minimum(graph, smask, lower)
+    # a tree with L >= 2 leaves has at most L - 2 branch vertices
+    if minimum > (budget + 2 if branches else budget):
+        return None
     if branches:
-        # a tree with L >= 2 leaves has at most L - 2 branch vertices
-        minimum = graph.min_leaves(smask)
-        if minimum > budget + 2:
-            return None
         found = f"the branch search found no tree with at most {budget} branch vertices"
     else:
         found = f"the growth search found no tree with at most {budget}"

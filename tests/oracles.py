@@ -647,6 +647,18 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             return graph
 
 
+def bipartite_3_7(rng: random.Random) -> Graph:
+    """A connected bipartite graph with parts 3 and 7, each edge kept with
+    probability 0.8, labels shuffled."""
+    while True:
+        label = list(range(10))
+        rng.shuffle(label)
+        graph = Graph.from_edges(10, [(label[a], label[3 + b]) for a in range(3) for b in range(7)
+                                      if rng.random() < 0.8])
+        if graph.is_connected():
+            return graph
+
+
 def random_spanning_tree(graph: Graph, rng: random.Random):
     """A uniform-ish random spanning tree via Kruskal over shuffled edges."""
     edges = graph.edges()

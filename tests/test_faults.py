@@ -24,6 +24,13 @@ so a "no" at budget b where a tree with b + 2 leaves covers S aborts. The
 seeded branch-bound fault changes no result on n <= 5, so it first shows at
 n = 6.
 
+The alpha leaf bound 2 alpha(S) - n + 1 is seeded one off each way. One too
+high answers "no" below the least leaf count, which the construction's
+covering contradicts on n <= 4 already. One too low is only a weaker bound:
+it sends more leaf budgets to the minimum-leaf table, which answers them as
+before, so no verdict changes, and the fault shows as levels built where the
+exact bound builds none.
+
 A kappa one too high on every pair flow lets the hypothesis hold where the
 theorem promises nothing, and the construction then finds no base path. This
 is the fault a pair value settled without its flow would make if it
@@ -52,7 +59,7 @@ from itertools import combinations
 
 import pytest
 
-from kended import cli, constructive, invariants, treesearch, verify
+from kended import cli, constructive, graphs, invariants, treesearch, verify
 from kended.constructive import COVERING
 from kended.errors import InternalInvariantError
 from kended.formats import parse_graph6
@@ -67,7 +74,7 @@ from oracles import (
     min_leaf_cover_by_enumeration,
 )
 
-REPRODUCTION = re.compile(r"claim '[a-z-]+' on graph \S+ with S=\[[0-9, ]*\], k=\d+")
+REPRODUCTION = re.compile(r"claim '([a-z-]+)' on graph (\S+) with S=\[([0-9, ]*)\], k=(\d+)")
 N4 = SweepPlan(mode="exhaustive", n=4)    # 44 graphs, 5,462 verdicts
 
 
@@ -125,6 +132,45 @@ def test_leaf_bound_without_its_absorbed_leaves_aborts_a_sweep(monkeypatch):
         for _ in sweep_verdicts(N4):
             pass
     assert str(info.value).endswith("(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=3)")
+
+
+def test_alpha_leaf_bound_one_too_high_aborts_a_sweep_with_reproduction_data(monkeypatch):
+    # a bound above the least leaf count answers "no" where a tree within the
+    # budget exists, which the construction's covering contradicts
+    exact = treesearch._leaf_lower_bound
+    monkeypatch.setattr(treesearch, "_leaf_lower_bound", lambda graph, smask: exact(graph, smask) + 1)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=5)):
+            pass
+    message = str(info.value)
+    assert message == ("construction covered but the exhaustive oracle found nothing "
+                       "(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=3)")
+    # the named instance aborts on its own, with the same message
+    _, graph6, subset, k = REPRODUCTION.search(message).groups()
+    graph = parse_graph6(graph6)
+    with pytest.raises(InternalInvariantError) as again:
+        verify_instance(graph, VertexSet.from_vertices(graph.n, map(int, subset.split(", "))), int(k))
+    assert str(again.value) == message
+
+
+def test_alpha_leaf_bound_one_too_low_changes_no_verdict_but_builds_levels(monkeypatch):
+    # a bound below the least leaf count only sends more budgets to the
+    # minimum-leaf table, which answers them as before; the levels it builds
+    # are where the fault shows
+    original = graphs._min_leaf_level
+    builds = []
+
+    def counted(rows, levels):
+        builds.append(rows)
+        return original(rows, levels)
+
+    monkeypatch.setattr(graphs, "_min_leaf_level", counted)
+    clean = list(sweep_verdicts(N4))
+    assert builds == []
+    exact = treesearch._leaf_lower_bound
+    monkeypatch.setattr(treesearch, "_leaf_lower_bound", lambda graph, smask: exact(graph, smask) - 1)
+    assert list(sweep_verdicts(N4)) == clean
+    assert len(builds) == 4
 
 
 def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):

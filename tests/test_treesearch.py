@@ -21,11 +21,13 @@ from conftest import graphs, labelled_graphs
 from oracles import (
     _min_leaf_table,
     _path_endpoint_table,
+    bipartite_3_7,
     covering_path_by_forward_dp,
     covering_set_by_and_loop,
     grow_tree_unpruned,
     hamiltonian_path_by_backtracking,
     hamiltonian_path_by_permutations,
+    independent_sets_by_enumeration,
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
     random_connected_graph,
@@ -320,17 +322,6 @@ def test_hamiltonian_path_tiny():
         hamiltonian_path_exists(Graph(12, [0] * 12))
 
 
-def bipartite_3_7(rng):
-    """A connected bipartite graph with parts 3 and 7, labels shuffled."""
-    while True:
-        label = list(range(10))
-        rng.shuffle(label)
-        graph = Graph.from_edges(10, [(label[a], label[3 + b]) for a in range(3) for b in range(7)
-                                      if rng.random() < 0.8])
-        if graph.is_connected():
-            return graph
-
-
 def test_hamiltonian_witness_matches_backtracking_every_labelled_graph_n_le_5():
     for graph in connected_graphs_up_to(5):
         assert hamiltonian_path_exists(graph) == hamiltonian_path_by_backtracking(graph)
@@ -465,6 +456,34 @@ def test_min_leaf_table_matches_enumeration_on_random_graphs():
     for i in range(24):
         graph = random_gnp(6 + i % 3, 0.5, rng)
         assert_min_leaf_table_matches_enumeration(graph, [rng.randrange(1 << graph.n) for _ in range(6)])
+
+
+def test_leaf_minimum_is_at_least_the_alpha_bound_every_labelled_graph_n_le_5():
+    # the scattering bound: removing the vertices outside a maximum independent
+    # subset I of S splits a covering tree with L leaves into |I| pieces, at
+    # most their number plus L - 1, so L >= 2 alpha(S) - n + 1
+    instances = tight = 0
+    for graph in connected_graphs_up_to(5):
+        table = _min_leaf_table(graph.rows, _path_endpoint_table(graph.rows))
+        for smask in range(1 << graph.n):
+            if smask & (smask - 1) == 0:
+                continue
+            lower = 2 * independent_sets_by_enumeration(graph, smask)[0] - graph.n + 1
+            assert treesearch._leaf_lower_bound(graph, smask) == lower
+            assert table[smask] >= lower, (graph, smask)
+            instances += 1
+            tight += table[smask] == lower
+    assert (instances, tight) == (19363, 1064)
+
+
+def test_alpha_bound_is_the_minimum_on_complete_bipartite():
+    # S, the part of m + k vertices of K_{m,m+k}, has alpha m + k, so the bound
+    # reads k + 1, the minimum of the sharpness family
+    for m in range(1, 5):
+        for k in range(1, 11 - 2 * m):
+            graph, subset = kmm(m, k)
+            table = _min_leaf_table(graph.rows, _path_endpoint_table(graph.rows))
+            assert treesearch._leaf_lower_bound(graph, subset.mask) == table[subset.mask] == k + 1, (m, k)
 
 
 def test_existence_consistent_with_minimum_exhaustive_small():

@@ -36,6 +36,7 @@ from kended.invariants import ConnectivityValue
 
 from conftest import time_limit
 from oracles import (
+    bipartite_3_7,
     covering_path_by_forward_dp,
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
@@ -751,19 +752,37 @@ def test_min_leaf_table_is_built_once_and_only_past_the_covering_path(monkeypatc
     assert builds == []    # every subset of C5 has a covering path
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     _graph_verdicts(star, list(range(1, 32)), (2, 3, 4))
-    # each level once, up to the 4 leaves of the whole star: no query reads past it
-    assert builds == [(star.rows, 3), (star.rows, 4)]
+    # level 3 once: the S holding all 4 leaves of the star have the alpha
+    # bound 2 * 4 - 5 + 1 = 4, which answers k = 3 and hands k = 4 to the
+    # growth search, so no query reads level 4
+    assert builds == [(star.rows, 3)]
 
 
 def test_min_leaf_levels_grow_only_as_far_as_a_query_reads(monkeypatch):
     # a tree covering K_{3,7} keeps at least 5 of the 7 vertices of the large
-    # part as leaves, and S = V reads no level past that one
+    # part as leaves, the alpha bound 2 * 7 - 10 + 1: the bound answers k = 3
+    # and 4 and the growth search k = 5, so the sweep builds no level, and an
+    # explicit read of S = V reads no level past 5
     builds = counted_levels(monkeypatch)
     k37 = Graph.from_edges(10, [(a, b) for a in range(3) for b in range(3, 10)])
     verdicts = _graph_verdicts(k37, [k37.full_mask], (2, 3, 4, 5, 6))
     assert [v.conclusion_holds for v in verdicts if v.claim == "kended-cover"] == [False, False, False, True, True]
+    assert builds == []
     assert k37.min_leaves(k37.full_mask) == 5
     assert builds == [(k37.rows, 3), (k37.rows, 4), (k37.rows, 5)]
+
+
+def test_bipartite_3_7_sweeps_build_no_level_where_the_alpha_bound_is_the_minimum(monkeypatch):
+    # alpha(V) >= 7 bounds every covering tree below by 5 leaves, so where the
+    # minimum is 5 the bound and the growth search answer every leaf budget
+    builds = counted_levels(monkeypatch)
+    rng = random.Random(3710)
+    for _ in range(50):
+        graph = bipartite_3_7(rng)
+        _graph_verdicts(graph, [graph.full_mask], (2, 3, 4, 5, 6))
+        assert builds == [], emit_graph6(graph)
+        assert graph.min_leaves(graph.full_mask) == 5
+        builds.clear()
 
 
 def a_level_too_many(grow, rows, levels):
