@@ -1,7 +1,8 @@
 """Exact subset invariants: independence numbers and local/set connectivity.
 
 Every result is a function of the graph and subset alone. Independence numbers
-use branch-and-bound over bitmask candidate sets. Connectivity is unit-capacity
+use branch-and-bound over bitmask candidate sets, or one branching step over
+two smaller subsets where the memo holds both. Connectivity is unit-capacity
 max flow on the vertex-split digraph (Even & Tarjan 1975), so values are exact
 Menger counts; the residual network is one bitmask per split node, and the flow
 stops at min(deg x, deg y). Every x-y path uses its own neighbour of x and of
@@ -9,9 +10,10 @@ y, so disjoint paths of at most 3 edges that reach min(deg x, deg y) settle a
 pair without a flow, as they do for most pairs of a dense graph.
 
 alpha and kappa are memoized once per graph, on the Graph itself, and only
-here: subset_alpha keeps alpha by mask, and subset_kappa, the one
-pair-minimum loop, keeps kappa and its pair by mask and each pair's flow, so
-every caller on a graph (sweep, construction, CLI) shares one store. A
+here: subset_alpha keeps alpha by mask, each entry from alpha_mask or from
+two entries before it, and subset_kappa, the one pair-minimum loop, keeps
+kappa and its pair by mask and each pair's flow, so every caller on a graph
+(sweep, construction, CLI) shares one store. A
 pair's flow is at least [xy is an edge] + |N(x) & N(y)|, the paths it routes
 first, and only a smaller value replaces the running minimum, so a pair
 whose bound reaches it is skipped, stores nothing, and cannot change the
@@ -139,10 +141,27 @@ def alpha_mask(graph: Graph, smask: int) -> tuple[int, int]:
 
 
 def subset_alpha(graph: Graph, smask: int) -> int:
-    """alpha_G(S) for the S in smask, from the graph's memo; alpha_mask runs once per mask."""
-    alpha = graph._alpha.get(smask)
+    """alpha_G(S) for the S in smask, from the graph's memo.
+
+    A missing mask takes the branching step on the lowest vertex v of S,
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])) (Tarjan & Trojanowski,
+    SIAM J. Comput. 1977), when the memo holds both; otherwise alpha_mask
+    decides it. Either way each mask is computed once per graph. The empty
+    set is not seeded, so alpha_mask still decides the singletons and each
+    sweep meets both routes.
+    """
+    memo = graph._alpha
+    alpha = memo.get(smask)
     if alpha is None:
-        alpha = graph._alpha[smask] = alpha_mask(graph, smask)[0]
+        low = smask & -smask
+        without = memo.get(smask ^ low)
+        apart = None if without is None else memo.get(smask & ~graph.rows[low.bit_length() - 1] & ~low)
+        if apart is None:
+            alpha = alpha_mask(graph, smask)[0]
+        else:
+            # S - N[v] lies in S - v, so apart <= without
+            alpha = apart + 1 if apart == without else without
+        memo[smask] = alpha
     return alpha
 
 

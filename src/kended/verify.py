@@ -16,9 +16,13 @@ this package, not new mathematics. One instance runs through the sweep's own
 `_graph_task` (`verify_instance`), so it gets the same verdicts, the same
 reproduction data on an internal error and the same promotion.
 
-One builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
-kappa and the least k the hypothesis admits once per S of a graph; each claim
-function brings only its own witness, conclusion and detail, taken from the
+One judge, `_graph_verdicts`, checks each (S, k) of a graph: kended-cover
+through `_verdict_cover`, which also cross-checks the construction, then
+branch-cover from one branch-budget read and residual-bound from one
+leaf-budget read, with the construction only where no tree covers. One
+builder, `_verdict`, makes every TheoremVerdict. It reads S's tuple, alpha,
+kappa and the least k the hypothesis admits once per S of a graph; the judge
+brings each claim's witness, conclusion and detail, taken from the
 GraphContext caches of the tree searches and constructions. The caches hand
 one tree to several k and claims, so each tree is checked where it enters a
 cache: a search's tree, when the search finds it, by `Graph.check_tree`
@@ -134,6 +138,9 @@ SHARPNESS_NOTE = (
 )
 
 
+_MISSING = object()    # a cache entry not yet made; None is a search's "no tree"
+
+
 class GraphContext:
     """Per-graph caches of the tree searches and constructions, shared across
     subsets, budgets and claims.
@@ -180,14 +187,14 @@ class GraphContext:
         against the graph and audited to cover S within the budget when the search
         finds it; a tree found at budget - 1 stands, audited within that tighter
         budget when it was stored."""
-        key = (smask, budget)
-        if key not in cache:
+        tree = cache.get((smask, budget), _MISSING)
+        if tree is _MISSING:
             tree = cache.get((smask, budget - 1))
             if tree is None and (tree := search(self.graph, VertexSet(self.graph.n, smask), budget)):
                 self.graph.check_tree(tree)
                 _audit_cover_witness(tree, smask, *((budget, None) if leaves else (None, budget)))
-            cache[key] = tree
-        return cache[key]
+            cache[(smask, budget)] = tree
+        return tree
 
     def construct(self, smask: int, k: int) -> ConstructionOutcome:
         key = (smask, k)
@@ -244,26 +251,6 @@ def _verdict_cover(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
     if constructive_covering and witness is None:
         raise InternalInvariantError("construction covered but the exhaustive oracle found nothing")
     return verdict
-
-
-def _verdict_branch(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    witness = ctx.branch_tree(smask, k - 2)
-    return _verdict(ctx, "branch-cover", smask, k, witness, witness is not None)
-
-
-def _verdict_residual(ctx: GraphContext, smask: int, k: int) -> TheoremVerdict:
-    cover = ctx.cover_tree(smask, k)
-    if cover is not None:
-        return _verdict(ctx, "residual-bound", smask, k, cover, True, {"covering": True})
-    # _verdict_cover, run just before on the same (S, k), refused a covering construction here
-    outcome = ctx.construct(smask, k)
-    kappa = ctx.kappa(smask)
-    assert not kappa.is_infinite    # infinite kappa always yields a covering
-    bound = ctx.alpha(smask) - kappa.finite - k + 1
-    residual = ctx.alpha(smask & ~outcome.tree.vertex_mask)
-    conclusion = residual <= bound and outcome.tree.leaf_count <= k
-    return _verdict(ctx, "residual-bound", smask, k, outcome.tree, conclusion,
-                    {"covering": False, "residual_alpha": residual, "bound": bound})
 
 
 def _verdict_hamiltonian(ctx: GraphContext) -> TheoremVerdict:
@@ -443,19 +430,35 @@ def _plan_instances(plan: SweepPlan) -> Iterator[tuple[Graph | None, list[int]]]
 
 def _graph_verdicts(graph: Graph, subset_masks: list[int],
                     ks: tuple[int, ...]) -> list[TheoremVerdict]:
-    """Every verdict of one graph; an internal failure is re-raised as a plain-message
+    """Every verdict of one graph, in CLAIMS order per (S, k) and the Hamiltonian
+    claim last; an internal failure is re-raised as a plain-message
     InternalInvariantError naming the claim, graph6, S and k that reproduce it."""
     ctx = GraphContext(graph)
-    checks = (("kended-cover", _verdict_cover), ("branch-cover", _verdict_branch),
-              ("residual-bound", _verdict_residual))
     verdicts = []
+    append = verdicts.append
     try:
         for smask in subset_masks:
             for k in ks:
-                for claim, check in checks:
-                    verdicts.append(check(ctx, smask, k))
+                claim = "kended-cover"
+                append(_verdict_cover(ctx, smask, k))
+                claim = "branch-cover"
+                witness = ctx.branch_tree(smask, k - 2)
+                append(_verdict(ctx, claim, smask, k, witness, witness is not None))
+                claim = "residual-bound"
+                witness = ctx.cover_tree(smask, k)
+                if witness is not None:
+                    append(_verdict(ctx, claim, smask, k, witness, True, {"covering": True}))
+                    continue
+                # the kended-cover check just before refused a covering construction here
+                tree = ctx.construct(smask, k).tree
+                kappa = ctx.kappa(smask)
+                assert not kappa.is_infinite    # infinite kappa always yields a covering
+                bound = ctx.alpha(smask) - kappa.finite - k + 1
+                residual = ctx.alpha(smask & ~tree.vertex_mask)
+                append(_verdict(ctx, claim, smask, k, tree, residual <= bound and tree.leaf_count <= k,
+                                {"covering": False, "residual_alpha": residual, "bound": bound}))
         claim, smask, k = "hamiltonian-path", graph.full_mask, 2
-        verdicts.append(_verdict_hamiltonian(ctx))
+        append(_verdict_hamiltonian(ctx))
     except InternalInvariantError as exc:
         raise InternalInvariantError(
             f"{exc} (claim {claim!r} on graph {ctx.graph_id} with S={list(iter_bits(smask))}, k={k})"

@@ -1,5 +1,6 @@
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -67,3 +68,13 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Patch every kended module attribute bound to `original`."""
+    owners = [(module, attr) for name, module in list(sys.modules.items())
+              if name == "kended" or name.startswith("kended.")
+              for attr, value in list(vars(module).items()) if value is original]
+    assert owners
+    for module, attr in owners:
+        monkeypatch.setattr(module, attr, replacement)

@@ -22,7 +22,12 @@ the minimum-leaf table promises. The branch-budget search is checked against
 the same table: a tree with L >= 2 leaves has at most L - 2 branch vertices,
 so a "no" at budget b where a tree with b + 2 leaves covers S aborts. The
 seeded branch-bound fault changes no result on n <= 5, so it first shows at
-n = 6.
+n = 6; the n = 7 atlas tier aborts at its fourth graph.
+
+alpha has two routes, and both are seeded. On exhaustive n <= 4 the lattice
+step of `subset_alpha` fills every mask with alpha >= 2, so its faults abort
+that sweep, while `alpha_mask` decides only masks with alpha <= 1; its
+alpha - 1 runs on a sweep with S = V, whose first mask it decides.
 
 The alpha leaf bound 2 alpha(S) - n + 1 is seeded one off each way. One too
 high answers "no" below the least leaf count, which the construction's
@@ -66,7 +71,7 @@ from kended.formats import parse_graph6
 from kended.graphs import Graph, Tree, VertexSet, iter_bits
 from kended.verify import SweepPlan, sweep_verdicts, verify_instance
 
-from conftest import time_limit
+from conftest import rebind_everywhere, time_limit
 from oracles import (
     independent_sets_by_enumeration,
     max_internally_disjoint_paths,
@@ -107,6 +112,8 @@ def test_alpha_one_too_high_aborts_a_sweep_with_reproduction_data(alpha_one_too_
 
 
 def test_alpha_one_too_low_aborts_a_sweep_with_reproduction_data(monkeypatch):
+    # on exhaustive n <= 4 the lattice step fills every mask with alpha >= 2,
+    # so the fault is run where alpha_mask decides S = V on each graph
     exact = invariants.alpha_mask
 
     def faulty(graph, smask):
@@ -115,9 +122,56 @@ def test_alpha_one_too_low_aborts_a_sweep_with_reproduction_data(monkeypatch):
 
     monkeypatch.setattr(invariants, "alpha_mask", faulty)
     with pytest.raises(InternalInvariantError, match="path search exhausted") as info:
-        for _ in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
+        for _ in sweep_verdicts(SweepPlan(mode="random", n=6, count=50, seed=0, s_policy="s=v")):
             pass
-    assert str(info.value).endswith("(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=2)")
+    assert str(info.value).endswith("(claim 'kended-cover' on graph EKt? with S=[0, 1, 2, 3, 4, 5], k=2)")
+
+
+def seed_lattice_fault(monkeypatch, apart_of, gain):
+    """subset_alpha, rebound in every module, with alpha(S) = max(alpha(S - v),
+    gain + alpha(apart_of(S))) for its lattice step, where v is the lowest
+    vertex of S; the exact step reads S - N[v] with gain 1."""
+    def subset_alpha(graph, smask):
+        memo = graph._alpha
+        alpha = memo.get(smask)
+        if alpha is None:
+            low = smask & -smask
+            without = memo.get(smask ^ low)
+            apart = None if without is None else memo.get(apart_of(graph, smask, low))
+            alpha = invariants.alpha_mask(graph, smask)[0] if apart is None else max(without, apart + gain)
+            memo[smask] = alpha
+        return alpha
+
+    rebind_everywhere(monkeypatch, invariants.subset_alpha, subset_alpha)
+
+
+def closed_apart(graph, smask, low):
+    return smask & ~graph.rows[low.bit_length() - 1] & ~low
+
+
+def test_the_exact_lattice_step_of_the_fault_seeder_runs_clean(monkeypatch):
+    # the seeder's own step, unfaulted, gives the sweep's verdicts, so the two
+    # faults below differ from subset_alpha by their fault alone
+    clean = list(sweep_verdicts(N4))
+    seed_lattice_fault(monkeypatch, closed_apart, 1)
+    assert list(sweep_verdicts(N4)) == clean
+
+
+@pytest.mark.parametrize("apart_of, gain, message", [
+    (closed_apart, 0, "path search exhausted; this contradicts the base-path guarantee "
+                      "(claim 'kended-cover' on graph Cs with S=[1, 2, 3], k=2)"),
+    (lambda graph, smask, low: smask ^ low, 1,
+     "backtracking Hamiltonian search disagrees with the covering-path oracle: backtracking found None, "
+     "the first path on V is (0, 1) (claim 'hamiltonian-path' on graph A_ with S=[0, 1], k=2)"),
+], ids=["without-plus-one", "s-minus-v-for-s-minus-closed-neighbourhood"])
+def test_a_faulty_lattice_step_aborts_a_sweep_with_reproduction_data(monkeypatch, apart_of, gain, message):
+    # alpha_mask decides only masks with alpha <= 1 on exhaustive n <= 4, so
+    # these are the faults an alpha >= 2 there can come from
+    seed_lattice_fault(monkeypatch, apart_of, gain)
+    with pytest.raises(InternalInvariantError) as info:
+        for _ in sweep_verdicts(N4):
+            pass
+    assert str(info.value) == message
 
 
 def test_leaf_bound_without_its_absorbed_leaves_aborts_a_sweep(monkeypatch):
@@ -173,26 +227,43 @@ def test_alpha_leaf_bound_one_too_low_changes_no_verdict_but_builds_levels(monke
     assert len(builds) == 4
 
 
-def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
-    # the branch bound cutting whenever a forced vertex lacks a branch neighbour,
-    # though a leaf could take it; it changes no branch-budget result on any
-    # labelled graph with n <= 5, so exhaustive n <= 5 runs quiet, and the
-    # sampled n = 6 tier of the acceptance tests first aborts at its 3,505th
-    # graph (E[?g, S=[1, 2, 3, 4], k=3); this is the smallest sweep found that
-    # catches it: the first connected G(6, 0.3) of seed 0, with every S. The
-    # wrong "no" meets the minimum-leaf table, since a tree with 3 leaves has
-    # at most 1 branch vertex, before it could become a counterexample
-    def faulty(rows, smask, budget, mask, deg1, deg2):
-        branch = mask & ~deg1 & ~deg2
-        return branch.bit_count() >= budget and treesearch._forced(rows, smask, mask, branch)[0] > 0
+def branch_bound_on_every_forced_vertex(rows, smask, budget, mask, deg1, deg2):
+    """The branch bound cutting whenever a forced vertex lacks a branch
+    neighbour, though a leaf could take it."""
+    branch = mask & ~deg1 & ~deg2
+    return branch.bit_count() >= budget and treesearch._forced(rows, smask, mask, branch)[0] > 0
 
-    monkeypatch.setattr(treesearch, "_branch_bound_cuts", faulty)
+
+def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
+    # the fault changes no branch-budget result on any labelled graph with
+    # n <= 5, so exhaustive n <= 5 runs quiet, and the sampled n = 6 tier of
+    # the acceptance tests first aborts at its 3,505th graph (E[?g,
+    # S=[1, 2, 3, 4], k=3); this is the smallest sweep found that catches it:
+    # the first connected G(6, 0.3) of seed 0, with every S. The wrong "no"
+    # meets the minimum-leaf table, since a tree with 3 leaves has at most 1
+    # branch vertex, before it could become a counterexample
+    monkeypatch.setattr(treesearch, "_branch_bound_cuts", branch_bound_on_every_forced_vertex)
     plan = SweepPlan(mode="random", n=6, p=0.3, count=8, seed=0, s_policy="all-subsets")
     with pytest.raises(InternalInvariantError) as info:
         for _ in sweep_verdicts(plan):
             pass
     assert str(info.value) == ("the minimum-leaf table gives 3 leaves but the branch search found no tree with "
                                "at most 1 branch vertices (claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3)")
+
+
+def test_branch_bound_on_every_forced_vertex_aborts_the_n7_atlas_tier(monkeypatch):
+    # the tier of the widest regression pin, every S and k = 2..5 of the
+    # connected 7-vertex atlas graphs in atlas order, aborts at its 4th graph
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(treesearch, "_branch_bound_cuts", branch_bound_on_every_forced_vertex)
+    graphs = (Graph.from_edges(7, g.edges()) for g in nx.graph_atlas_g()
+              if g.number_of_nodes() == 7 and nx.is_connected(g))
+    with time_limit(60), pytest.raises(InternalInvariantError) as info:
+        for graph in graphs:
+            verify._graph_task((graph, list(range(1, 1 << 7)), (2, 3, 4, 5)))
+    assert str(info.value) == ("the minimum-leaf table gives 3 leaves but the branch search found no tree with "
+                               "at most 1 branch vertices (claim 'branch-cover' on graph FiOG_ with S=[0, 5, 6], "
+                               "k=3)")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

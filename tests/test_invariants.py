@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kended import invariants
 from kended.errors import CapExceededError
-from kended.families import GraphFamilySpec, make_family
+from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
 from kended.graphs import Graph, VertexSet
 from kended.invariants import (
     ConnectivityValue,
@@ -17,6 +17,7 @@ from kended.invariants import (
     maximum_independent_masks,
     set_connectivity,
     set_connectivity_pair,
+    subset_alpha,
 )
 
 from conftest import graph_with_subset, graphs
@@ -119,6 +120,50 @@ def test_alpha_c5_is_two():
 def test_alpha_empty_set_is_zero():
     g = c5()
     assert independence_number(g, VertexSet.empty(5)).size == 0
+
+
+def lattice_hosts():
+    """Every connected labelled graph with n <= 5, and 30 seeded G(n, 0.4)
+    graphs with n = 6..8, connected or not."""
+    for n in range(1, 6):
+        yield from enumerate_connected_labeled_graphs(n)
+    rng = random.Random(38)
+    for i in range(30):
+        n = 6 + i % 3
+        yield Graph.from_edges(n, [pair for pair in combinations(range(n), 2) if rng.random() < 0.4])
+
+
+def test_subset_alpha_from_the_lattice_matches_enumeration_in_any_order(monkeypatch):
+    # in ascending order from the empty set every other mask finds S - v and
+    # S - N[v] in the memo, so alpha_mask decides the empty set alone; in a
+    # shuffled order both routes decide masks
+    exact = invariants.alpha_mask
+    runs = []
+
+    def counted(graph, smask):
+        runs.append(smask)
+        return exact(graph, smask)
+
+    monkeypatch.setattr(invariants, "alpha_mask", counted)
+    rng = random.Random(5)
+    hosts = disconnected = shuffled_runs = shuffled_masks = 0
+    for graph in lattice_hosts():
+        hosts += 1
+        disconnected += not graph.is_connected()
+        masks = list(range(1 << graph.n))
+        expected = [independent_sets_by_enumeration(graph, smask)[0] for smask in masks]
+        for order in (masks, rng.sample(masks, len(masks))):
+            fresh = Graph.from_edges(graph.n, graph.edges())    # an empty alpha memo
+            runs.clear()
+            found = {smask: subset_alpha(fresh, smask) for smask in order}
+            assert [found[smask] for smask in masks] == expected, (graph, order is masks)
+            if order is masks:
+                assert runs == [0]
+            else:
+                shuffled_runs += len(runs)
+                shuffled_masks += len(masks)
+    assert hosts == 802 and disconnected > 0
+    assert 0 < shuffled_runs < shuffled_masks
 
 
 def test_alpha_range_check():

@@ -79,6 +79,12 @@ def test_only_the_sweep_context_audits_a_witness():
     assert top_level_owners(r"(?<!def )_audit_cover_witness\(") == ["verify.py:GraphContext"]
 
 
+def test_only_subset_alpha_reads_or_writes_the_alpha_memo():
+    # the lattice step fills a mask from two others, so every entry must come
+    # from subset_alpha: a value stored anywhere else would spread through it
+    assert top_level_owners(r"\._alpha\b") == ["graphs.py:Graph", "invariants.py:subset_alpha"]
+
+
 def test_one_place_builds_a_theorem_verdict():
     # verify._verdict reads alpha, kappa and the least k of the hypothesis for every claim
     assert len(matching_lines(r"TheoremVerdict\(")) == 1

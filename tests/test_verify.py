@@ -4,7 +4,6 @@ import marshal
 import pickle
 import random
 import re
-import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -34,7 +33,7 @@ from kended.verify import (
 )
 from kended.invariants import ConnectivityValue
 
-from conftest import time_limit
+from conftest import rebind_everywhere, time_limit
 from oracles import (
     bipartite_3_7,
     covering_path_by_forward_dp,
@@ -295,10 +294,10 @@ def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def exhaustive_n5_sweep():
     """One default exhaustive n <= 5 sweep, counted: its verdict stream digest,
-    and the number of verdicts, constructions, path trees, path walks and
-    witness audits."""
-    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0, "audits": 0}
-    construct = constructive.construct_k_ended_tree
+    and the number of verdicts, constructions, path trees, path walks, witness
+    audits and alpha_mask runs."""
+    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0, "audits": 0, "alpha_masks": 0}
+    construct, alpha_mask = constructive.construct_k_ended_tree, invariants.alpha_mask
     from_path, walk, audit = Tree.from_path.__func__, Graph._walk, verify._audit_cover_witness
 
     def counted_construct(graph, subset, k, start=None):
@@ -317,6 +316,10 @@ def exhaustive_n5_sweep():
         calls["audits"] += 1
         return audit(tree, smask, leaf_budget, branch_budget)
 
+    def counted_alpha_mask(graph, smask):
+        calls["alpha_masks"] += 1
+        return alpha_mask(graph, smask)
+
     def counted_verdicts(plan):
         for verdict in sweep_verdicts(plan):
             calls["verdicts"] += 1
@@ -324,6 +327,7 @@ def exhaustive_n5_sweep():
 
     with pytest.MonkeyPatch.context() as patch:
         rebind_everywhere(patch, construct, counted_construct)
+        rebind_everywhere(patch, alpha_mask, counted_alpha_mask)
         patch.setattr(Tree, "from_path", classmethod(counted_tree))
         patch.setattr(Graph, "_walk", counted_walk)
         patch.setattr(verify, "_audit_cover_witness", counted_audit)
@@ -343,6 +347,13 @@ def test_exhaustive_n5_sweep_audits_each_search_tree_once(exhaustive_n5_sweep):
     # each tree a search finds is audited where it enters the context's caches;
     # 138,487 audits ran when every verdict audited the witness it read
     assert exhaustive_n5_sweep[1]["audits"] == 23768
+
+
+def test_exhaustive_n5_sweep_fills_most_alpha_masks_from_the_lattice(exhaustive_n5_sweep):
+    # subset_alpha takes alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])) from
+    # the memo where it holds both; 23,941 alpha_mask runs when it decided
+    # every mask
+    assert exhaustive_n5_sweep[1]["alpha_masks"] == 2756
 
 
 def test_the_branch_cache_refuses_a_tree_over_its_branch_budget(monkeypatch):
@@ -560,16 +571,6 @@ def test_counterexample_aborts_with_reproduction_data(monkeypatch):
         verify_instance(p3, VertexSet.full(3), 2)
     assert (err.value.verdict.claim, err.value.verdict.graph_id) == ("kended-cover", emit_graph6(p3))
     assert str(err.value).startswith(f"counterexample for claim 'kended-cover' on graph {emit_graph6(p3)} ")
-
-
-def rebind_everywhere(monkeypatch, original, replacement):
-    """Patch every kended module attribute bound to `original`."""
-    owners = [(module, attr) for name, module in list(sys.modules.items())
-              if name == "kended" or name.startswith("kended.")
-              for attr, value in list(vars(module).items()) if value is original]
-    assert owners
-    for module, attr in owners:
-        monkeypatch.setattr(module, attr, replacement)
 
 
 def test_all_subsets_sweep_runs_each_pair_flow_once(monkeypatch):
