@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -483,13 +482,19 @@ def _graph_task(args: tuple[Graph | None, list[int], tuple[int, ...]]
 
 
 def _graph_results(plan: SweepPlan) -> Iterator[tuple[float, list[TheoremVerdict]] | None]:
-    """_graph_task over the plan's instances in order, in this process or in a pool."""
+    """_graph_task over the plan's instances in order: the builtin map for
+    workers = 1, a process pool otherwise. The pool's modules load only for
+    workers > 1."""
     validate_plan(plan)
     ks = tuple(range(plan.k_min, plan.k_max + 1))
     tasks = ((graph, masks, ks) for graph, masks in _plan_instances(plan))
     if plan.workers == 1:
         yield from map(_graph_task, tasks)
         return
+    # imported here, not at module level: the pool loads multiprocessing,
+    # pickle, socket, logging and 32 more modules past kended's own (about
+    # 2 MB on CPython 3.11), which every serial sweep and CLI call would pay for
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=plan.workers) as pool:
         yield from pool.map(_graph_task, tasks, chunksize=4)
 

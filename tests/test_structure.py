@@ -151,6 +151,39 @@ def test_the_runtime_loads_no_test_dependency():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+POOL_CHECK = """
+import contextlib, dataclasses, io, sys
+import kended, kended.cli, kended.report
+from kended.report import verdict_to_json
+from kended.verify import SweepPlan, run_sweep, sweep_verdicts
+
+def check(ok, message):
+    if not ok:
+        sys.exit(message)
+
+plan = SweepPlan(mode="exhaustive", n=3)
+run_sweep(plan)
+serial = [verdict_to_json(v) for v in sweep_verdicts(plan)]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kended.cli.main(["analyze", "--family", "petersen", "--no-timing"])
+check(code == 0, f"analyze exited {code}")
+loaded = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
+check(loaded == [], f"a serial run loaded {loaded}")
+pooled = [verdict_to_json(v) for v in sweep_verdicts(dataclasses.replace(plan, workers=2))]
+check("concurrent.futures.process" in sys.modules, "the pooled sweep ran without a process pool")
+check(pooled == serial, "the pooled verdict stream differs from the serial one")
+"""
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool():
+    # a fresh interpreter, since this one may have loaded the pool already:
+    # importing kended, a serial sweep and a CLI command load no pool module,
+    # and workers = 2 loads it and yields the serial verdict stream
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", POOL_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_every_target_of_the_benchmark_tracer_resolves_in_kended():
     # bench/tracer.py wraps each module.qualname of its TARGETS literal when a
     # benchmark run traces; no test runs a trace, so a renamed or removed target
