@@ -2,8 +2,10 @@
 
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
-A path is the tuple of its vertices in order; its tree is `Tree.from_path`
-or `Graph.path_tree`, checked against the graph by `Graph.check_tree`. All
+Every tree is grown, one checked step (anchor, new vertex) at a time:
+`Tree(host_n, root, steps)` from one vertex, `Tree.grow` from a tree. A path
+is the tuple of its vertices in order; its tree is `Tree.from_path` or
+`Graph.path_tree`, checked against the graph by `Graph.check_tree`. All
 three types are immutable after construction and safe to share across
 concurrent workers. A graph fills these memos lazily, each a pure function of
 the adjacency rows:
@@ -379,71 +381,25 @@ class VertexSet:
 
 
 class Tree:
-    """An acyclic connected subgraph of a host graph, with leaf and branch masks.
+    """A tree in a host graph, grown from a root, with leaf and branch masks.
 
-    The constructor enforces the tree axioms (edge count, connectivity, edges
-    within the vertex set) and stores the tree as masks: `vertex_mask`, one
-    tree-adjacency mask per host vertex, and the leaf (degree one) and branch
-    (degree at least three) masks, so every degree query is a popcount. The
-    sorted `vertices` and `edges` tuples are kept for equality, hashing and
-    serialization. A tree built edge by edge is grown instead (`grow`, and
-    `from_root`, `from_path` and `single_vertex` from one vertex), which
-    needs none of those checks. `validate_in` additionally checks that every
-    edge exists in a concrete host graph.
+    `Tree(host_n, root, steps)` is the one-vertex tree on root grown by
+    `grow`'s steps, each of which adds a host vertex outside the tree and an
+    edge to it, so every tree is one by construction; `from_path` and
+    `single_vertex` are its forms for a path. A tree is stored as masks:
+    `vertex_mask`, one tree-adjacency mask per host vertex, and the leaf
+    (degree one) and branch (degree at least three) masks, so every degree
+    query is a popcount. The sorted `vertices` and `edges` tuples are kept
+    for equality, hashing and serialization. `validate_in` additionally
+    checks that every edge exists in a concrete host graph.
     """
 
     __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "adjacency", "leaf_mask", "branch_mask")
 
-    def __init__(self, host_n: int, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
-        vs = tuple(sorted(set(vertices)))
-        es = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
-        if not vs:
-            raise ValueError("a tree has at least one vertex")
-        if vs[0] < 0 or vs[-1] >= host_n:
+    def __init__(self, host_n: int, root: int, steps: Iterable[tuple[int, int]] = ()) -> None:
+        if not 0 <= root < host_n:
             raise ValueError("tree vertex out of host range")
-        vmask = mask_of(vs)
-        if len(set(es)) != len(es):
-            raise ValueError("duplicate tree edge")
-        adj = [0] * host_n
-        for u, v in es:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not ((vmask >> u) & 1 and (vmask >> v) & 1):
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if len(es) != len(vs) - 1:
-            raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(es)}")
-        # Connectivity plus the edge count above implies acyclicity.
-        seen = frontier = vmask & -vmask
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grow |= adj[low.bit_length() - 1]
-            frontier = grow & ~seen
-            seen |= frontier
-        if seen != vmask:
-            raise ValueError("tree is not connected")
-        leaf = branch = 0
-        for v in vs:
-            d = adj[v].bit_count()
-            if d == 1:
-                leaf |= 1 << v
-            elif d >= 3:
-                branch |= 1 << v
-        self._store(host_n, vs, es, vmask, adj, leaf, branch)
-
-    def _store(self, host_n: int, vs: tuple[int, ...], es: tuple[tuple[int, int], ...], vmask: int,
-               adj: list[int], leaf: int, branch: int) -> None:
-        self.host_n = host_n
-        self.vertices = vs
-        self.edges = es
-        self.vertex_mask = vmask
-        self.adjacency = tuple(adj)
-        self.leaf_mask = leaf
-        self.branch_mask = branch
+        self._fill(host_n, [root], [], 1 << root, [0] * host_n, 0, 0, steps)
 
     @classmethod
     def single_vertex(cls, host_n: int, v: int) -> "Tree":
@@ -451,29 +407,52 @@ class Tree:
 
     @classmethod
     def from_path(cls, host_n: int, vertices: Iterable[int]) -> "Tree":
-        """The path through `vertices` in order, grown from its first vertex;
-        any other sequence, an empty one included, goes through the general
-        constructor, which raises its usual ValueError."""
+        """The path through `vertices` in order, grown from its first vertex."""
         vs = tuple(vertices)
-        try:
-            return cls.from_root(host_n, vs[0], zip(vs, vs[1:]))
-        except (IndexError, ValueError):    # vs[0] of no vertex, or a step check
-            return cls(host_n, vs, list(zip(vs, vs[1:])))
-
-    @classmethod
-    def from_root(cls, host_n: int, root: int, steps: Iterable[tuple[int, int]]) -> "Tree":
-        """The one-vertex tree on root, grown by `grow`'s steps."""
-        if not 0 <= root < host_n:
-            raise ValueError("tree vertex out of host range")
-        return _grown(host_n, [root], [], 1 << root, [0] * host_n, 0, 0, steps)
+        if not vs:
+            raise ValueError("a tree has at least one vertex")
+        return cls(host_n, vs[0], zip(vs, vs[1:]))
 
     def grow(self, steps: Iterable[tuple[int, int]]) -> "Tree":
         """This tree with one edge per step (anchor, new) added in order: the
         anchor in the tree so far and the new vertex a host vertex outside it,
         else ValueError. So the result is a tree, and each step moves the leaf
         and branch bits of its two vertices only."""
-        return _grown(self.host_n, list(self.vertices), list(self.edges), self.vertex_mask, list(self.adjacency),
-                      self.leaf_mask, self.branch_mask, steps)
+        tree = Tree.__new__(Tree)
+        tree._fill(self.host_n, list(self.vertices), list(self.edges), self.vertex_mask, list(self.adjacency),
+                   self.leaf_mask, self.branch_mask, steps)
+        return tree
+
+    def _fill(self, host_n: int, vs: list[int], es: list[tuple[int, int]], vmask: int, adj: list[int], leaf: int,
+              branch: int, steps: Iterable[tuple[int, int]]) -> None:
+        """Set the slots to the tree given by its lists (taken over, not
+        copied) and masks, grown by `grow`'s steps."""
+        for a, u in steps:
+            anchor = 1 << a
+            bit = 1 << u
+            if not vmask & anchor or vmask & bit or u >= host_n:
+                raise ValueError(f"step ({a}, {u}) does not go from the tree to a new host vertex")
+            if leaf & anchor:    # degree 1 to 2
+                leaf ^= anchor
+            elif adj[a]:         # degree 2 or more to 3 or more
+                branch |= anchor
+            else:                # the one-vertex tree's vertex becomes a leaf
+                leaf |= anchor
+            leaf |= bit
+            vmask |= bit
+            adj[a] |= bit
+            adj[u] = anchor
+            vs.append(u)
+            es.append((a, u) if a < u else (u, a))
+        vs.sort()
+        es.sort()
+        self.host_n = host_n
+        self.vertices = tuple(vs)
+        self.edges = tuple(es)
+        self.vertex_mask = vmask
+        self.adjacency = tuple(adj)
+        self.leaf_mask = leaf
+        self.branch_mask = branch
 
     @property
     def leaf_count(self) -> int:
@@ -509,30 +488,3 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(vertices={list(self.vertices)}, edges={list(self.edges)})"
-
-
-def _grown(host_n: int, vs: list[int], es: list[tuple[int, int]], vmask: int, adj: list[int], leaf: int,
-           branch: int, steps: Iterable[tuple[int, int]]) -> Tree:
-    """`Tree.grow` from the lists, taken over, and masks of a tree on vs."""
-    for a, u in steps:
-        anchor = 1 << a
-        bit = 1 << u
-        if not vmask & anchor or vmask & bit or u >= host_n:
-            raise ValueError(f"step ({a}, {u}) does not go from the tree to a new host vertex")
-        if leaf & anchor:    # degree 1 to 2
-            leaf ^= anchor
-        elif adj[a]:         # degree 2 or more to 3 or more
-            branch |= anchor
-        else:                # the one-vertex tree's vertex becomes a leaf
-            leaf |= anchor
-        leaf |= bit
-        vmask |= bit
-        adj[a] |= bit
-        adj[u] = anchor
-        vs.append(u)
-        es.append((a, u) if a < u else (u, a))
-    vs.sort()
-    es.sort()
-    tree = Tree.__new__(Tree)
-    tree._store(host_n, tuple(vs), tuple(es), vmask, adj, leaf, branch)
-    return tree

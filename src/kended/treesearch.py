@@ -228,7 +228,7 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
     r0 = (smask & -smask).bit_length() - 1
     edges = _grow_tree(graph, smask, budget, r0, branches)
     if edges is not None:
-        return Tree.from_root(graph.n, r0, edges)
+        return Tree(graph.n, r0, edges)
     minimum = _table_minimum(graph, smask, lower)
     # a tree with L >= 2 leaves has at most L - 2 branch vertices
     if minimum > (budget + 2 if branches else budget):

@@ -19,6 +19,9 @@ first-path memo, the reference for the memo's order and masks.
 `emit_graph6_by_pairs` and `random_gnp_by_edge_list` are the graph6 encoder
 and the G(n, p) draw as they were before both read and filled the adjacency
 rows directly, kept as the reference for their records and graphs.
+`tree_from_edges` is the library's former general `Tree` constructor, which
+checked an arbitrary vertex and edge list, kept as the reference for every
+grown tree and as the way tests build a tree from its edges.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 from itertools import combinations, permutations
 
 from kended.errors import InternalInvariantError
-from kended.graphs import Graph, VertexSet, _vertex_planes, iter_bits, mask_of
+from kended.graphs import Graph, Tree, VertexSet, _vertex_planes, iter_bits, mask_of
 from kended.invariants import ConnectivityValue, alpha_mask, set_connectivity, subset_alpha, subset_kappa
 from kended.treesearch import DEFAULT_TREE_CAP, _check_cap
 
@@ -678,3 +681,46 @@ def random_spanning_tree(graph: Graph, rng: random.Random):
             parent[ru] = rv
             chosen.append((u, v))
     return chosen
+
+
+def tree_from_edges(host_n: int, vertices, edges) -> Tree:
+    """The tree on `vertices` with `edges`, once the tree axioms hold (edges
+    within the vertex set, no duplicate, |V| - 1 of them, connected), else
+    ValueError. It grows the tree from its least vertex in breadth-first
+    order, and asserts that the grown tree holds the masks counted here from
+    the degrees."""
+    vs = tuple(sorted(set(vertices)))
+    es = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
+    if not vs:
+        raise ValueError("a tree has at least one vertex")
+    if vs[0] < 0 or vs[-1] >= host_n:
+        raise ValueError("tree vertex out of host range")
+    vmask = mask_of(vs)
+    if len(set(es)) != len(es):
+        raise ValueError("duplicate tree edge")
+    adj = [0] * host_n
+    for u, v in es:
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if not ((vmask >> u) & 1 and (vmask >> v) & 1):
+            raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if len(es) != len(vs) - 1:
+        raise ValueError(f"{len(vs)} vertices need {len(vs) - 1} edges, got {len(es)}")
+    # connectivity plus the edge count above implies acyclicity
+    seen, order, steps = 1 << vs[0], [vs[0]], []
+    for a in order:
+        for u in iter_bits(adj[a] & ~seen):
+            seen |= 1 << u
+            order.append(u)
+            steps.append((a, u))
+    if seen != vmask:
+        raise ValueError("tree is not connected")
+    tree = Tree(host_n, vs[0], steps)
+    degree = [row.bit_count() for row in adj]
+    expected = {"host_n": host_n, "vertices": vs, "edges": es, "vertex_mask": vmask, "adjacency": tuple(adj),
+                "leaf_mask": mask_of(v for v in vs if degree[v] == 1),
+                "branch_mask": mask_of(v for v in vs if degree[v] >= 3)}
+    assert {name: getattr(tree, name) for name in Tree.__slots__} == expected, (host_n, vs, es)
+    return tree

@@ -25,6 +25,7 @@ from oracles import (
     max_internally_disjoint_paths,
     random_connected_graph,
     random_spanning_tree,
+    tree_from_edges,
     vertex_connectivity_by_cuts,
 )
 
@@ -249,6 +250,6 @@ def test_criterion_7_tree_structure_property():
         n = rng.randint(2, 12)
         graph = random_connected_graph(rng, n, min(1.0, 2.5 / n + 0.2))
         edges = random_spanning_tree(graph, rng)
-        tree = Tree(n, range(n), edges)
+        tree = tree_from_edges(n, range(n), edges)
         assert tree.leaf_count >= tree.branch_count + 2
     report_line("7 leaves >= branch + 2", True, "10000 random spanning trees")

@@ -24,7 +24,7 @@ from kended.verify import GraphContext
 
 from conftest import time_limit
 from oracles import (base_path_by_enumeration, base_path_by_first_path_walks, hypothesis_holds,
-                     random_connected_graph)
+                     random_connected_graph, tree_from_edges)
 
 
 def kmm(m, k):
@@ -133,7 +133,7 @@ def test_attachment_star_center():
 
 def test_attachment_unique_maximal_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    tree = Tree(5, (0, 1), [(0, 1)])
+    tree = tree_from_edges(5, (0, 1), [(0, 1)])
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(5, [4]))
     assert path == (4, 3, 2, 1)
 
@@ -141,7 +141,7 @@ def test_attachment_unique_maximal_path():
 def test_attachment_prefers_longer_arc():
     # arcs from the target to the tree edge: lengths 4 and 3; the longer wins
     g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    tree = Tree(6, (0, 1), [(0, 1)])
+    tree = tree_from_edges(6, (0, 1), [(0, 1)])
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [3]))
     assert path == (3, 4, 5, 0)
     path = maximal_attachment_path(g, tree, VertexSet.from_vertices(6, [4]))
@@ -177,7 +177,7 @@ def test_attachment_hits_every_maximum_independent_subset():
             if not frontier:
                 break
             w, u = rng.choice(frontier)
-            tree = Tree(n, tree.vertices + (u,), list(tree.edges) + [(w, u)])
+            tree = tree_from_edges(n, tree.vertices + (u,), list(tree.edges) + [(w, u)])
         smask = rng.randrange(1, 1 << n)
         subset = VertexSet(n, smask)
         if smask & ~tree.vertex_mask == 0:
@@ -215,7 +215,7 @@ def test_exchange_property_on_random_instances():
 
 
 def test_augment_extends_path():
-    t = Tree(3, (0, 1), [(0, 1)])
+    t = tree_from_edges(3, (0, 1), [(0, 1)])
     merged = augment(t, (2, 1))
     assert merged.vertices == (0, 1, 2)
     assert merged.leaf_count == 2

@@ -2,7 +2,7 @@ import copy
 import operator
 import pickle
 import random
-from itertools import accumulate, combinations, islice, permutations
+from itertools import accumulate, combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from kended.verify import verify_instance
 from conftest import graphs, seeded_rng
 from oracles import (_down_closure, _min_leaf_table, _path_endpoint_table, _paths_with_length,
                      min_leaf_planes_by_length_steps, path_planes_by_length_steps, random_connected_graph,
-                     random_spanning_tree)
+                     random_spanning_tree, tree_from_edges)
 
 
 def test_graph_construction_validates_symmetry():
@@ -286,23 +286,23 @@ def test_path_validation():
 
 def test_tree_axioms_enforced():
     with pytest.raises(ValueError):
-        Tree(3, (0, 1, 2), [(0, 1), (1, 2), (0, 2)])    # cycle
+        tree_from_edges(3, (0, 1, 2), [(0, 1), (1, 2), (0, 2)])    # cycle
     with pytest.raises(ValueError):
-        Tree(3, (0, 1, 2), [(0, 1)])                    # disconnected
+        tree_from_edges(3, (0, 1, 2), [(0, 1)])                    # disconnected
     with pytest.raises(ValueError):
-        Tree(3, (0, 1), [(0, 2)])                       # edge leaves vertex set
+        tree_from_edges(3, (0, 1), [(0, 2)])                       # edge leaves vertex set
     with pytest.raises(ValueError):
-        Tree(3, (), [])
+        tree_from_edges(3, (), [])
 
 
 def test_tree_leaves_single_edge():
-    t = Tree(2, (0, 1), [(0, 1)])
+    t = tree_from_edges(2, (0, 1), [(0, 1)])
     assert t.leaf_mask == 0b11
     assert t.leaf_count == 2
 
 
 def test_tree_leaves_star():
-    t = Tree(4, (0, 1, 2, 3), [(0, 1), (0, 2), (0, 3)])
+    t = tree_from_edges(4, (0, 1, 2, 3), [(0, 1), (0, 2), (0, 3)])
     assert t.leaf_mask == 0b1110
     assert t.branch_mask == 0b1
 
@@ -325,30 +325,49 @@ def tree_state(tree):
 
 
 def test_from_path_equals_the_general_constructor_on_every_path_n_le_5():
-    # the paths of the labelled graphs on n vertices are the sequences of
+    # the general constructor is the edge-list oracle tree_from_edges; the
+    # paths of the labelled graphs on n vertices are the sequences of
     # distinct vertices in range(n), each a path of K_n
     for n in range(1, 6):
         for length in range(1, n + 1):
             for vs in permutations(range(n), length):
-                general = Tree(n, vs, list(zip(vs, vs[1:])))
+                general = tree_from_edges(n, vs, list(zip(vs, vs[1:])))
                 assert tree_state(Tree.from_path(n, vs)) == tree_state(general), vs
                 assert tree_state(Tree.from_path(n, iter(vs))) == tree_state(general), vs
         for v in range(n):
-            assert tree_state(Tree.single_vertex(n, v)) == tree_state(Tree(n, (v,), ()))
+            assert tree_state(Tree.single_vertex(n, v)) == tree_state(tree_from_edges(n, (v,), ()))
+
+
+def rejects(build):
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("host_n, vs", [(3, ()), (3, (0, 1, 0)), (3, (2, 2)), (3, (0, 3)), (3, (3,)),
                                         (3, (-1, 0)), (0, (0,))])
 def test_from_path_rejects_what_the_general_constructor_rejects(host_n, vs):
-    with pytest.raises(ValueError) as general:
-        Tree(host_n, vs, list(zip(vs, vs[1:])))
-    with pytest.raises(ValueError) as fast:
-        Tree.from_path(host_n, vs)
-    assert str(fast.value) == str(general.value)
+    # from_path grows the path, so past its first vertex it raises the growth
+    # step's message, not the oracle's
+    assert rejects(lambda: Tree.from_path(host_n, vs)) == rejects(
+        lambda: tree_from_edges(host_n, vs, list(zip(vs, vs[1:])))) is True
     if len(vs) == 1:
-        with pytest.raises(ValueError) as single:
-            Tree.single_vertex(host_n, vs[0])
-        assert str(single.value) == str(general.value)
+        assert rejects(lambda: Tree.single_vertex(host_n, vs[0]))
+
+
+def test_from_path_accepts_exactly_the_sequences_the_general_constructor_accepts():
+    # every sequence of up to 4 vertices in -1..host_n, on hosts of 0 to 3 vertices
+    for host_n in range(4):
+        for length in range(5):
+            for vs in product(range(-1, host_n + 1), repeat=length):
+                assert rejects(lambda: Tree.from_path(host_n, vs)) == rejects(
+                    lambda: tree_from_edges(host_n, vs, list(zip(vs, vs[1:])))), (host_n, vs)
+    with pytest.raises(ValueError, match="^a tree has at least one vertex$"):
+        Tree.from_path(3, ())
+    with pytest.raises(ValueError, match=r"^step \(1, 0\) does not go from the tree to a new host vertex$"):
+        Tree.from_path(3, (0, 1, 0))
 
 
 def random_growth(rng, host_n):
@@ -364,13 +383,13 @@ def test_grown_trees_equal_the_general_constructors_in_every_slot():
         host_n = rng.randint(1, 10)
         root, steps = random_growth(rng, host_n)
         cut = rng.randint(0, len(steps))
-        part = Tree.from_root(host_n, root, steps[:cut])
+        part = Tree(host_n, root, steps[:cut])
         before = tree_state(part)
         grown = part.grow(steps[cut:])
-        assert tree_state(part) == before == tree_state(Tree(host_n, [root] + [u for _, u in steps[:cut]],
-                                                             steps[:cut]))
-        general = tree_state(Tree(host_n, [root] + [u for _, u in steps], steps))
-        assert tree_state(grown) == tree_state(Tree.from_root(host_n, root, steps)) == general, (root, steps)
+        assert tree_state(part) == before == tree_state(
+            tree_from_edges(host_n, [root] + [u for _, u in steps[:cut]], steps[:cut]))
+        general = tree_state(tree_from_edges(host_n, [root] + [u for _, u in steps], steps))
+        assert tree_state(grown) == tree_state(Tree(host_n, root, steps)) == general, (root, steps)
 
 
 def test_a_growth_step_must_go_from_the_tree_to_a_new_host_vertex():
@@ -378,7 +397,7 @@ def test_a_growth_step_must_go_from_the_tree_to_a_new_host_vertex():
     for _ in range(300):
         host_n = rng.randint(1, 10)
         root, steps = random_growth(rng, host_n)
-        tree = Tree.from_root(host_n, root, steps)
+        tree = Tree(host_n, root, steps)
         inside = list(tree.vertices)
         outside = [v for v in range(host_n) if v not in inside] + [host_n]
         bad = [(rng.choice(inside), rng.choice(inside)),      # the new vertex is in the tree
@@ -388,14 +407,14 @@ def test_a_growth_step_must_go_from_the_tree_to_a_new_host_vertex():
             with pytest.raises(ValueError):
                 tree.grow([step])
             with pytest.raises(ValueError):
-                Tree.from_root(host_n, root, steps + [step])
+                Tree(host_n, root, steps + [step])
     with pytest.raises(ValueError, match="tree vertex out of host range"):
-        Tree.from_root(3, 3, [])
+        Tree(3, 3, [])
 
 
 def test_spider_branch_vertices():
     # hub 0 with four legs: degree count gives exactly one branch vertex
-    t = Tree(5, range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
+    t = tree_from_edges(5, range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert t.branch_mask == 0b1
     assert t.leaf_count == 4
 
@@ -420,9 +439,9 @@ def test_every_entry_point_rejects_a_subset_of_another_host():
 
 def test_tree_validate_in_host():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    t = Tree(3, (0, 1, 2), [(0, 1), (1, 2)])
+    t = tree_from_edges(3, (0, 1, 2), [(0, 1), (1, 2)])
     t.validate_in(g)
-    bad = Tree(3, (0, 1, 2), [(0, 1), (0, 2)])
+    bad = tree_from_edges(3, (0, 1, 2), [(0, 1), (0, 2)])
     with pytest.raises(ValueError):
         bad.validate_in(g)
 
@@ -456,7 +475,7 @@ def test_leaf_branch_identity_on_random_spanning_trees(graph):
     # degree-sum identity: leaves >= branch vertices + 2 on any tree with >= 2 vertices
     rng = seeded_rng(graph.rows[0] ^ graph.n)
     edges = random_spanning_tree(graph, rng)
-    tree = Tree(graph.n, range(graph.n), edges)
+    tree = tree_from_edges(graph.n, range(graph.n), edges)
     assert tree.leaf_count >= tree.branch_count + 2
 
 
@@ -485,7 +504,7 @@ def dict_degrees(vertices, edges):
 @given(random_trees())
 def test_tree_masks_match_dict_degree_oracle(case):
     host_n, vs, edges = case
-    tree = Tree(host_n, vs, edges)
+    tree = tree_from_edges(host_n, vs, edges)
     deg = dict_degrees(vs, edges)
     assert tree.leaf_mask == mask_of(v for v in vs if deg[v] == 1)
     assert tree.branch_mask == mask_of(v for v in vs if deg[v] >= 3)
@@ -501,19 +520,19 @@ def test_tree_masks_match_dict_degree_oracle(case):
 def test_tree_rejects_broken_edge_sets(case, data):
     host_n, vs, edges = case
     with pytest.raises(ValueError):
-        Tree(host_n, (), [])
+        tree_from_edges(host_n, (), [])
     if len(edges) >= 1:
         drop = data.draw(st.integers(min_value=0, max_value=len(edges) - 1))
         rest = edges[:drop] + edges[drop + 1:]
         with pytest.raises(ValueError, match="edges"):
-            Tree(host_n, vs, rest)                               # one edge short: disconnected
+            tree_from_edges(host_n, vs, rest)                               # one edge short: disconnected
         with pytest.raises(ValueError, match="duplicate"):
-            Tree(host_n, vs, rest + [rest[0][::-1]] if rest else edges * 2)
+            tree_from_edges(host_n, vs, rest + [rest[0][::-1]] if rest else edges * 2)
         outside = [v for v in range(host_n) if v not in vs]
         if outside:
             u = edges[drop][0]
             with pytest.raises(ValueError, match="leaves the vertex set"):
-                Tree(host_n, vs, rest + [(u, outside[0])])
+                tree_from_edges(host_n, vs, rest + [(u, outside[0])])
     # a chord between two vertices of one side of a removed edge closes a cycle
     # while the edge count stays |V| - 1
     for drop in range(len(edges)):
@@ -524,7 +543,7 @@ def test_tree_rejects_broken_edge_sets(case, data):
                   and frozenset((a, b)) not in present]
         if chords:
             with pytest.raises(ValueError, match="not connected"):
-                Tree(host_n, vs, rest + [chords[0]])
+                tree_from_edges(host_n, vs, rest + [chords[0]])
             break
 
 
@@ -532,7 +551,7 @@ def test_tree_rejects_broken_edge_sets(case, data):
 @given(random_trees(), st.data())
 def test_validate_in_names_the_first_missing_edge(case, data):
     host_n, vs, edges = case
-    tree = Tree(host_n, vs, edges)
+    tree = tree_from_edges(host_n, vs, edges)
     missing = data.draw(st.sets(st.sampled_from(tree.edges)) if tree.edges else st.just(set()))
     host = Graph.from_edges(host_n, [e for e in tree.edges if e not in missing])
     if not missing:

@@ -6,7 +6,6 @@ import pytest
 
 from kended import cli, report
 from kended.families import GraphFamilySpec, make_family
-from kended.graphs import Tree
 from kended.invariants import ConnectivityValue
 from kended.report import (
     REPORT_SCHEMA,
@@ -19,6 +18,8 @@ from kended.report import (
 from kended.verify import SweepPlan, run_sweep, verify_instance, verify_sharpness
 from kended.graphs import VertexSet
 
+from oracles import tree_from_edges
+
 
 def test_kappa_encoding():
     assert ConnectivityValue.INFINITE.to_json() == "infinity"
@@ -26,10 +27,10 @@ def test_kappa_encoding():
 
 
 def test_tree_round_trip():
-    tree = Tree(5, (0, 1, 2, 4), [(0, 1), (1, 2), (2, 4)])
+    tree = tree_from_edges(5, (0, 1, 2, 4), [(0, 1), (1, 2), (2, 4)])
     payload = tree_to_json(tree)
     assert payload["edges"] == [[0, 1], [1, 2], [2, 4]]
-    assert Tree(**json.loads(json.dumps(payload))) == tree
+    assert tree_from_edges(**json.loads(json.dumps(payload))) == tree
 
 
 def test_verdict_serialization_includes_infinity():

@@ -48,9 +48,9 @@ def top_level_owners(pattern: str) -> list[str]:
 
 # (pattern, the only files where it may occur): bit m of a plane stands for the
 # vertex mask m, and only graphs.py may know it or call the plane kernel _close;
-# a Tree's slots are filled only in graphs.py, by its general constructor or
-# by a growth whose every step is checked; only Graph.path_tree builds the tree
-# of a path, one per path set of a graph, so every other caller shares it;
+# a Tree's slots are filled only in graphs.py, by a growth whose every step is
+# checked; only Graph.path_tree builds the tree of a path, one per path set of
+# a graph, so every other caller shares it;
 # only Graph.check_tree checks a tree against its graph, and it keeps no memo:
 # a tree is checked where it is built or where it enters a sweep's cache; every
 # pair value goes through subset_kappa's flow memo; every Graph memo is a
@@ -59,7 +59,7 @@ def top_level_owners(pattern: str) -> list[str]:
 CONFINED = [
     pytest.param(r"_vertex_planes|_min_leaf_level|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
                  ("graphs.py",), id="plane"),
-    pytest.param(r"_store\(|__new__\(", ("graphs.py",), id="tree internals"),
+    pytest.param(r"_fill\(|__new__\(", ("graphs.py",), id="tree internals"),
     pytest.param(r"Tree\.from_path\(", ("graphs.py",), id="path tree"),
     pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
     pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
@@ -71,6 +71,20 @@ CONFINED = [
 @pytest.mark.parametrize("pattern, homes", CONFINED)
 def test_a_confined_name_occurs_only_in_its_module(pattern, homes):
     assert matching_lines(pattern, *homes) == []
+
+
+def test_only_tree_grow_makes_a_tree_past_its_constructor():
+    # every other tree runs Tree.__init__, which checks its root before the
+    # growth; grow fills its new tree by the same checked steps, from a tree
+    found = []
+    for path in sources():
+        module = ast.parse(path.read_text(), str(path))
+        owner = {id(node): f"{path.name}:{cls.name}.{func.name}"
+                 for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+                 for func in cls.body if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [owner.get(id(node), f"{path.name}:{node.lineno}") for node in ast.walk(module)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"]
+    assert found == ["graphs.py:Tree.grow"]
 
 
 def test_only_the_sweep_context_audits_a_witness():

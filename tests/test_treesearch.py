@@ -31,6 +31,7 @@ from oracles import (
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
     random_connected_graph,
+    tree_from_edges,
 )
 
 
@@ -93,7 +94,7 @@ def test_a_disconnected_host_covers_s_only_inside_one_component():
     # across both components has no covering tree, and the minimum is refused
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     inside, across = VertexSet.from_vertices(4, [0, 1]), VertexSet.from_vertices(4, [0, 2])
-    edge = Tree(4, (0, 1), [(0, 1)])
+    edge = tree_from_edges(4, (0, 1), [(0, 1)])
     assert find_k_ended_covering_tree(g, inside, 2) == edge
     assert covering_tree_with_branch_budget(g, inside, 0) == edge
     assert find_k_ended_covering_tree(g, across, 4) is None

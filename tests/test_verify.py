@@ -16,7 +16,7 @@ from kended.errors import CapExceededError, CounterexampleError, InternalInvaria
 from kended.families import GraphFamilySpec, enumerate_connected_labeled_graphs, make_family
 from kended.formats import emit_graph6, parse_graph6
 from kended.graphs import Graph, Tree, VertexSet, mask_of
-from kended.report import sweep_report_to_json, verdict_to_json
+from kended.report import sweep_report_to_json, tree_to_json, verdict_to_json
 from kended.treesearch import DEFAULT_TREE_CAP, minimum_leaf_covering_tree
 from kended.verify import (
     CLAIMS,
@@ -40,6 +40,7 @@ from oracles import (
     min_branch_cover_by_enumeration,
     min_leaf_cover_by_enumeration,
     random_connected_graph,
+    tree_from_edges,
 )
 
 
@@ -294,11 +295,11 @@ def test_exhaustive_n4_outputs_are_pinned(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def exhaustive_n5_sweep():
     """One default exhaustive n <= 5 sweep, counted: its verdict stream digest,
-    and the number of verdicts, constructions, path trees, path walks, witness
-    audits and alpha_mask runs."""
-    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "walks": 0, "audits": 0, "alpha_masks": 0}
+    and the number of verdicts, constructions, path trees, `Tree.__init__`
+    runs, path walks, witness audits and alpha_mask runs."""
+    calls = {"verdicts": 0, "constructions": 0, "trees": 0, "inits": 0, "walks": 0, "audits": 0, "alpha_masks": 0}
     construct, alpha_mask = constructive.construct_k_ended_tree, invariants.alpha_mask
-    from_path, walk, audit = Tree.from_path.__func__, Graph._walk, verify._audit_cover_witness
+    from_path, init, walk, audit = Tree.from_path.__func__, Tree.__init__, Graph._walk, verify._audit_cover_witness
 
     def counted_construct(graph, subset, k, start=None):
         calls["constructions"] += 1
@@ -307,6 +308,10 @@ def exhaustive_n5_sweep():
     def counted_tree(cls, host_n, vertices):
         calls["trees"] += 1
         return from_path(cls, host_n, vertices)
+
+    def counted_init(tree, host_n, root, steps=()):
+        calls["inits"] += 1
+        init(tree, host_n, root, steps)
 
     def counted_walk(graph, ends, rest):
         calls["walks"] += 1
@@ -329,6 +334,7 @@ def exhaustive_n5_sweep():
         rebind_everywhere(patch, construct, counted_construct)
         rebind_everywhere(patch, alpha_mask, counted_alpha_mask)
         patch.setattr(Tree, "from_path", classmethod(counted_tree))
+        patch.setattr(Tree, "__init__", counted_init)
         patch.setattr(Graph, "_walk", counted_walk)
         patch.setattr(verify, "_audit_cover_witness", counted_audit)
         digest = verdict_stream_sha256(counted_verdicts(SweepPlan(mode="exhaustive", n=5, k_min=2, k_max=4)))
@@ -362,7 +368,7 @@ def test_the_branch_cache_refuses_a_tree_over_its_branch_budget(monkeypatch):
     edges = [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]
     graph = Graph.from_edges(6, edges)
     monkeypatch.setattr(verify, "covering_tree_with_branch_budget",
-                        lambda host, subset, budget: Tree(6, range(6), edges))
+                        lambda host, subset, budget: tree_from_edges(6, range(6), edges))
     ctx = GraphContext(graph)
     with pytest.raises(InternalInvariantError, match="^witness tree exceeds the branch budget$"):
         ctx.branch_tree(mask_of([1, 2, 4, 5]), 1)
@@ -485,6 +491,27 @@ def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(exhaustive_n5_swe
     calls = exhaustive_n5_sweep[1]
     assert calls["verdicts"] == 209302
     assert (calls["trees"], calls["walks"]) == (19721, 12445)
+
+
+def test_exhaustive_n5_sweep_builds_every_root_grown_tree_in_the_constructor(exhaustive_n5_sweep):
+    # 19,721 path trees and 1,196 growth-search trees run Tree.__init__, the
+    # layer the benchmark's tracer counts as graphs.Tree; a tree grown on from
+    # another (augment's attached paths) does not. None ran it when every tree
+    # was grown past the edge-list constructor
+    assert exhaustive_n5_sweep[1]["inits"] == 20917
+
+
+def test_every_serialized_witness_of_the_n4_sweep_reads_back_as_its_tree():
+    # tree_to_json's {host_n, vertices, edges} are the edge-list oracle's
+    # arguments; the oracle checks them and grows the same tree, every slot equal
+    witnesses = 0
+    for verdict in sweep_verdicts(SweepPlan(mode="exhaustive", n=4)):
+        if verdict.witness is not None:
+            rebuilt = tree_from_edges(**json.loads(json.dumps(tree_to_json(verdict.witness))))
+            assert [getattr(rebuilt, name) for name in Tree.__slots__] == [
+                getattr(verdict.witness, name) for name in Tree.__slots__], verdict
+            witnesses += 1
+    assert witnesses > 0
 
 
 def test_sweep_random_n9_clean_and_reproducible():
