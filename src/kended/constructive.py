@@ -205,7 +205,7 @@ def construct_k_ended_tree(
         raise ValueError("construction needs a connected graph")
     if smask.bit_count() <= 1:
         v = smask.bit_length() - 1 if smask else 0
-        tree = Tree.single_vertex(graph.n, v)
+        tree = Tree(graph.n, v)
         graph.check_tree(tree)
         return ConstructionOutcome(COVERING, tree, 0, None, ())
     alpha = subset_alpha(graph, smask)

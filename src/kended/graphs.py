@@ -3,12 +3,13 @@
 Vertices are dense 0-based integers. Every set-like quantity is an int used
 as a bit-vector, which keeps the exhaustive searches cheap at desk scale.
 Every tree is grown, one checked step (anchor, new vertex) at a time:
-`Tree(host_n, root, steps)` from one vertex, `Tree.grow` from a tree. A path
-is the tuple of its vertices in order; its tree is `Tree.from_path` or
-`Graph.path_tree`, checked against the graph by `Graph.check_tree`. All
-three types are immutable after construction and safe to share across
-concurrent workers. A graph fills these memos lazily, each a pure function of
-the adjacency rows:
+`Tree(host_n, root, steps)` from one vertex, `Tree.grow` from a tree. A tree
+stores its edges once, as a sorted tuple, beside its vertex, leaf and branch
+masks, and `Graph.check_tree` is the one check of those edges against a
+graph. A path is the tuple of its vertices in order; its tree is
+`Tree.from_path` or `Graph.path_tree`. All three types are immutable after
+construction and safe to share across concurrent workers. A graph fills
+these memos lazily, each a pure function of the adjacency rows:
 - the connectivity flag;
 - the path planes (`path_planes`);
 - the first paths (`first_paths`), walked once per path set for every reader;
@@ -299,13 +300,16 @@ class Graph:
         return tree
 
     def check_tree(self, tree: Tree) -> None:
-        """Check that every tree edge is a graph edge, else raise
-        InternalInvariantError. Every call checks: callers check a tree where
-        it is built or where it enters a sweep's cache, not where it is read."""
-        try:
-            tree.validate_in(self)
-        except ValueError as exc:
-            raise InternalInvariantError(str(exc)) from exc
+        """Check that the tree indexes this graph's vertices and that every tree
+        edge is a graph edge, else raise InternalInvariantError naming the
+        first missing edge. Every call checks: callers check a tree where it
+        is built or where it enters a sweep's cache, not where it is read."""
+        if tree.host_n != self.n:
+            raise InternalInvariantError("tree host size does not match graph")
+        rows = self.rows
+        for a, b in tree.edges:
+            if not rows[a] >> b & 1:
+                raise InternalInvariantError(f"tree edge ({a}, {b}) is not a graph edge")
 
     def min_leaves(self, smask: int) -> int:
         """The least leaf count of a tree covering smask (0 for one vertex),
@@ -385,25 +389,21 @@ class Tree:
 
     `Tree(host_n, root, steps)` is the one-vertex tree on root grown by
     `grow`'s steps, each of which adds a host vertex outside the tree and an
-    edge to it, so every tree is one by construction; `from_path` and
-    `single_vertex` are its forms for a path. A tree is stored as masks:
-    `vertex_mask`, one tree-adjacency mask per host vertex, and the leaf
-    (degree one) and branch (degree at least three) masks, so every degree
-    query is a popcount. The sorted `vertices` and `edges` tuples are kept
-    for equality, hashing and serialization. `validate_in` additionally
-    checks that every edge exists in a concrete host graph.
+    edge to it, so every tree is one by construction; `Tree(host_n, v)` is
+    the one-vertex tree and `from_path` the form for a path. A tree stores
+    its edges once, as the sorted `edges` tuple, next to the sorted
+    `vertices` tuple (for equality, hashing and serialization) and three
+    masks: `vertex_mask` and the leaf (degree one) and branch (degree at
+    least three) masks, so every degree query is a popcount.
+    `Graph.check_tree` checks the edges against a concrete host graph.
     """
 
-    __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "adjacency", "leaf_mask", "branch_mask")
+    __slots__ = ("host_n", "vertices", "edges", "vertex_mask", "leaf_mask", "branch_mask")
 
     def __init__(self, host_n: int, root: int, steps: Iterable[tuple[int, int]] = ()) -> None:
         if not 0 <= root < host_n:
             raise ValueError("tree vertex out of host range")
-        self._fill(host_n, [root], [], 1 << root, [0] * host_n, 0, 0, steps)
-
-    @classmethod
-    def single_vertex(cls, host_n: int, v: int) -> "Tree":
-        return cls.from_path(host_n, (v,))
+        self._fill(host_n, [root], [], 1 << root, 0, 0, steps)
 
     @classmethod
     def from_path(cls, host_n: int, vertices: Iterable[int]) -> "Tree":
@@ -419,29 +419,27 @@ class Tree:
         else ValueError. So the result is a tree, and each step moves the leaf
         and branch bits of its two vertices only."""
         tree = Tree.__new__(Tree)
-        tree._fill(self.host_n, list(self.vertices), list(self.edges), self.vertex_mask, list(self.adjacency),
-                   self.leaf_mask, self.branch_mask, steps)
+        tree._fill(self.host_n, list(self.vertices), list(self.edges), self.vertex_mask, self.leaf_mask,
+                   self.branch_mask, steps)
         return tree
 
-    def _fill(self, host_n: int, vs: list[int], es: list[tuple[int, int]], vmask: int, adj: list[int], leaf: int,
-              branch: int, steps: Iterable[tuple[int, int]]) -> None:
+    def _fill(self, host_n: int, vs: list[int], es: list[tuple[int, int]], vmask: int, leaf: int, branch: int,
+              steps: Iterable[tuple[int, int]]) -> None:
         """Set the slots to the tree given by its lists (taken over, not
         copied) and masks, grown by `grow`'s steps."""
         for a, u in steps:
+            if a < 0 or not 0 <= u < host_n or not vmask >> a & 1 or vmask >> u & 1:
+                raise ValueError(f"step ({a}, {u}) does not go from the tree to a new host vertex")
             anchor = 1 << a
             bit = 1 << u
-            if not vmask & anchor or vmask & bit or u >= host_n:
-                raise ValueError(f"step ({a}, {u}) does not go from the tree to a new host vertex")
-            if leaf & anchor:    # degree 1 to 2
+            if leaf & anchor:         # degree 1 to 2
                 leaf ^= anchor
-            elif adj[a]:         # degree 2 or more to 3 or more
-                branch |= anchor
-            else:                # the one-vertex tree's vertex becomes a leaf
+            elif vmask == anchor:     # the one-vertex tree's vertex becomes a leaf
                 leaf |= anchor
+            else:                     # degree 2 or more to 3 or more
+                branch |= anchor
             leaf |= bit
             vmask |= bit
-            adj[a] |= bit
-            adj[u] = anchor
             vs.append(u)
             es.append((a, u) if a < u else (u, a))
         vs.sort()
@@ -450,7 +448,6 @@ class Tree:
         self.vertices = tuple(vs)
         self.edges = tuple(es)
         self.vertex_mask = vmask
-        self.adjacency = tuple(adj)
         self.leaf_mask = leaf
         self.branch_mask = branch
 
@@ -464,16 +461,6 @@ class Tree:
 
     def covers(self, subset: VertexSet) -> bool:
         return subset.mask & ~self.vertex_mask == 0
-
-    def validate_in(self, graph: Graph) -> None:
-        if graph.n != self.host_n:
-            raise ValueError("tree host size does not match graph")
-        rows = graph.rows
-        for v in self.vertices:
-            if self.adjacency[v] & ~rows[v]:
-                for a, b in self.edges:
-                    if not graph.has_edge(a, b):
-                        raise ValueError(f"tree edge ({a}, {b}) is not a graph edge")
 
     def __eq__(self, other: object) -> bool:
         return (

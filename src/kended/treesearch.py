@@ -210,7 +210,7 @@ def _covering_tree(graph: Graph, subset: VertexSet, cap: int, budget: int, branc
     if graph.n == 0:
         return None
     if smask & (smask - 1) == 0:
-        return Tree.single_vertex(graph.n, max(smask.bit_length() - 1, 0))
+        return Tree(graph.n, max(smask.bit_length() - 1, 0))
     if not _coverable(graph, smask):
         return None
     pset = graph.covering_set(smask)
@@ -282,7 +282,7 @@ def minimum_leaf_covering_tree(
     """
     smask = _coverable_subset_mask(graph, subset, cap)
     if smask & (smask - 1) == 0:
-        return 0, Tree.single_vertex(graph.n, smask.bit_length() - 1)
+        return 0, Tree(graph.n, smask.bit_length() - 1)
     k = graph.min_leaves(smask)
     tree = find_k_ended_covering_tree(graph, subset, k, cap=cap)
     if tree is None or tree.leaf_count != k:

@@ -405,25 +405,19 @@ def _plan_instances(plan: SweepPlan) -> Iterator[tuple[Graph | None, list[int]]]
     """
     rng = random.Random(plan.seed)
     if plan.mode == "exhaustive":
-        for n in range(1, plan.n + 1):
-            for graph in enumerate_connected_labeled_graphs(n):
-                yield graph, _subset_masks(plan, n, rng)
+        graphs = (graph for n in range(1, plan.n + 1) for graph in enumerate_connected_labeled_graphs(n))
     elif plan.mode == "random":
-        for _ in range(plan.count):
-            graph = random_gnp(plan.n, plan.p, rng)
-            if not graph.is_connected() or graph.n == 0:
-                yield None, []
-                continue
-            yield graph, _subset_masks(plan, plan.n, rng)
+        graphs = (random_gnp(plan.n, plan.p, rng) for _ in range(plan.count))
     else:
         assert plan.path is not None
         with open(plan.path, "r", encoding="ascii") as handle:
             records = [line.strip() for line in handle if line.strip()]
-        for record in records:
-            graph = parse_graph6(record)
-            if graph.n == 0 or not graph.is_connected():
-                yield None, []
-                continue
+        graphs = map(parse_graph6, records)
+    # lazy, so each graph's draws come after the subsets of the graph before
+    for graph in graphs:
+        if graph.n == 0 or not graph.is_connected():
+            yield None, []
+        else:
             yield graph, _subset_masks(plan, graph.n, rng)
 
 
@@ -448,12 +442,10 @@ def _graph_verdicts(graph: Graph, subset_masks: list[int],
                 if witness is not None:
                     append(_verdict(ctx, claim, smask, k, witness, True, {"covering": True}))
                     continue
-                # the kended-cover check just before refused a covering construction here
-                tree = ctx.construct(smask, k).tree
-                kappa = ctx.kappa(smask)
-                assert not kappa.is_infinite    # infinite kappa always yields a covering
-                bound = ctx.alpha(smask) - kappa.finite - k + 1
-                residual = ctx.alpha(smask & ~tree.vertex_mask)
+                # the kended-cover check just before refused a covering construction here, so
+                # the outcome holds the tree's residual alpha and the bound alpha - kappa - k + 1
+                outcome = ctx.construct(smask, k)
+                tree, residual, bound = outcome.tree, outcome.residual_alpha, outcome.bound
                 append(_verdict(ctx, claim, smask, k, tree, residual <= bound and tree.leaf_count <= k,
                                 {"covering": False, "residual_alpha": residual, "bound": bound}))
         claim, smask, k = "hamiltonian-path", graph.full_mask, 2

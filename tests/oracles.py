@@ -719,7 +719,7 @@ def tree_from_edges(host_n: int, vertices, edges) -> Tree:
         raise ValueError("tree is not connected")
     tree = Tree(host_n, vs[0], steps)
     degree = [row.bit_count() for row in adj]
-    expected = {"host_n": host_n, "vertices": vs, "edges": es, "vertex_mask": vmask, "adjacency": tuple(adj),
+    expected = {"host_n": host_n, "vertices": vs, "edges": es, "vertex_mask": vmask,
                 "leaf_mask": mask_of(v for v in vs if degree[v] == 1),
                 "branch_mask": mask_of(v for v in vs if degree[v] >= 3)}
     assert {name: getattr(tree, name) for name in Tree.__slots__} == expected, (host_n, vs, es)

@@ -125,7 +125,7 @@ def test_base_path_input_validation():
 
 def test_attachment_star_center():
     graph, subset = kmm(1, 3)
-    tree = Tree.single_vertex(5, 0)
+    tree = Tree(5, 0)
     path = maximal_attachment_path(graph, tree, subset)
     assert len(path) == 2 and path[-1] == 0
     assert subset.mask >> path[0] & 1
@@ -149,7 +149,7 @@ def test_attachment_prefers_longer_arc():
     # the cycle 0-3-2-1-4-0: the longer arc from 1, by 2 and 3, is found first
     # and must stand against the shorter one by 4 found after it
     c5 = Graph.from_edges(5, [(0, 3), (3, 2), (2, 1), (1, 4), (4, 0)])
-    assert maximal_attachment_path(c5, Tree.single_vertex(5, 0), VertexSet.from_vertices(5, [1])) == (1, 2, 3, 0)
+    assert maximal_attachment_path(c5, Tree(5, 0), VertexSet.from_vertices(5, [1])) == (1, 2, 3, 0)
 
 
 def test_attachment_search_is_refused_above_the_cap():
@@ -157,7 +157,7 @@ def test_attachment_search_is_refused_above_the_cap():
     # above the cap it is refused before it starts
     k11 = Graph.from_edges(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
     with time_limit(2), pytest.raises(CapExceededError):
-        maximal_attachment_path(k11, Tree.single_vertex(11, 0), VertexSet.from_vertices(11, range(1, 11)))
+        maximal_attachment_path(k11, Tree(11, 0), VertexSet.from_vertices(11, range(1, 11)))
 
 
 def test_attachment_hits_every_maximum_independent_subset():
@@ -167,7 +167,7 @@ def test_attachment_hits_every_maximum_independent_subset():
         graph = random_connected_graph(rng, n, 0.45)
         # grow a small random subtree
         start = rng.randrange(n)
-        tree = Tree.single_vertex(n, start)
+        tree = Tree(n, start)
         for _ in range(rng.randint(0, n - 2)):
             frontier = [
                 (w, u)
@@ -229,7 +229,7 @@ def test_augment_creates_spider():
 
 
 def test_augment_from_single_vertex():
-    t = Tree.single_vertex(3, 2)
+    t = Tree(3, 2)
     merged = augment(t, (0, 1, 2))
     assert merged.leaf_count == 2
 
@@ -371,7 +371,7 @@ def test_construct_agrees_with_oracle_exhaustive_small():
                 kappa = set_connectivity(graph, subset)
                 for k in (2, 3):
                     outcome = construct_k_ended_tree(graph, subset, k)
-                    outcome.tree.validate_in(graph)
+                    graph.check_tree(outcome.tree)
                     if hypothesis_holds(alpha, k, kappa):
                         assert outcome.kind == COVERING
                         assert outcome.tree.covers(subset)

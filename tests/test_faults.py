@@ -24,6 +24,12 @@ so a "no" at budget b where a tree with b + 2 leaves covers S aborts. The
 seeded branch-bound fault changes no result on n <= 5, so it first shows at
 n = 6; the n = 7 atlas tier aborts at its fourth graph.
 
+Two attachment faults shorten the attachment the construction takes: without
+its first vertex, or one edge from its start, wherever it has two or more
+edges. `augment` accepts either, but the residual alpha need not fall, so the
+construction aborts. Neither shows on n <= 6; the n = 7 atlas tier aborts at
+its 10th and its 188th graph.
+
 alpha has two routes, and both are seeded. On exhaustive n <= 4 the lattice
 step of `subset_alpha` fills every mask with alpha >= 2, so its faults abort
 that sweep, while `alpha_mask` decides only masks with alpha <= 1; its
@@ -251,25 +257,70 @@ def test_branch_bound_on_every_forced_vertex_is_caught_at_n6(monkeypatch):
                                "at most 1 branch vertices (claim 'branch-cover' on graph EgU? with S=[2, 3, 5], k=3)")
 
 
-def test_branch_bound_on_every_forced_vertex_aborts_the_n7_atlas_tier(monkeypatch):
-    # the tier of the widest regression pin, every S and k = 2..5 of the
-    # connected 7-vertex atlas graphs in atlas order, aborts at its 4th graph
+def first_abort_on_the_n7_atlas_tier() -> str:
+    """The message with which the tier of the widest regression pin, every S
+    and k = 2..5 of the connected 7-vertex atlas graphs in atlas order, aborts."""
     nx = pytest.importorskip("networkx")
-    monkeypatch.setattr(treesearch, "_branch_bound_cuts", branch_bound_on_every_forced_vertex)
     graphs = (Graph.from_edges(7, g.edges()) for g in nx.graph_atlas_g()
               if g.number_of_nodes() == 7 and nx.is_connected(g))
     with time_limit(60), pytest.raises(InternalInvariantError) as info:
         for graph in graphs:
             verify._graph_task((graph, list(range(1, 1 << 7)), (2, 3, 4, 5)))
-    assert str(info.value) == ("the minimum-leaf table gives 3 leaves but the branch search found no tree with "
-                               "at most 1 branch vertices (claim 'branch-cover' on graph FiOG_ with S=[0, 5, 6], "
-                               "k=3)")
+    return str(info.value)
+
+
+def test_branch_bound_on_every_forced_vertex_aborts_the_n7_atlas_tier(monkeypatch):
+    # the tier aborts at its 4th graph
+    monkeypatch.setattr(treesearch, "_branch_bound_cuts", branch_bound_on_every_forced_vertex)
+    assert first_abort_on_the_n7_atlas_tier() == (
+        "the minimum-leaf table gives 3 leaves but the branch search found no tree with at most 1 branch vertices "
+        "(claim 'branch-cover' on graph FiOG_ with S=[0, 5, 6], k=3)")
+
+
+def without_its_first_vertex(graph, tree, path):
+    """An attachment with two or more edges without its first vertex."""
+    return path[1:] if len(path) >= 3 else path
+
+
+def one_edge_from_its_start(graph, tree, path):
+    """In place of an attachment with two or more edges, the edge from its
+    start to that vertex's lowest tree neighbour, if it has one."""
+    near = graph.rows[path[0]] & tree.vertex_mask
+    return (path[0], (near & -near).bit_length() - 1) if len(path) >= 3 and near else path
+
+
+def bend_every_attachment(monkeypatch, bend):
+    exact = constructive.maximal_attachment_path
+    rebind_everywhere(monkeypatch, exact, lambda graph, tree, subset: bend(graph, tree, exact(graph, tree, subset)))
+
+
+@pytest.mark.parametrize("bend, where", [
+    (without_its_first_vertex, "graph Fk_G_ with S=[0, 2, 5], k=3"),
+    (one_edge_from_its_start, "graph FGEFw with S=[0, 1, 3, 4], k=3"),
+], ids=["drop-first", "one-edge"])
+def test_a_short_attachment_aborts_the_n7_atlas_tier(monkeypatch, bend, where):
+    # each fault hands augment a shorter attachment that it accepts, which can
+    # miss a maximum independent subset of the remainder; the residual alpha
+    # then does not fall. Both run quiet on exhaustive n <= 5 and on the n = 6
+    # atlas graphs, and the tier aborts at its 10th and its 188th graph
+    bend_every_attachment(monkeypatch, bend)
+    assert first_abort_on_the_n7_atlas_tier() == (
+        f"augmentation failed to reduce the residual alpha (claim 'kended-cover' on {where})")
+
+
+def test_an_attachment_without_its_first_vertex_aborts_its_7_vertex_reproduction(monkeypatch):
+    # the tier's first abort alone, a tree on 7 vertices, fails in milliseconds
+    bend_every_attachment(monkeypatch, without_its_first_vertex)
+    with time_limit(10), pytest.raises(InternalInvariantError) as info:
+        verify_instance(parse_graph6("Fk_G_"), VertexSet.from_vertices(7, [0, 2, 5]), 3)
+    assert str(info.value) == ("augmentation failed to reduce the residual alpha "
+                               "(claim 'kended-cover' on graph Fk_G_ with S=[0, 2, 5], k=3)")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_witness_on_a_non_edge_aborts_a_sweep_with_reproduction_data(monkeypatch, tmp_path, capsys, workers):
     # the path through every vertex in label order, handed out as the k = 3
-    # leaf-budget witness; the host check's ValueError from validate_in must reach
+    # leaf-budget witness; Graph.check_tree's InternalInvariantError must reach
     # the sweep as an internal failure that names the instance, also from a
     # pool worker (the pool forks after the patch), and the CLI must report an
     # internal error (exit 1), not a usage error (exit 2)

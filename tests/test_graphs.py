@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import re
 from itertools import accumulate, combinations, islice, permutations, product
 
 import pytest
@@ -315,7 +316,7 @@ def test_tree_leaves_path_endpoints():
 
 
 def test_one_vertex_tree_has_no_leaves():
-    t = Tree.single_vertex(3, 1)
+    t = Tree(3, 1)
     assert t.leaf_count == 0
     assert t.branch_count == 0
 
@@ -335,7 +336,7 @@ def test_from_path_equals_the_general_constructor_on_every_path_n_le_5():
                 assert tree_state(Tree.from_path(n, vs)) == tree_state(general), vs
                 assert tree_state(Tree.from_path(n, iter(vs))) == tree_state(general), vs
         for v in range(n):
-            assert tree_state(Tree.single_vertex(n, v)) == tree_state(tree_from_edges(n, (v,), ()))
+            assert tree_state(Tree(n, v)) == tree_state(tree_from_edges(n, (v,), ()))
 
 
 def rejects(build):
@@ -354,16 +355,30 @@ def test_from_path_rejects_what_the_general_constructor_rejects(host_n, vs):
     assert rejects(lambda: Tree.from_path(host_n, vs)) == rejects(
         lambda: tree_from_edges(host_n, vs, list(zip(vs, vs[1:])))) is True
     if len(vs) == 1:
-        assert rejects(lambda: Tree.single_vertex(host_n, vs[0]))
+        assert rejects(lambda: Tree(host_n, vs[0]))
+
+
+def first_bad_step_message(host_n, vs):
+    """from_path's message on a sequence it rejects: the root's, or the step's
+    to the first vertex off the host or seen before."""
+    if not 0 <= vs[0] < host_n:
+        return "tree vertex out of host range"
+    i = next(i for i in range(1, len(vs)) if not 0 <= vs[i] < host_n or vs[i] in vs[:i])
+    return f"step ({vs[i - 1]}, {vs[i]}) does not go from the tree to a new host vertex"
 
 
 def test_from_path_accepts_exactly_the_sequences_the_general_constructor_accepts():
-    # every sequence of up to 4 vertices in -1..host_n, on hosts of 0 to 3 vertices
+    # every sequence of up to 4 vertices in -1..host_n, on hosts of 0 to 3
+    # vertices; one with a negative vertex fails with the message of its root
+    # or of its first bad step
     for host_n in range(4):
         for length in range(5):
             for vs in product(range(-1, host_n + 1), repeat=length):
                 assert rejects(lambda: Tree.from_path(host_n, vs)) == rejects(
                     lambda: tree_from_edges(host_n, vs, list(zip(vs, vs[1:])))), (host_n, vs)
+                if -1 in vs:
+                    with pytest.raises(ValueError, match=f"^{re.escape(first_bad_step_message(host_n, vs))}$"):
+                        Tree.from_path(host_n, vs)
     with pytest.raises(ValueError, match="^a tree has at least one vertex$"):
         Tree.from_path(3, ())
     with pytest.raises(ValueError, match=r"^step \(1, 0\) does not go from the tree to a new host vertex$"):
@@ -412,6 +427,19 @@ def test_a_growth_step_must_go_from_the_tree_to_a_new_host_vertex():
         Tree(3, 3, [])
 
 
+@pytest.mark.parametrize("build, step", [
+    (lambda: Tree(3, 0, [(0, -1)]), "(0, -1)"),
+    (lambda: Tree(3, 0, [(-1, 1)]), "(-1, 1)"),
+    (lambda: Tree.from_path(3, (0, -1)), "(0, -1)"),
+    (lambda: Tree(3, 0).grow([(0, -2)]), "(0, -2)"),
+], ids=["new", "anchor", "path", "grow"])
+def test_a_step_with_a_negative_vertex_raises_the_step_message(build, step):
+    # a negative vertex is off the host, so its step fails the step check
+    # before any mask is shifted by it
+    with pytest.raises(ValueError, match=f"^step {re.escape(step)} does not go from the tree to a new host vertex$"):
+        build()
+
+
 def test_spider_branch_vertices():
     # hub 0 with four legs: degree count gives exactly one branch vertex
     t = tree_from_edges(5, range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -429,7 +457,7 @@ def test_every_entry_point_rejects_a_subset_of_another_host():
         lambda: find_k_ended_covering_tree(graph, other, 2),
         lambda: base_path(graph, other),
         lambda: construct_k_ended_tree(graph, other, 2),
-        lambda: maximal_attachment_path(graph, Tree.single_vertex(3, 0), other),
+        lambda: maximal_attachment_path(graph, Tree(3, 0), other),
         lambda: verify_instance(graph, other, 2),
     ]
     for call in calls:
@@ -438,27 +466,24 @@ def test_every_entry_point_rejects_a_subset_of_another_host():
 
 
 def test_tree_validate_in_host():
+    # Graph.check_tree is the one check of a tree against its host: the host
+    # size first, then every edge
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     t = tree_from_edges(3, (0, 1, 2), [(0, 1), (1, 2)])
-    t.validate_in(g)
+    g.check_tree(t)
     bad = tree_from_edges(3, (0, 1, 2), [(0, 1), (0, 2)])
-    with pytest.raises(ValueError):
-        bad.validate_in(g)
+    with pytest.raises(InternalInvariantError, match=r"^tree edge \(0, 2\) is not a graph edge$"):
+        g.check_tree(bad)
+    with pytest.raises(InternalInvariantError, match="^tree host size does not match graph$"):
+        Graph.from_edges(4, [(0, 1), (1, 2)]).check_tree(t)
 
 
-def test_check_tree_validates_on_every_call(monkeypatch):
-    # no memo: the same object is checked again on each call, and the graph
+def test_check_tree_validates_on_every_call():
+    # no memo: the same object is checked again on each call, so a tree that
+    # passed fails once an edge is swapped for a non-edge, and the graph
     # keeps nothing of the trees it checked
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     good, bad = Tree.from_path(3, (0, 1, 2)), Tree.from_path(3, (1, 0, 2))
-    checked = []
-    original = Tree.validate_in
-
-    def counted(tree, graph):
-        checked.append(tree)
-        original(tree, graph)
-
-    monkeypatch.setattr(Tree, "validate_in", counted)
     state = {name: repr(getattr(g, name)) for name in Graph.__slots__}
     g.check_tree(good)
     g.check_tree(good)
@@ -466,7 +491,9 @@ def test_check_tree_validates_on_every_call(monkeypatch):
         g.check_tree(bad)
     with pytest.raises(InternalInvariantError, match=r"^tree edge \(0, 2\) is not a graph edge$"):
         g.check_tree(bad)
-    assert checked == [good, good, bad, bad]
+    good.edges = bad.edges
+    with pytest.raises(InternalInvariantError, match=r"^tree edge \(0, 2\) is not a graph edge$"):
+        g.check_tree(good)
     assert {name: repr(getattr(g, name)) for name in Graph.__slots__} == state
 
 
@@ -510,7 +537,6 @@ def test_tree_masks_match_dict_degree_oracle(case):
     assert tree.branch_mask == mask_of(v for v in vs if deg[v] >= 3)
     assert tree.leaf_count == sum(1 for d in deg.values() if d == 1)
     assert tree.branch_count == sum(1 for d in deg.values() if d >= 3)
-    assert [tree.adjacency[v].bit_count() for v in range(host_n)] == [deg.get(v, 0) for v in range(host_n)]
     assert tree.vertex_mask == sum(1 << v for v in vs)
     assert tree.edges == tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
 
@@ -555,8 +581,8 @@ def test_validate_in_names_the_first_missing_edge(case, data):
     missing = data.draw(st.sets(st.sampled_from(tree.edges)) if tree.edges else st.just(set()))
     host = Graph.from_edges(host_n, [e for e in tree.edges if e not in missing])
     if not missing:
-        tree.validate_in(host)
+        host.check_tree(tree)
         return
     u, v = min(missing)
-    with pytest.raises(ValueError, match=rf"^tree edge \({u}, {v}\) is not a graph edge$"):
-        tree.validate_in(host)
+    with pytest.raises(InternalInvariantError, match=rf"^tree edge \({u}, {v}\) is not a graph edge$"):
+        host.check_tree(tree)

@@ -51,17 +51,18 @@ def top_level_owners(pattern: str) -> list[str]:
 # a Tree's slots are filled only in graphs.py, by a growth whose every step is
 # checked; only Graph.path_tree builds the tree of a path, one per path set of
 # a graph, so every other caller shares it;
-# only Graph.check_tree checks a tree against its graph, and it keeps no memo:
-# a tree is checked where it is built or where it enters a sweep's cache; every
-# pair value goes through subset_kappa's flow memo; every Graph memo is a
-# function of the rows, filled and read by graphs.py and, for the subset
-# invariants, invariants.py, and no caller clears or reads one directly
+# only Graph.check_tree checks a tree against its graph, so only graphs.py
+# raises its two messages, and it keeps no memo: a tree is checked where it is
+# built or where it enters a sweep's cache; every pair value goes through
+# subset_kappa's flow memo; every Graph memo is a function of the rows, filled
+# and read by graphs.py and, for the subset invariants, invariants.py, and no
+# caller clears or reads one directly
 CONFINED = [
     pytest.param(r"_vertex_planes|_min_leaf_level|_close\(|path_planes\(|\._paths\b|\._min_leaves\b",
                  ("graphs.py",), id="plane"),
     pytest.param(r"_fill\(|__new__\(", ("graphs.py",), id="tree internals"),
     pytest.param(r"Tree\.from_path\(", ("graphs.py",), id="path tree"),
-    pytest.param(r"validate_in\(", ("graphs.py",), id="tree check"),
+    pytest.param(r"is not a graph edge|tree host size", ("graphs.py",), id="tree check"),
     pytest.param(r"local_connectivity\(", ("invariants.py",), id="pair connectivity"),
     pytest.param(r"\._(connected|paths|first_paths|path_trees|min_leaves|alpha|flows|kappa|checked)\b",
                  ("graphs.py", "invariants.py"), id="graph memo"),

@@ -44,7 +44,7 @@ def star(k):
 
 
 def audit(graph, subset, tree, max_leaves=None, max_branch=None):
-    tree.validate_in(graph)
+    graph.check_tree(tree)
     assert tree.covers(subset)
     if max_leaves is not None:
         assert tree.leaf_count <= max_leaves

@@ -487,17 +487,20 @@ def test_exhaustive_n5_sweep_builds_one_path_tree_per_path_set(exhaustive_n5_swe
     # 46,415 trees and 39,687 walks when every (S, k) built its own path tree,
     # 32,214 walks when every S walked its base path's first paths again, and
     # 20,394 trees and 12,444 walks when the Hamiltonian claim built its own
-    # tree from the backtracking path (its check walks the n = 1 graph's path)
+    # tree from the backtracking path (its check walks the n = 1 graph's path);
+    # 19,721 trees while the 7,614 one-vertex trees of a one-vertex S were
+    # one-vertex paths, which are now Tree(host_n, v) and not path trees
     calls = exhaustive_n5_sweep[1]
     assert calls["verdicts"] == 209302
-    assert (calls["trees"], calls["walks"]) == (19721, 12445)
+    assert (calls["trees"], calls["walks"]) == (12107, 12445)
 
 
 def test_exhaustive_n5_sweep_builds_every_root_grown_tree_in_the_constructor(exhaustive_n5_sweep):
-    # 19,721 path trees and 1,196 growth-search trees run Tree.__init__, the
-    # layer the benchmark's tracer counts as graphs.Tree; a tree grown on from
-    # another (augment's attached paths) does not. None ran it when every tree
-    # was grown past the edge-list constructor
+    # 12,107 path trees, 7,614 one-vertex trees and 1,196 growth-search trees
+    # run Tree.__init__, the layer the benchmark's tracer counts as
+    # graphs.Tree; a tree grown on from another (augment's attached paths)
+    # does not. None ran it when every tree was grown past the edge-list
+    # constructor
     assert exhaustive_n5_sweep[1]["inits"] == 20917
 
 
@@ -646,11 +649,11 @@ def test_all_subsets_sweep_checks_every_tree_where_it_enters_a_cache(monkeypatch
     # non-edge then aborts at its first tree with an edge, S = [0, 1] and k = 2,
     # with the claim, graph6, S and k
     checked, stored = [], []
-    validate_in = graphs.Tree.validate_in
+    check_tree = graphs.Graph.check_tree
 
-    def counted(tree, graph):
+    def counted(graph, tree):
         checked.append(tree)
-        validate_in(tree, graph)
+        check_tree(graph, tree)
 
     def recorded(original, tree_of=lambda result: result):
         def call(*args, **kwargs):
@@ -660,7 +663,7 @@ def test_all_subsets_sweep_checks_every_tree_where_it_enters_a_cache(monkeypatch
             return result
         return call
 
-    monkeypatch.setattr(graphs.Tree, "validate_in", counted)
+    monkeypatch.setattr(graphs.Graph, "check_tree", counted)
     for search in (treesearch.find_k_ended_covering_tree, treesearch.covering_tree_with_branch_budget):
         rebind_everywhere(monkeypatch, search, recorded(search))
     construct = constructive.construct_k_ended_tree
